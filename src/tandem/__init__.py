@@ -25,7 +25,7 @@ from .backend import (
     augment_with_search,
     load_script_file,
 )
-from .executor import LocalExecutor, PhaseRun
+from .executor import LocalExecutor
 from .grammar import (
     ActionParseError,
     DecisionParseError,

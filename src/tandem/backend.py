@@ -10,21 +10,23 @@ Three interchangeable backends implement ``complete(request) -> str``:
 
 All agent traffic goes through ``call_llm`` which times the call,
 records an LlmCall transcript event on the caller-supplied recorder and
-counts the exchange.
+counts the exchange.  ``ask_with_repair`` adds the agents' one repair
+round on top of it.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
 
 import requests
 import yaml
+
+from .grammar import GrammarError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .transcript import RunRecorder
@@ -45,6 +47,7 @@ __all__ = [
     "SearchProvider",
     "StaticSearchProvider",
     "TransportError",
+    "ask_with_repair",
     "augment_with_search",
     "call_llm",
     "truncate_to_words",
@@ -222,10 +225,6 @@ class ScriptedBackend:
         self._exchanges = list(exchanges)
         self._consumed = [False] * len(self._exchanges)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        return cls(load_script_file(path))
-
     @property
     def remaining(self) -> int:
         return self._consumed.count(False)
@@ -290,6 +289,31 @@ def call_llm(backend: ChatBackend, request: ChatRequest, role: str, recorder: "R
     return response
 
 
+T = TypeVar("T")
+
+
+def ask_with_repair(
+    ask: Callable[[ChatRequest], str],
+    chat: ChatRequest,
+    parse: Callable[[str], T],
+    repair_text: str,
+) -> T:
+    """Ask and parse; on a GrammarError, ask once more with a repair follow-up.
+
+    The repair round extends the conversation with the unparseable
+    response and `repair_text`.  A second parse failure propagates.
+    Each agent passes an `ask` and `parse` built from the names its own
+    module imports, so wrappers installed at those names (the benchmark's
+    tracer) still see every call.
+    """
+    response = ask(chat)
+    try:
+        return parse(response)
+    except GrammarError as exc:
+        logger.info("response unparseable, repairing: %s", exc)
+        return parse(ask(chat.with_followup(response, repair_text)))
+
+
 # =====================================================================
 # Search augmentation
 # =====================================================================
@@ -309,10 +333,6 @@ class RetrievedPassage:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passage", truncate_to_words(self.passage, PASSAGE_WORD_LIMIT))
-
-    @property
-    def word_count(self) -> int:
-        return len(self.passage.split())
 
 
 def truncate_to_words(text: str, limit: int = PASSAGE_WORD_LIMIT) -> str:
@@ -362,8 +382,3 @@ def augment_with_search(query: str, provider: SearchProvider) -> tuple[Retrieved
     """
     results = provider.search(query)
     return tuple(RetrievedPassage(query=query, passage=p, source=s) for p, s in results)
-
-
-def serialize_request_body(backend: HttpChatBackend, request: ChatRequest) -> str:
-    """The exact JSON body a live call would post (used by tests)."""
-    return json.dumps(backend._body(request), ensure_ascii=False)

@@ -15,15 +15,14 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import random
 import sys
-from decimal import Decimal
 from pathlib import Path
 
 from .backend import HttpChatBackend, ScriptedBackend, load_script_file
 from .harness import (
     SuiteLoadError,
     SuiteReport,
+    check_report,
     load_report,
     load_suite,
     load_task_file,
@@ -31,14 +30,11 @@ from .harness import (
     replay_transcript,
     resolve_search_provider,
     run_suite,
-    success_rate,
 )
 from .prompts import PromptLibrary
 from .protocol import Budgets, Task
 from .transcript import ReplayBackend, TranscriptCorrupt
 from .webenv import FixtureLoadError
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -120,9 +116,6 @@ def _common_setup(args: argparse.Namespace):
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.seed is not None:
-        random.seed(args.seed)
-        logger.info("seeded RNG with %d (runtime itself is deterministic)", args.seed)
     library = PromptLibrary(override_dir=args.prompt_dir) if args.prompt_dir else None
     provider = None
     if args.augment_search:
@@ -175,8 +168,7 @@ def _execute(args: argparse.Namespace, tasks: list[Task], parallel: int) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    _common_setup(args)
-    library = PromptLibrary(override_dir=args.prompt_dir) if args.prompt_dir else None
+    library, _ = _common_setup(args)
     result = replay_transcript(args.transcript, library=library)
     print(result.message)
     if result.outcome is not None:
@@ -190,29 +182,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     raw = load_report(args.report)
-    rows = raw.get("tasks", [])
-    if not rows:
+    if not raw.get("tasks"):
         print("report lists no tasks", file=sys.stderr)
         return EXIT_CONFIG
-    recounted: dict[str, tuple[int, int]] = {}
-    for row in rows:
-        cat = row.get("site_category") or "uncategorized"
-        s, n = recounted.get(cat, (0, 0))
-        recounted[cat] = (s + (1 if row.get("success") else 0), n + 1)
-    mismatches = []
-    for cat, (s, n) in sorted(recounted.items()):
-        stored = raw.get("categories", {}).get(cat)
-        fresh = success_rate(s, n)
-        if stored is None or Decimal(str(stored)) != fresh:
-            mismatches.append(f"{cat}: stored {stored} != recounted {fresh}")
-        print(f"{cat:<24}{n:>7}{s:>9}{str(fresh):>8}")
-    print(f"{'overall':<24}{raw.get('n_tasks', 0):>7}{raw.get('n_success', 0):>9}"
-          f"{raw.get('overall_sr', '?'):>8}")
-    if mismatches:
-        for m in mismatches:
-            print(f"integrity mismatch - {m}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+    table, mismatches = check_report(raw)
+    print(table)
+    for m in mismatches:
+        print(f"integrity mismatch - {m}", file=sys.stderr)
+    return EXIT_CONFIG if mismatches else EXIT_OK
 
 
 # =====================================================================
@@ -253,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="passage file for search augmentation ('bundled' for the packaged one)",
     )
     common.add_argument("--out", default=None, help="directory for transcripts and reports")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--prompt-dir", default=None, help="directory overriding bundled prompts")
     common.add_argument("-v", "--verbose", action="store_true")
 
@@ -273,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="re-render and check a report.json")
     p_report.add_argument("report", help="report.json from a suite run")
     p_report.set_defaults(fn=cmd_report)
-    p_report.set_defaults(seed=None, verbose=False, prompt_dir=None)
 
     return parser
 

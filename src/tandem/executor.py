@@ -9,15 +9,12 @@ table).  Like the planner, every parse failure gets one repair round.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 from . import prompts as prompt_texts
-from .backend import ChatBackend, ChatMessage, ChatRequest, call_llm
+from .backend import ChatBackend, ChatMessage, ChatRequest, ask_with_repair, call_llm
 from .grammar import (
-    ActionParseError,
-    EmptyPlan,
-    VerdictParseError,
     parse_action_sequence,
     parse_verdict,
     render_action,
@@ -35,30 +32,9 @@ from .protocol import (
 from .transcript import RunRecorder
 from .webenv import WebEnv
 
-logger = logging.getLogger(__name__)
-
-__all__ = ["LocalExecutor", "PhaseRun"]
+__all__ = ["LocalExecutor"]
 
 ROLE = "local"
-
-
-@dataclass
-class PhaseRun:
-    """Bookkeeping for one phase: every attempt and its outcome.
-
-    revision_count is attempts minus one by construction; the first
-    attempt is the initial sequence, later ones come from local
-    revisions or overrule retries.
-    """
-
-    phase: PhaseSpec
-    attempts: list[tuple[ActionSequence, ExecutionReport, LocalVerdict]] = field(
-        default_factory=list
-    )
-
-    @property
-    def revision_count(self) -> int:
-        return max(0, len(self.attempts) - 1)
 
 
 def _phase_objective(phase: PhaseSpec) -> str:
@@ -113,17 +89,18 @@ class LocalExecutor:
             max_response_tokens=self.max_response_tokens,
         )
 
+    def _ask(
+        self, chat: ChatRequest, recorder: RunRecorder, parse: Callable[[str], Any],
+        repair_text: str,
+    ) -> Any:
+        return ask_with_repair(
+            lambda c: call_llm(self.backend, c, ROLE, recorder), chat, parse, repair_text
+        )
+
     def _actions_via(
         self, chat: ChatRequest, recorder: RunRecorder
     ) -> ActionSequence:
-        response = call_llm(self.backend, chat, ROLE, recorder)
-        try:
-            return parse_action_sequence(response)
-        except (ActionParseError, EmptyPlan) as exc:
-            logger.info("action response unparseable, repairing: %s", exc)
-            repair = chat.with_followup(response, prompt_texts.REPAIR_ACTIONS)
-            response = call_llm(self.backend, repair, ROLE, recorder)
-            return parse_action_sequence(response)
+        return self._ask(chat, recorder, parse_action_sequence, prompt_texts.REPAIR_ACTIONS)
 
     # -- operations ------------------------------------------------------
 
@@ -184,14 +161,8 @@ class LocalExecutor:
     def _verdict_via(
         self, chat: ChatRequest, recorder: RunRecorder, allow_move: bool
     ) -> LocalVerdict:
-        response = call_llm(self.backend, chat, ROLE, recorder)
-        try:
-            return parse_verdict(response, allow_move=allow_move)
-        except VerdictParseError as exc:
-            logger.info("verdict unparseable, repairing: %s", exc)
-            repair = chat.with_followup(response, prompt_texts.REPAIR_VERDICT)
-            response = call_llm(self.backend, repair, ROLE, recorder)
-            return parse_verdict(response, allow_move=allow_move)
+        parse = partial(parse_verdict, allow_move=allow_move)
+        return self._ask(chat, recorder, parse, prompt_texts.REPAIR_VERDICT)
 
     def revise_local(
         self, reasons: str, phase: PhaseSpec, obs: Observation, recorder: RunRecorder

@@ -13,9 +13,10 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from importlib.resources import as_file, files
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import yaml
 
@@ -24,7 +25,7 @@ from .executor import LocalExecutor
 from .orchestrator import TaskOutcome, Termination, run_task
 from .planner import GlobalPlanner
 from .prompts import PromptLibrary
-from .protocol import Budgets, Difficulty, EvaluatorSpec, Task
+from .protocol import Budgets, Difficulty, Task, validate
 from .transcript import (
     ReplayBackend,
     ReplayDivergence,
@@ -46,6 +47,7 @@ __all__ = [
     "SuiteReport",
     "TaskRun",
     "aggregate",
+    "check_report",
     "load_manifest",
     "load_suite",
     "load_task_file",
@@ -101,31 +103,37 @@ class SuiteLoadError(ValueError):
     pass
 
 
-def load_task_file(path: str | Path) -> Task:
-    path = Path(path)
+def _checked(value: Any) -> Any:
+    """`value` if validate() passes it; a ValueError naming each violation if not."""
+    result = validate(value)
+    if not result:
+        raise ValueError("; ".join(str(v) for v in result.violations))
+    return value
+
+
+_DIFFICULTIES = {d.value.casefold(): d.value for d in Difficulty}
+
+
+def _load_yaml(path: Path, fmt: str) -> dict:
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise SuiteLoadError(f"{path}: bad yaml: {exc}") from exc
-    if not isinstance(raw, dict) or raw.get("format") != TASK_FORMAT:
-        raise SuiteLoadError(f"{path}: expected format {TASK_FORMAT!r}")
+    if not isinstance(raw, dict) or raw.get("format") != fmt:
+        raise SuiteLoadError(f"{path}: expected format {fmt!r}")
+    return raw
+
+
+def load_task_file(path: str | Path) -> Task:
+    """Load one task file; anything validate() flags is a SuiteLoadError."""
+    path = Path(path)
+    raw = _load_yaml(path, TASK_FORMAT)
+    # Task files spell difficulties in any case ("easy", "EASY").
+    wanted = str(raw.get("difficulty", "unlabeled")).casefold()
+    if wanted not in _DIFFICULTIES:
+        raise SuiteLoadError(f"{path}: unknown difficulty {wanted!r}")
     try:
-        ev = raw["evaluator"]
-        spec = EvaluatorSpec(kind=ev["kind"], expected=tuple(str(x) for x in ev["expected"]))
-        wanted = str(raw.get("difficulty", "unlabeled")).casefold()
-        by_name = {d.value.casefold(): d for d in Difficulty}
-        if wanted not in by_name:
-            raise SuiteLoadError(f"{path}: unknown difficulty {wanted!r}")
-        difficulty = by_name[wanted]
-        return Task(
-            id=str(raw["id"]),
-            objective=str(raw["objective"]),
-            env_fixture=str(raw["env_fixture"]),
-            evaluator=spec,
-            difficulty=difficulty,
-            site_category=str(raw.get("site_category", "")),
-            task_class=str(raw.get("task_class", "")),
-        )
+        return _checked(Task.from_dict({**raw, "difficulty": _DIFFICULTIES[wanted]}))
     except (KeyError, TypeError, ValueError) as exc:
         raise SuiteLoadError(f"{path}: {exc}") from exc
 
@@ -133,12 +141,7 @@ def load_task_file(path: str | Path) -> Task:
 def load_manifest(path: str | Path) -> list[Task]:
     """Load a suite manifest; task paths resolve relative to it."""
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise SuiteLoadError(f"{path}: bad yaml: {exc}") from exc
-    if not isinstance(raw, dict) or raw.get("format") != SUITE_FORMAT:
-        raise SuiteLoadError(f"{path}: expected format {SUITE_FORMAT!r}")
+    raw = _load_yaml(path, SUITE_FORMAT)
     entries = raw.get("tasks")
     if not isinstance(entries, list) or not entries:
         raise SuiteLoadError(f"{path}: manifest lists no tasks")
@@ -211,40 +214,87 @@ class SuiteReport:
             "overall_sr": float(self.overall),
             "categories": {k: float(v) for k, v in sorted(self.per_category.items())},
             "difficulties": {k: float(v) for k, v in sorted(self.per_difficulty.items())},
-            "tasks": [
-                {
-                    **run.outcome.to_dict(),
-                    "site_category": run.task.site_category,
-                    "difficulty": run.task.difficulty.value,
-                    "transcript": run.transcript_path,
-                }
-                for run in self.runs
-            ],
+            "tasks": [_task_row(run) for run in self.runs],
         }
 
 
-def _group_counts(runs: Sequence[TaskRun], key: Callable[[TaskRun], str]) -> dict[str, tuple[int, int]]:
+def _task_row(run: TaskRun) -> dict:
+    """One task's row in report.json; the rates are counted over these rows."""
+    return {
+        **run.outcome.to_dict(),
+        "site_category": run.task.site_category,
+        "difficulty": run.task.difficulty.value,
+        "transcript": run.transcript_path,
+    }
+
+
+def _group_counts(rows: Sequence[dict], key: str) -> dict[str, tuple[int, int]]:
     counts: dict[str, tuple[int, int]] = {}
-    for run in runs:
-        k = key(run)
-        s, n = counts.get(k, (0, 0))
-        counts[k] = (s + (1 if run.outcome.success else 0), n + 1)
+    for row in rows:
+        group = row.get(key) or "uncategorized"
+        s, n = counts.get(group, (0, 0))
+        counts[group] = (s + (1 if row.get("success") else 0), n + 1)
     return counts
 
 
-def aggregate(runs: Sequence[TaskRun]) -> SuiteReport:
-    if not runs:
-        raise ValueError("aggregate needs at least one run")
-    by_cat = _group_counts(runs, lambda r: r.task.site_category or "uncategorized")
-    by_diff = _group_counts(runs, lambda r: r.task.difficulty.value)
+def _tally(rows: Sequence[dict], runs: Sequence[TaskRun] = ()) -> SuiteReport:
+    """The report's rates and counts over its task rows."""
+    by_cat, by_diff = _group_counts(rows, "site_category"), _group_counts(rows, "difficulty")
     return SuiteReport(
         runs=list(runs),
         per_category={k: success_rate(s, n) for k, (s, n) in by_cat.items()},
         per_difficulty={k: success_rate(s, n) for k, (s, n) in by_diff.items()},
         overall=overall_rate(by_cat),
-        n_tasks=len(runs),
-        n_success=sum(1 for r in runs if r.outcome.success),
+        n_tasks=len(rows),
+        n_success=sum(s for s, _ in by_cat.values()),
     )
+
+
+def aggregate(runs: Sequence[TaskRun]) -> SuiteReport:
+    if not runs:
+        raise ValueError("aggregate needs at least one run")
+    return _tally([_task_row(run) for run in runs], runs)
+
+
+# The report.json fields a recount reproduces from the task rows.
+_RECOUNTED = ("n_tasks", "n_success", "overall_sr", "categories", "difficulties")
+
+
+def check_report(raw: dict) -> tuple[str, list[str]]:
+    """Recount a loaded report.json from its task rows.
+
+    Returns the recounted rate tables and one line per recounted field
+    whose stored value differs.
+    """
+    fresh = _tally(raw["tasks"])
+    recounted = fresh.to_dict()
+    mismatches = [
+        f"{key}: stored {raw.get(key)} != recounted {recounted[key]}"
+        for key in _RECOUNTED
+        if raw.get(key) != recounted[key]
+    ]
+    return "\n".join(_rate_lines(fresh, raw["tasks"])), mismatches
+
+
+def _wire(
+    task: Task, backend: ChatBackend, budgets: Budgets, *, library: PromptLibrary | None,
+    temperature: float, augment_search: bool, search_provider: SearchProvider | None,
+) -> tuple[RunRecorder, Callable[[], TaskOutcome]]:
+    """Wire a fresh env, recorder, planner and executor to one task.
+
+    Returns the recorder and the run_task call.  The fixture loads here,
+    so a fixture problem raises before the caller's handling of run
+    failures begins.
+    """
+    env = WebEnv(load_fixture(task.env_fixture))
+    cap = budgets.max_exchanges if budgets.force_stop_enabled else None
+    recorder = RunRecorder(exchange_cap=cap)
+    planner = GlobalPlanner(
+        backend, library=library, temperature=temperature,
+        search_provider=search_provider, augment_search=augment_search,
+    )
+    executor = LocalExecutor(backend, library=library, temperature=temperature)
+    return recorder, partial(run_task, task, planner, executor, env, budgets, recorder)
 
 
 def run_single(
@@ -260,19 +310,12 @@ def run_single(
     backend_label: str = "",
 ) -> TaskRun:
     """Run one task with its own environment and recorder."""
-    env = WebEnv(load_fixture(task.env_fixture))
-    cap = budgets.max_exchanges if budgets.force_stop_enabled else None
-    recorder = RunRecorder(exchange_cap=cap)
-    planner = GlobalPlanner(
-        backend,
-        library=library,
-        temperature=temperature,
-        search_provider=search_provider,
-        augment_search=augment_search,
+    recorder, run = _wire(
+        task, backend, budgets, library=library, temperature=temperature,
+        augment_search=augment_search, search_provider=search_provider,
     )
-    executor = LocalExecutor(backend, library=library, temperature=temperature)
     try:
-        outcome = run_task(task, planner, executor, env, budgets, recorder)
+        outcome = run()
     except Exception as exc:  # harness must survive any single bad task
         logger.exception("task %s crashed outside the protocol", task.id)
         outcome = TaskOutcome(
@@ -286,9 +329,7 @@ def run_single(
         )
     transcript_path = ""
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        dest = out / f"{task.id}.transcript.jsonl"
+        dest = Path(out_dir) / f"{task.id}.transcript.jsonl"
         header = {
             "task": task.to_dict(),
             "budgets": budgets.to_dict(),
@@ -378,29 +419,20 @@ def replay_transcript(
     for w in warnings:
         logger.warning("replay %s: %s", path, w)
     try:
-        task = Task.from_dict(header["task"])
-        budgets = Budgets.from_dict(header["budgets"])
+        task = _checked(Task.from_dict(header["task"]))
+        budgets = _checked(Budgets.from_dict(header["budgets"]))
+        temperature = float(header.get("temperature", 1.0))
     except (KeyError, TypeError, ValueError) as exc:
         return ReplayResult(ok=False, message=f"bad transcript header: {exc}")
 
-    backend = ReplayBackend(events)
-    env = WebEnv(load_fixture(task.env_fixture))
-    cap = budgets.max_exchanges if budgets.force_stop_enabled else None
-    recorder = RunRecorder(exchange_cap=cap)
     augment = bool(header.get("augment_search", False))
-    provider = resolve_search_provider("bundled") if augment else None
-    planner = GlobalPlanner(
-        backend,
-        library=library,
-        temperature=float(header.get("temperature", 1.0)),
-        search_provider=provider,
+    recorder, run = _wire(
+        task, ReplayBackend(events), budgets, library=library, temperature=temperature,
         augment_search=augment,
-    )
-    executor = LocalExecutor(
-        backend, library=library, temperature=float(header.get("temperature", 1.0))
+        search_provider=resolve_search_provider("bundled") if augment else None,
     )
     try:
-        outcome = run_task(task, planner, executor, env, budgets, recorder)
+        outcome = run()
     except ReplayDivergence as exc:
         return ReplayResult(
             ok=False,
@@ -432,17 +464,19 @@ def _render_table(title: str, rows: dict[str, Decimal], counts: dict[str, tuple[
     return lines
 
 
+def _rate_lines(report: SuiteReport, rows: Sequence[dict]) -> list[str]:
+    by_cat, by_diff = _group_counts(rows, "site_category"), _group_counts(rows, "difficulty")
+    return [
+        *_render_table("success rate by site category", report.per_category, by_cat),
+        "",
+        *_render_table("success rate by difficulty", report.per_difficulty, by_diff),
+        "",
+        f"{'overall':<24}{report.n_tasks:>7}{report.n_success:>9}{str(report.overall):>8}",
+    ]
+
+
 def render_report(report: SuiteReport) -> str:
-    by_cat = _group_counts(report.runs, lambda r: r.task.site_category or "uncategorized")
-    by_diff = _group_counts(report.runs, lambda r: r.task.difficulty.value)
-    lines: list[str] = []
-    lines.extend(_render_table("success rate by site category", report.per_category, by_cat))
-    lines.append("")
-    lines.extend(_render_table("success rate by difficulty", report.per_difficulty, by_diff))
-    lines.append("")
-    lines.append(
-        f"{'overall':<24}{report.n_tasks:>7}{report.n_success:>9}{str(report.overall):>8}"
-    )
+    lines = _rate_lines(report, [_task_row(run) for run in report.runs])
     terminations: dict[str, int] = {}
     for run in report.runs:
         key = run.outcome.termination.value

@@ -30,17 +30,16 @@ whose ``reason`` field says which limit tripped.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .backend import BackendExhausted, ResponseEmpty, TransportError
-from .executor import LocalExecutor, PhaseRun
+from .executor import LocalExecutor
 from .grammar import GrammarError, render_action
 from .planner import GlobalPlanner, MissingContextField, PlannerContext
 from .protocol import (
-    ActionSequence,
     Budgets,
+    DictCodec,
     EventKind,
     ExecutionReport,
     GlobalDecision,
@@ -52,8 +51,6 @@ from .protocol import (
 )
 from .transcript import ForceStopInterrupt, RunRecorder
 from .webenv import WebEnv, evaluate
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "BudgetCounters",
@@ -185,11 +182,10 @@ class OrchestratorState:
     last_report: ExecutionReport | None = None
     success: bool = False
     final_answer: str = ""
-    phase_runs: list[PhaseRun] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
-class TaskOutcome:
+class TaskOutcome(DictCodec):
     task_id: str
     success: bool
     final_answer: str
@@ -197,17 +193,6 @@ class TaskOutcome:
     exchanges_used: int
     plan_versions: int
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "success": self.success,
-            "final_answer": self.final_answer,
-            "termination": self.termination.value,
-            "exchanges_used": self.exchanges_used,
-            "plan_versions": self.plan_versions,
-            "detail": self.detail,
-        }
 
 
 # =====================================================================
@@ -295,15 +280,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
         state.termination_detail = inp.detail
         state.success = False
         state.final_answer = inp.answer
-        rec.append(
-            EventKind.TASK_RESULT,
-            {
-                "success": False,
-                "answer": inp.answer,
-                "termination": Termination.PROTOCOL_ERROR.value,
-                "detail": inp.detail,
-            },
-        )
+        _record_result(state)
         state.mode = Mode.DONE
         return state
 
@@ -378,20 +355,24 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
             raise IllegalTransition(f"{mode.value} cannot finalize")
         state.success = inp.success
         state.final_answer = inp.answer
-        rec.append(
-            EventKind.TASK_RESULT,
-            {
-                "success": inp.success,
-                "answer": inp.answer,
-                "termination": state.termination.value,
-                "detail": state.termination_detail,
-            },
-        )
+        _record_result(state)
         if mode is Mode.COLLATION:
             state.mode = Mode.DONE
         return state
 
     raise IllegalTransition(f"unknown input {type(inp).__name__}")
+
+
+def _record_result(state: OrchestratorState) -> None:
+    state.recorder.append(
+        EventKind.TASK_RESULT,
+        {
+            "success": state.success,
+            "answer": state.final_answer,
+            "termination": state.termination.value,
+            "detail": state.termination_detail,
+        },
+    )
 
 
 def _issue_plan(state: OrchestratorState, plan: GlobalPlan) -> None:
@@ -420,27 +401,22 @@ def run_task(
     planner: GlobalPlanner,
     executor: LocalExecutor,
     env: WebEnv,
-    budgets: Budgets | None = None,
-    recorder: RunRecorder | None = None,
+    budgets: Budgets,
+    recorder: RunRecorder,
 ) -> TaskOutcome:
     """Run one task end to end and return its outcome.
 
     Parse failures that survive their repair round become a
     protocol_error outcome rather than an exception; environment load
-    problems raise before any LLM call.  The recorder (auto-created when
-    not supplied) ends up holding the full transcript.
+    problems raise before any LLM call.  The recorder, whose exchange
+    cap the caller sets from the budgets, ends up holding the full
+    transcript.
     """
-    budgets = budgets or Budgets()
-    if recorder is None:
-        cap = budgets.max_exchanges if budgets.force_stop_enabled else None
-        recorder = RunRecorder(exchange_cap=cap)
     state = OrchestratorState(task=task, budgets=budgets, recorder=recorder)
 
     obs = env.reset()
     pending_reasons = ""
     pending_guidance: str | None = None
-    current_run: PhaseRun | None = None
-    pending_attempt: tuple[ActionSequence, ExecutionReport] | None = None
 
     try:
         ctx = PlannerContext(
@@ -450,28 +426,18 @@ def run_task(
         step(state, PlanReady(plan))
 
         while state.mode not in (Mode.COLLATION, *TERMINAL_MODES):
-            if state.mode is Mode.PHASE_EXECUTION:
-                assert state.plan is not None
-                phase = state.plan.phase(state.phase_index)
-                current_run = PhaseRun(phase=phase)
-                state.phase_runs.append(current_run)
-                seq = executor.plan_phase(phase, env.observe(), recorder)
-                report = executor.execute_actions(seq, env)
-                pending_attempt = (seq, report)
-                step(state, Executed(report))
-
-            elif state.mode is Mode.LOCAL_REVISION:
+            if state.mode in (Mode.PHASE_EXECUTION, Mode.LOCAL_REVISION):
                 assert state.plan is not None
                 phase = state.plan.phase(state.phase_index)
                 obs = env.observe()
-                if pending_guidance is not None:
+                if state.mode is Mode.PHASE_EXECUTION:
+                    seq = executor.plan_phase(phase, obs, recorder)
+                elif pending_guidance is not None:
                     seq = executor.handle_overrule(pending_guidance, phase, obs, recorder)
                     pending_guidance = None
                 else:
                     seq = executor.revise_local(pending_reasons, phase, obs, recorder)
-                report = executor.execute_actions(seq, env)
-                pending_attempt = (seq, report)
-                step(state, Executed(report))
+                step(state, Executed(executor.execute_actions(seq, env)))
 
             elif state.mode in (Mode.PASS_CHECK, Mode.FAIL_CHECK):
                 assert state.plan is not None and state.last_report is not None
@@ -483,9 +449,6 @@ def run_task(
                     else executor.check_fail
                 )
                 verdict = check(report, phase, report.final_observation, recorder)
-                if current_run is not None and pending_attempt is not None:
-                    current_run.attempts.append((*pending_attempt, verdict))
-                    pending_attempt = None
                 step(state, VerdictReady(verdict))
 
                 if verdict.decision is VerdictDecision.REVISE:
@@ -525,20 +488,11 @@ def run_task(
 
     except ForceStopInterrupt as fs:
         step(state, BudgetTripped("max_exchanges", fs.exchange_count))
-    except (GrammarError, MissingContextField) as exc:
-        step(
-            state,
-            ProtocolFailed(
-                detail=f"{type(exc).__name__}: {exc}", answer=env.stop_answer or ""
-            ),
-        )
-    except (TransportError, BackendExhausted, ResponseEmpty) as exc:
-        step(
-            state,
-            ProtocolFailed(
-                detail=f"{type(exc).__name__}: {exc}", answer=env.stop_answer or ""
-            ),
-        )
+    except (
+        GrammarError, MissingContextField, TransportError, BackendExhausted, ResponseEmpty
+    ) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        step(state, ProtocolFailed(detail=detail, answer=env.stop_answer or ""))
 
     if state.mode in (Mode.COLLATION, Mode.FORCE_STOPPED):
         finalize(state, planner, env)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable
 
 from . import prompts as prompt_texts
 from .backend import (
@@ -28,12 +30,12 @@ from .backend import (
     RetrievedPassage,
     SearchProvider,
     TransportError,
+    ask_with_repair,
     augment_with_search,
     call_llm,
 )
 from .grammar import (
     DecisionParseError,
-    PlanParseError,
     parse_decision,
     parse_global_plan,
     render_action,
@@ -169,21 +171,23 @@ class GlobalPlanner:
             max_response_tokens=self.max_response_tokens,
         )
 
+    def _ask(
+        self, chat: ChatRequest, recorder: RunRecorder, parse: Callable[[str], Any],
+        repair_text: str,
+    ) -> Any:
+        return ask_with_repair(
+            lambda c: call_llm(self.backend, c, ROLE, recorder), chat, parse, repair_text
+        )
+
     # -- operations ------------------------------------------------------
 
     def make_global_plan(self, ctx: PlannerContext, recorder: RunRecorder) -> GlobalPlan:
         """Issue plan version 1. One repair round, then PlanParseError."""
         if ctx.previous_plan is not None:
             raise MissingContextField("make_global_plan must not receive a previous plan")
-        request = self._request(self.render_prompt("plan", ctx))
-        response = call_llm(self.backend, request, ROLE, recorder)
-        try:
-            return parse_global_plan(response, plan_version=1)
-        except PlanParseError as exc:
-            logger.info("plan response unparseable, repairing: %s", exc)
-            repair = request.with_followup(response, prompt_texts.REPAIR_PLAN)
-            response = call_llm(self.backend, repair, ROLE, recorder)
-            return parse_global_plan(response, plan_version=1)
+        chat = self._request(self.render_prompt("plan", ctx))
+        parse = partial(parse_global_plan, plan_version=1)
+        return self._ask(chat, recorder, parse, prompt_texts.REPAIR_PLAN)
 
     def decide_replan(
         self, request: ReplanRequest, current_plan: GlobalPlan, ctx: PlannerContext,
@@ -203,15 +207,7 @@ class GlobalPlanner:
                 "decide", ctx, reasons=request.reasons, phase_index=request.phase_index
             )
         )
-        response = call_llm(self.backend, chat, ROLE, recorder)
-        try:
-            token, guidance = self._parse_ruling(response)
-        except DecisionParseError as exc:
-            logger.info("ruling unparseable, repairing: %s", exc)
-            repair = chat.with_followup(response, prompt_texts.REPAIR_DECISION)
-            response = call_llm(self.backend, repair, ROLE, recorder)
-            token, guidance = self._parse_ruling(response)
-
+        token, guidance = self._ask(chat, recorder, self._parse_ruling, prompt_texts.REPAIR_DECISION)
         if token == "overrule":
             return GlobalDecision.overrule(guidance)
         new_plan = self.revise_plan(request, current_plan, ctx, recorder)
@@ -234,14 +230,8 @@ class GlobalPlanner:
                 "revise", ctx, reasons=request.reasons, phase_index=request.phase_index
             )
         )
-        response = call_llm(self.backend, chat, ROLE, recorder)
-        try:
-            return parse_global_plan(response, plan_version=old_plan.plan_version + 1)
-        except PlanParseError as exc:
-            logger.info("revised plan unparseable, repairing: %s", exc)
-            repair = chat.with_followup(response, prompt_texts.REPAIR_PLAN)
-            response = call_llm(self.backend, repair, ROLE, recorder)
-            return parse_global_plan(response, plan_version=old_plan.plan_version + 1)
+        parse = partial(parse_global_plan, plan_version=old_plan.plan_version + 1)
+        return self._ask(chat, recorder, parse, prompt_texts.REPAIR_PLAN)
 
     def collate(
         self, final_report: ExecutionReport, plan: GlobalPlan, ctx: PlannerContext,

@@ -2,22 +2,26 @@
 
 Every value that crosses a module boundary (tasks, observations, plans,
 action sequences, reports, verdicts, decisions, budgets, transcript events)
-is defined here as an immutable dataclass with a JSON-dict codec.  The
-module deliberately contains no behavior beyond validation and
+is defined here as an immutable dataclass.  All of them but
+TranscriptEvent share one field-driven JSON-dict codec.  The module
+deliberately contains no behavior beyond validation and
 (de)serialization; agents, environment and orchestrator build on top.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Any
+from functools import cache
+from types import UnionType
+from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 __all__ = [
     "ActionKind",
     "ActionSequence",
     "Budgets",
+    "DictCodec",
     "Difficulty",
     "EvaluatorSpec",
     "EventKind",
@@ -36,8 +40,6 @@ __all__ = [
     "ValidationResult",
     "VerdictDecision",
     "Violation",
-    "decode_value",
-    "encode_value",
     "validate",
 ]
 
@@ -86,9 +88,108 @@ EVALUATOR_KINDS = ("exact_match", "must_include", "url_match")
 SCROLL_DIRECTIONS = ("up", "down")
 
 
-def _tuple(seq: Any) -> tuple:
-    # Normalizes list inputs so frozen dataclasses stay hashable/comparable.
-    return tuple(seq) if not isinstance(seq, tuple) else seq
+# =====================================================================
+# Dict codec
+# =====================================================================
+
+
+class DictCodec:
+    """Field-driven JSON-dict codec for frozen dataclasses.
+
+    to_dict writes the fields in declaration order: enums as their value,
+    tuples as lists, nested values through their own to_dict, and None
+    values left out.  from_dict decodes each field by its type hint and
+    checks that str fields hold strings.  A missing key takes the field's
+    default; a field without one, or any field of a class that sets
+    `_all_keys_required`, raises KeyError.  Tuple fields given any other
+    sequence store it as a tuple, so values stay hashable and comparable.
+    """
+
+    _all_keys_required = False
+
+    def __post_init__(self) -> None:
+        for f in _fields_of(type(self)):
+            value = getattr(self, f.name)
+            if f.is_tuple and not isinstance(value, tuple):
+                object.__setattr__(self, f.name, tuple(value))
+
+    def to_dict(self) -> dict:
+        return {
+            f.name: _encode(value)
+            for f in _fields_of(type(self))
+            if (value := getattr(self, f.name)) is not None
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> Any:
+        kwargs = {}
+        for f in _fields_of(cls):
+            if f.name in d:
+                kwargs[f.name] = f.decode(d[f.name])
+            elif f.required or cls._all_keys_required:
+                raise KeyError(f.name)
+        return cls(**kwargs)
+
+
+class _Field(NamedTuple):
+    name: str
+    decode: Callable[[Any], Any]
+    required: bool
+    is_tuple: bool
+
+
+@cache
+def _fields_of(cls: type) -> tuple[_Field, ...]:
+    """Each field's codec rules, resolved from the type hints once per class."""
+    hints = get_type_hints(cls)
+    return tuple(
+        _Field(
+            f.name,
+            _decoder(hints[f.name]),
+            f.default is MISSING and f.default_factory is MISSING,
+            get_origin(hints[f.name]) is tuple,
+        )
+        for f in fields(cls)
+    )
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, DictCodec):
+        return value.to_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
+def _string(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The function that turns a JSON value into a field of type `hint`."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        item = _decoder(args[0])
+        return lambda value: tuple(item(v) for v in value)
+    if origin is UnionType:
+        inner = [a for a in args if a is not type(None)]
+        item = _decoder(inner[0]) if len(inner) == 1 else _as_is
+        return lambda value: None if value is None else item(value)
+    if hint is str:
+        return _string
+    if isinstance(hint, type) and issubclass(hint, DictCodec):
+        return hint.from_dict
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint
+    return _as_is
 
 
 # =====================================================================
@@ -97,7 +198,7 @@ def _tuple(seq: Any) -> tuple:
 
 
 @dataclass(frozen=True)
-class EvaluatorSpec:
+class EvaluatorSpec(DictCodec):
     """How a task's final answer / final env state is judged.
 
     kind is one of:
@@ -112,22 +213,16 @@ class EvaluatorSpec:
     kind: str
     expected: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "expected", _tuple(self.expected))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "expected": list(self.expected)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluatorSpec":
-        expected = d["expected"]
-        if isinstance(expected, str):
-            expected = [expected]
-        return cls(kind=d["kind"], expected=tuple(expected))
+        # A bare string is a single expected value, not a run of characters.
+        if isinstance(d, dict) and isinstance(d.get("expected"), str):
+            d = {**d, "expected": [d["expected"]]}
+        return super().from_dict(d)
 
 
 @dataclass(frozen=True)
-class Task:
+class Task(DictCodec):
     """One benchmark task: an objective against a named site fixture."""
 
     id: str
@@ -140,29 +235,6 @@ class Task:
     # bundled fixtures (e.g. "Order Management"); empty when unused.
     task_class: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "objective": self.objective,
-            "env_fixture": self.env_fixture,
-            "evaluator": self.evaluator.to_dict(),
-            "difficulty": self.difficulty.value,
-            "site_category": self.site_category,
-            "task_class": self.task_class,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Task":
-        return cls(
-            id=d["id"],
-            objective=d["objective"],
-            env_fixture=d["env_fixture"],
-            evaluator=EvaluatorSpec.from_dict(d["evaluator"]),
-            difficulty=Difficulty(d.get("difficulty", "Unlabeled")),
-            site_category=d.get("site_category", ""),
-            task_class=d.get("task_class", ""),
-        )
-
 
 # =====================================================================
 # Observations and page actions
@@ -170,7 +242,7 @@ class Task:
 
 
 @dataclass(frozen=True)
-class Observation:
+class Observation(DictCodec):
     """What an agent sees: rendered accessibility tree plus page context."""
 
     axtree: str
@@ -178,29 +250,9 @@ class Observation:
     open_tabs: tuple[str, ...] = ()
     previous_action: str = "None"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "open_tabs", _tuple(self.open_tabs))
-
-    def to_dict(self) -> dict:
-        return {
-            "axtree": self.axtree,
-            "url": self.url,
-            "open_tabs": list(self.open_tabs),
-            "previous_action": self.previous_action,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Observation":
-        return cls(
-            axtree=d["axtree"],
-            url=d["url"],
-            open_tabs=tuple(d.get("open_tabs", ())),
-            previous_action=d.get("previous_action", "None"),
-        )
-
 
 @dataclass(frozen=True)
-class PageAction:
+class PageAction(DictCodec):
     """A single browser-level action.
 
     `target` holds the element id for click/type, the direction for
@@ -212,38 +264,12 @@ class PageAction:
     target: int | str | None = None
     text: str | None = None
 
-    def to_dict(self) -> dict:
-        d: dict[str, Any] = {"kind": self.kind.value}
-        if self.target is not None:
-            d["target"] = self.target
-        if self.text is not None:
-            d["text"] = self.text
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PageAction":
-        return cls(
-            kind=ActionKind(d["kind"]),
-            target=d.get("target"),
-            text=d.get("text"),
-        )
-
 
 @dataclass(frozen=True)
-class ActionSequence:
+class ActionSequence(DictCodec):
     """Ordered actions planned for one phase."""
 
     actions: tuple[PageAction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", _tuple(self.actions))
-
-    def to_dict(self) -> dict:
-        return {"actions": [a.to_dict() for a in self.actions]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActionSequence":
-        return cls(actions=tuple(PageAction.from_dict(a) for a in d["actions"]))
 
 
 # =====================================================================
@@ -252,57 +278,27 @@ class ActionSequence:
 
 
 @dataclass(frozen=True)
-class PhaseSpec:
+class PhaseSpec(DictCodec):
     """One phase of a global plan: a subtask and its expected end state."""
 
     index: int
     subtask: str
     expected_state: str
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "subtask": self.subtask,
-            "expected_state": self.expected_state,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhaseSpec":
-        return cls(
-            index=d["index"],
-            subtask=d["subtask"],
-            expected_state=d["expected_state"],
-        )
-
-
-@dataclass(frozen=True)
-class GlobalPlan:
+@dataclass(frozen=True, kw_only=True)
+class GlobalPlan(DictCodec):
     """A versioned multi-phase plan produced by the planning agent."""
 
-    phases: tuple[PhaseSpec, ...]
+    # Declared first so the wire form leads with the version.
     plan_version: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phases", _tuple(self.phases))
+    phases: tuple[PhaseSpec, ...]
 
     def phase(self, index: int) -> PhaseSpec:
         for p in self.phases:
             if p.index == index:
                 return p
         raise KeyError(f"plan v{self.plan_version} has no phase {index}")
-
-    def to_dict(self) -> dict:
-        return {
-            "plan_version": self.plan_version,
-            "phases": [p.to_dict() for p in self.phases],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GlobalPlan":
-        return cls(
-            phases=tuple(PhaseSpec.from_dict(p) for p in d["phases"]),
-            plan_version=d["plan_version"],
-        )
 
 
 # =====================================================================
@@ -311,7 +307,7 @@ class GlobalPlan:
 
 
 @dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(DictCodec):
     """Result of applying one action: Ok, or an environment error."""
 
     ok: bool
@@ -325,55 +321,20 @@ class StepOutcome:
     def env_error(cls, message: str) -> "StepOutcome":
         return cls(ok=False, error=message)
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "error": self.error}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepOutcome":
-        return cls(ok=d["ok"], error=d.get("error", ""))
-
 
 @dataclass(frozen=True)
-class ExecutionStep:
+class ExecutionStep(DictCodec):
     action: PageAction
     outcome: StepOutcome
 
-    def to_dict(self) -> dict:
-        return {"action": self.action.to_dict(), "outcome": self.outcome.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExecutionStep":
-        return cls(
-            action=PageAction.from_dict(d["action"]),
-            outcome=StepOutcome.from_dict(d["outcome"]),
-        )
-
 
 @dataclass(frozen=True)
-class ExecutionReport:
+class ExecutionReport(DictCodec):
     """What happened when an action sequence ran against the environment."""
 
     steps: tuple[ExecutionStep, ...]
     final_observation: Observation
     raised_exception: bool
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", _tuple(self.steps))
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": [s.to_dict() for s in self.steps],
-            "final_observation": self.final_observation.to_dict(),
-            "raised_exception": self.raised_exception,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExecutionReport":
-        return cls(
-            steps=tuple(ExecutionStep.from_dict(s) for s in d["steps"]),
-            final_observation=Observation.from_dict(d["final_observation"]),
-            raised_exception=d["raised_exception"],
-        )
 
 
 # =====================================================================
@@ -382,46 +343,24 @@ class ExecutionReport:
 
 
 @dataclass(frozen=True)
-class LocalVerdict:
+class LocalVerdict(DictCodec):
     """The execution agent's self-check after running a phase."""
 
     decision: VerdictDecision
     reasons: str = ""
 
-    def to_dict(self) -> dict:
-        return {"decision": self.decision.value, "reasons": self.reasons}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LocalVerdict":
-        return cls(decision=VerdictDecision(d["decision"]), reasons=d.get("reasons", ""))
-
 
 @dataclass(frozen=True)
-class ReplanRequest:
+class ReplanRequest(DictCodec):
     """Escalation from the execution agent asking for a new global plan."""
 
     phase_index: int
     reasons: str
     report: ExecutionReport
 
-    def to_dict(self) -> dict:
-        return {
-            "phase_index": self.phase_index,
-            "reasons": self.reasons,
-            "report": self.report.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReplanRequest":
-        return cls(
-            phase_index=d["phase_index"],
-            reasons=d["reasons"],
-            report=ExecutionReport.from_dict(d["report"]),
-        )
-
 
 @dataclass(frozen=True)
-class GlobalDecision:
+class GlobalDecision(DictCodec):
     """The planner's ruling on a replan request.
 
     ruling == "revise": `new_plan` carries the replacement plan.
@@ -442,21 +381,10 @@ class GlobalDecision:
         return cls(ruling="overrule", guidance=guidance)
 
     def to_dict(self) -> dict:
-        d: dict[str, Any] = {"ruling": self.ruling}
-        if self.new_plan is not None:
-            d["new_plan"] = self.new_plan.to_dict()
-        if self.guidance:
-            d["guidance"] = self.guidance
+        d = super().to_dict()
+        if not self.guidance:  # a revise ruling carries no guidance
+            del d["guidance"]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GlobalDecision":
-        new_plan = d.get("new_plan")
-        return cls(
-            ruling=d["ruling"],
-            new_plan=GlobalPlan.from_dict(new_plan) if new_plan else None,
-            guidance=d.get("guidance", ""),
-        )
 
 
 # =====================================================================
@@ -465,7 +393,7 @@ class GlobalDecision:
 
 
 @dataclass(frozen=True)
-class Budgets:
+class Budgets(DictCodec):
     """Dialogue limits for one task run.
 
     max_exchanges caps the total number of completed agent LLM calls and
@@ -478,22 +406,8 @@ class Budgets:
     max_replan_requests_per_task: int = 3
     force_stop_enabled: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "max_exchanges": self.max_exchanges,
-            "max_local_revisions_per_phase": self.max_local_revisions_per_phase,
-            "max_replan_requests_per_task": self.max_replan_requests_per_task,
-            "force_stop_enabled": self.force_stop_enabled,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Budgets":
-        return cls(
-            max_exchanges=d["max_exchanges"],
-            max_local_revisions_per_phase=d["max_local_revisions_per_phase"],
-            max_replan_requests_per_task=d["max_replan_requests_per_task"],
-            force_stop_enabled=d["force_stop_enabled"],
-        )
+    # A transcript header must spell out every limit it ran under.
+    _all_keys_required = True
 
 
 # =====================================================================
@@ -568,7 +482,7 @@ class Violation:
     path: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"{self.path}: {self.message}"
 
 
@@ -577,7 +491,7 @@ class ValidationResult:
     violations: tuple[Violation, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", _tuple(self.violations))
+        object.__setattr__(self, "violations", tuple(self.violations))
 
     @property
     def ok(self) -> bool:
@@ -724,50 +638,3 @@ def _violations_for(value: Any, path: str) -> list[Violation]:
 def validate(value: Any) -> ValidationResult:
     """Check a protocol value against its structural invariants."""
     return ValidationResult(violations=tuple(_violations_for(value, type(value).__name__)))
-
-
-# =====================================================================
-# Generic codec
-# =====================================================================
-
-_CODEC_TYPES = (
-    Task,
-    EvaluatorSpec,
-    Observation,
-    PageAction,
-    ActionSequence,
-    PhaseSpec,
-    GlobalPlan,
-    StepOutcome,
-    ExecutionStep,
-    ExecutionReport,
-    LocalVerdict,
-    ReplanRequest,
-    GlobalDecision,
-    Budgets,
-    TranscriptEvent,
-)
-
-_CODEC_BY_NAME = {t.__name__: t for t in _CODEC_TYPES}
-
-
-def encode_value(value: Any) -> dict:
-    """Encode any protocol value to a type-tagged JSON-safe dict."""
-    name = type(value).__name__
-    if name not in _CODEC_BY_NAME:
-        raise TypeError(f"{name} is not a protocol type")
-    return {"type": name, "value": value.to_dict()}
-
-
-def decode_value(d: dict) -> Any:
-    """Inverse of encode_value: decode_value(encode_value(x)) == x."""
-    try:
-        cls = _CODEC_BY_NAME[d["type"]]
-    except KeyError:
-        raise ValueError(f"unknown protocol type tag {d.get('type')!r}") from None
-    return cls.from_dict(d["value"])
-
-
-def dataclass_field_names(cls: type) -> tuple[str, ...]:
-    """Field names of a protocol dataclass (used by tests and tooling)."""
-    return tuple(f.name for f in fields(cls))

@@ -14,14 +14,11 @@ rendered prompt stops matching the recording.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from pathlib import Path
 
 from .backend import ChatRequest
 from .protocol import EventKind, TranscriptEvent
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ForceStopInterrupt",

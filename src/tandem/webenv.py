@@ -15,7 +15,6 @@ applicable to role", "unknown url", "environment stopped").
 
 from __future__ import annotations
 
-import logging
 import operator
 import re
 from dataclasses import dataclass, field
@@ -26,8 +25,6 @@ import yaml
 
 from .grammar import render_action
 from .protocol import ActionKind, EvaluatorSpec, Observation, PageAction, StepOutcome
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ClearFilter",

@@ -24,7 +24,6 @@ from tandem.backend import (
     augment_with_search,
     call_llm,
     load_script_file,
-    serialize_request_body,
     truncate_to_words,
 )
 from tandem.transcript import ForceStopInterrupt, RunRecorder
@@ -143,7 +142,21 @@ def test_call_llm_gates_before_the_call():
 # ---------------------------------------------------------------------
 
 
-def test_http_body_shape():
+def test_http_body_shape(monkeypatch):
+    posted = []
+
+    class FakeResponse:
+        status_code = 200
+        text = ""
+
+        def json(self):
+            return {"choices": [{"message": {"content": "ok"}}]}
+
+    def fake_post(url, headers=None, json=None, timeout=None):
+        posted.append(json)
+        return FakeResponse()
+
+    monkeypatch.setattr(backend_mod.requests, "post", fake_post)
     backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     req = ChatRequest(
         system_prompt="sys",
@@ -151,7 +164,8 @@ def test_http_body_shape():
         temperature=1.0,
         max_response_tokens=256,
     )
-    body = json.loads(serialize_request_body(backend, req))
+    assert backend.complete(req) == "ok"
+    [body] = posted
     assert body["model"] == "m1"
     assert body["temperature"] == 1.0
     assert body["max_tokens"] == 256

@@ -109,6 +109,25 @@ def test_missing_task_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_an_invalid_task_before_any_model_call(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(
+        backend_mod.ScriptedBackend, "complete", lambda self, request: calls.append(request)
+    )
+    task = tmp_path / "bogus.yaml"
+    task.write_text(
+        HAPPY_TASK.read_text(encoding="utf-8").replace("must_include", "bogus"),
+        encoding="utf-8",
+    )
+    code = run_cli(
+        "run", str(task), "--backend", f"scripted:{HAPPY_SCRIPT}", "--out", str(tmp_path)
+    )
+    assert code == EXIT_CONFIG
+    assert "bogus" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "scn-happy.transcript.jsonl").exists()
+
+
 def test_unknown_suite_name(capsys):
     code = run_cli("suite", "no-such-suite", "--backend", f"scripted:{SCRIPTS}")
     assert code == EXIT_CONFIG
@@ -172,8 +191,6 @@ def test_run_accepts_tuning_flags(tmp_path, capsys):
         "--no-force-stop",
         "--temperature",
         "0.5",
-        "--seed",
-        "7",
         "-v",
     )
     assert code == EXIT_OK
@@ -383,6 +400,25 @@ def test_report_detects_tampered_rates(demo_report, capsys):
     raw = json.loads(demo_report.read_text(encoding="utf-8"))
     category = next(iter(raw["categories"]))
     raw["categories"][category] = 99.9
+    demo_report.write_text(json.dumps(raw), encoding="utf-8")
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    assert "integrity mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda raw: raw["difficulties"].update({next(iter(raw["difficulties"])): 99.9}),
+        lambda raw: raw.update(overall_sr=99.0),
+        lambda raw: raw.update(n_tasks=raw["n_tasks"] + 1),
+        lambda raw: raw.update(n_success=raw["n_success"] - 1),
+    ],
+    ids=["difficulty-rate", "overall_sr", "n_tasks", "n_success"],
+)
+def test_report_detects_each_tampered_summary_field(demo_report, capsys, tamper):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    tamper(raw)
     demo_report.write_text(json.dumps(raw), encoding="utf-8")
     code = run_cli("report", str(demo_report))
     assert code == EXIT_CONFIG

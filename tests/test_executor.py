@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tandem.backend import ScriptedBackend, ScriptedExchange
-from tandem.executor import LocalExecutor, PhaseRun
+from tandem.executor import LocalExecutor
 from tandem.grammar import ActionParseError, EmptyPlan, VerdictParseError
 from tandem.protocol import ActionKind, ActionSequence, VerdictDecision
 from tandem.transcript import RunRecorder
@@ -224,16 +224,3 @@ def test_check_pass_request_verdict(env):
     )
     verdict = executor.check_pass(good_report(env), make_phase(1), env.observe(), RunRecorder())
     assert verdict.decision is VerdictDecision.REQUEST
-
-
-# ---------------------------------------------------------------------
-# PhaseRun bookkeeping
-# ---------------------------------------------------------------------
-
-
-def test_phase_run_revision_count(env):
-    run = PhaseRun(phase=make_phase(1), attempts=[good_report(env)])
-    assert run.revision_count == 0
-    run.attempts.append(good_report(env))
-    run.attempts.append(good_report(env))
-    assert run.revision_count == 2

@@ -24,10 +24,10 @@ from tandem.harness import (
     success_rate,
 )
 from tandem.orchestrator import TaskOutcome, Termination
-from tandem.protocol import Budgets, Difficulty
+from tandem.protocol import Budgets, Difficulty, ReplanRequest
 from tandem.transcript import read_transcript
 
-from conftest import DATA, make_task, scenario_backend, scenario_task
+from conftest import DATA, REPO, make_task, scenario_backend, scenario_task
 
 # ---------------------------------------------------------------------
 # Metric arithmetic
@@ -201,6 +201,54 @@ def test_load_task_file_rejects_wrong_format(tmp_path):
     path.write_text("format: nope\nid: x\n", encoding="utf-8")
     with pytest.raises(SuiteLoadError):
         load_task_file(path)
+
+
+VALID_TASK = {
+    "format": "tandem-task",
+    "id": "x",
+    "objective": "Find the price.",
+    "env_fixture": "shop",
+    "evaluator": {"kind": "must_include", "expected": ["34.50"]},
+}
+
+
+def write_task(tmp_path, **changes):
+    path = tmp_path / "task.yaml"
+    path.write_text(json.dumps({**VALID_TASK, **changes}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"evaluator": {"kind": "bogus", "expected": ["34.50"]}},
+        {"evaluator": {"kind": "must_include", "expected": []}},
+        {"evaluator": {"kind": "must_include", "expected": [""]}},
+        {"evaluator": {"kind": "must_include", "expected": [34.5]}},
+        {"evaluator": {"kind": "must_include"}},
+        {"evaluator": "must_include"},
+        {"objective": "  "},
+        {"id": 7},
+    ],
+    ids=[
+        "unknown-kind",
+        "no-expected-values",
+        "empty-expected-value",
+        "number-expected-value",
+        "missing-expected",
+        "evaluator-not-a-mapping",
+        "blank-objective",
+        "numeric-id",
+    ],
+)
+def test_load_task_file_rejects_invalid_task(tmp_path, changes):
+    with pytest.raises(SuiteLoadError):
+        load_task_file(write_task(tmp_path, **changes))
+
+
+def test_load_task_file_reads_a_bare_expected_string_as_one_value(tmp_path):
+    path = write_task(tmp_path, evaluator={"kind": "must_include", "expected": "34.50"})
+    assert load_task_file(path).evaluator.expected == ("34.50",)
 
 
 def test_load_manifest_resolves_relative_paths(tmp_path):
@@ -384,6 +432,68 @@ def test_replay_detects_a_tampered_response(tmp_path):
     result = replay_transcript(tampered)
     assert not result.ok
     assert result.divergence_seq is not None
+
+
+RECORDED = REPO / "tests" / "recorded"
+
+
+def recorded_events(task_id):
+    return read_transcript(RECORDED / f"{task_id}.transcript.jsonl")[1]
+
+
+def test_recorded_transcripts_cover_both_rulings_and_plan_versions():
+    replan, overrule = recorded_events("scn-replan"), recorded_events("scn-overrule")
+    versions = [
+        e.payload["plan"]["plan_version"] for e in replan if e.kind.value == "PlanIssued"
+    ]
+    assert versions == [1, 2]
+    [request] = [e for e in replan if e.kind.value == "ReplanRequested"]
+    assert ReplanRequest.from_dict(request.payload["request"]).report.steps
+    rulings = [
+        e.payload["ruling"] for e in replan + overrule if e.kind.value == "DecisionIssued"
+    ]
+    assert rulings == ["revise", "overrule"]
+
+
+@pytest.mark.parametrize("task_id", ["scn-replan", "scn-overrule"])
+def test_replay_reproduces_a_transcript_recorded_by_earlier_code(task_id):
+    result = replay_transcript(RECORDED / f"{task_id}.transcript.jsonl")
+    assert result.ok, result.message
+
+
+def with_header(tmp_path, task_id, edit):
+    lines = (RECORDED / f"{task_id}.transcript.jsonl").read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    path = tmp_path / f"{task_id}.transcript.jsonl"
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "max_exchanges",
+        "max_local_revisions_per_phase",
+        "max_replan_requests_per_task",
+        "force_stop_enabled",
+    ],
+)
+def test_replay_rejects_a_header_missing_a_budget(tmp_path, key):
+    path = with_header(tmp_path, "scn-replan", lambda h: h["budgets"].pop(key))
+    result = replay_transcript(path)
+    assert not result.ok
+    assert result.message.startswith("bad transcript header")
+
+
+def test_replay_rejects_a_header_with_an_invalid_task(tmp_path):
+    path = with_header(
+        tmp_path, "scn-replan", lambda h: h["task"]["evaluator"].update(kind="bogus")
+    )
+    result = replay_transcript(path)
+    assert not result.ok
+    assert result.message.startswith("bad transcript header")
+    assert "bogus" in result.message
 
 
 def test_replay_rejects_a_headerless_file(tmp_path):
