@@ -24,9 +24,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
 
 import requests
-import yaml
 
 from .grammar import GrammarError
+from .protocol import load_yaml
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .transcript import RunRecorder
@@ -250,7 +250,7 @@ class ScriptedBackend:
 def load_script_file(path: str | Path) -> list[ScriptedExchange]:
     """Load matcher/response pairs from a YAML script file."""
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        doc = load_yaml(fh)
     if not isinstance(doc, dict) or doc.get("format") != SCRIPT_FORMAT:
         raise ValueError(f"{path}: not a {SCRIPT_FORMAT} file")
     exchanges = []
@@ -362,7 +362,7 @@ class StaticSearchProvider:
     @classmethod
     def from_file(cls, path: str | Path) -> "StaticSearchProvider":
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = load_yaml(fh)
         entries = [
             (e["trigger"], e["passage"], e.get("source", ""))
             for e in doc.get("passages", [])

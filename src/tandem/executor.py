@@ -57,7 +57,7 @@ class LocalExecutor:
         max_response_tokens: int = 1024,
     ) -> None:
         self.backend = backend
-        self.library = library or PromptLibrary()
+        self.library = library or prompt_texts.PACKAGED_PROMPTS
         self.temperature = temperature
         self.max_response_tokens = max_response_tokens
 

@@ -25,7 +25,7 @@ from .executor import LocalExecutor
 from .orchestrator import TaskOutcome, Termination, run_task
 from .planner import GlobalPlanner
 from .prompts import PromptLibrary
-from .protocol import Budgets, Difficulty, Task, validate
+from .protocol import Budgets, Difficulty, Task, load_yaml, validate
 from .transcript import (
     ReplayBackend,
     ReplayDivergence,
@@ -116,7 +116,7 @@ _DIFFICULTIES = {d.value.casefold(): d.value for d in Difficulty}
 
 def _load_yaml(path: Path, fmt: str) -> dict:
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = load_yaml(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise SuiteLoadError(f"{path}: bad yaml: {exc}") from exc
     if not isinstance(raw, dict) or raw.get("format") != fmt:
@@ -231,7 +231,8 @@ def _task_row(run: TaskRun) -> dict:
 def _group_counts(rows: Sequence[dict], key: str) -> dict[str, tuple[int, int]]:
     counts: dict[str, tuple[int, int]] = {}
     for row in rows:
-        group = row.get(key) or "uncategorized"
+        # str() keeps a tampered non-string group countable; check_report flags it.
+        group = str(row.get(key) or "uncategorized")
         s, n = counts.get(group, (0, 0))
         counts[group] = (s + (1 if row.get("success") else 0), n + 1)
     return counts
@@ -256,24 +257,34 @@ def aggregate(runs: Sequence[TaskRun]) -> SuiteReport:
     return _tally([_task_row(run) for run in runs], runs)
 
 
-# The report.json fields a recount reproduces from the task rows.
+# The report.json fields a recount reproduces from the task rows, and the
+# task-row fields its rates are grouped by.
 _RECOUNTED = ("n_tasks", "n_success", "overall_sr", "categories", "difficulties")
+_GROUP_KEYS = ("site_category", "difficulty")
 
 
 def check_report(raw: dict) -> tuple[str, list[str]]:
     """Recount a loaded report.json from its task rows.
 
-    Returns the recounted rate tables and one line per recounted field
-    whose stored value differs.
+    Returns the recounted rate tables and one line per task row whose
+    category or difficulty is not a string and per recounted field whose
+    stored value differs.
     """
-    fresh = _tally(raw["tasks"])
+    rows = raw["tasks"]
+    fresh = _tally(rows)
     recounted = fresh.to_dict()
     mismatches = [
+        f"tasks[{i}].{key}: {row[key]!r} is not a group name"
+        for i, row in enumerate(rows)
+        for key in _GROUP_KEYS
+        if not isinstance(row.get(key) or "", str)
+    ]
+    mismatches += [
         f"{key}: stored {raw.get(key)} != recounted {recounted[key]}"
         for key in _RECOUNTED
         if raw.get(key) != recounted[key]
     ]
-    return "\n".join(_rate_lines(fresh, raw["tasks"])), mismatches
+    return "\n".join(_rate_lines(fresh, rows)), mismatches
 
 
 def _wire(
@@ -489,7 +500,13 @@ def render_report(report: SuiteReport) -> str:
 
 
 def load_report(path: str | Path) -> dict:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if raw.get("format") != REPORT_FORMAT:
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise SuiteLoadError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(raw, dict) or raw.get("format") != REPORT_FORMAT:
         raise SuiteLoadError(f"{path}: expected format {REPORT_FORMAT!r}")
+    tasks = raw.get("tasks", [])
+    if not isinstance(tasks, list) or not all(isinstance(row, dict) for row in tasks):
+        raise SuiteLoadError(f"{path}: tasks must be a list of objects")
     return raw

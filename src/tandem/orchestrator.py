@@ -170,7 +170,6 @@ StepInput = (
 @dataclass
 class OrchestratorState:
     task: Task
-    budgets: Budgets
     recorder: RunRecorder
     mode: Mode = Mode.PLANNING
     phase_index: int = 0
@@ -412,7 +411,7 @@ def run_task(
     cap the caller sets from the budgets, ends up holding the full
     transcript.
     """
-    state = OrchestratorState(task=task, budgets=budgets, recorder=recorder)
+    state = OrchestratorState(task=task, recorder=recorder)
 
     obs = env.reset()
     pending_reasons = ""

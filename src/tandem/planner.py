@@ -102,7 +102,7 @@ class GlobalPlanner:
         augment_search: bool = False,
     ) -> None:
         self.backend = backend
-        self.library = library or PromptLibrary()
+        self.library = library or prompt_texts.PACKAGED_PROMPTS
         self.temperature = temperature
         self.max_response_tokens = max_response_tokens
         self.search_provider = search_provider

@@ -2,8 +2,10 @@
 
 Prompt text lives in editable files under ``data/prompts/<agent>/<action>.txt``
 inside the package; a PromptLibrary can overlay a user directory with the
-same layout, so deployments can tune wording without touching code.  The
-shared tail block every prompt ends with (OBSERVATION / URL / OBJECTIVE /
+same layout, so deployments can tune wording without touching code.
+PACKAGED_PROMPTS is the one library without an overlay that agents fall
+back to, so each packaged prompt is read once per process.  The shared
+tail block every prompt ends with (OBSERVATION / URL / OBJECTIVE /
 PREVIOUS ACTION) is rendered by ``context_block``.
 
 PROMPT_MARKERS maps each prompt key to a phrase unique to that prompt,
@@ -19,6 +21,7 @@ from pathlib import Path
 from .protocol import Observation
 
 __all__ = [
+    "PACKAGED_PROMPTS",
     "PROMPT_KEYS",
     "PROMPT_MARKERS",
     "PromptLibrary",
@@ -100,6 +103,9 @@ class PromptLibrary:
                 return candidate.read_text(encoding="utf-8")
         resource = files("tandem").joinpath("data", "prompts", *relative.split("/"))
         return resource.read_text(encoding="utf-8")
+
+
+PACKAGED_PROMPTS = PromptLibrary()
 
 
 def context_block(observation: Observation, objective: str) -> str:

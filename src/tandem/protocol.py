@@ -3,9 +3,11 @@
 Every value that crosses a module boundary (tasks, observations, plans,
 action sequences, reports, verdicts, decisions, budgets, transcript events)
 is defined here as an immutable dataclass.  All of them but
-TranscriptEvent share one field-driven JSON-dict codec.  The module
-deliberately contains no behavior beyond validation and
-(de)serialization; agents, environment and orchestrator build on top.
+TranscriptEvent share one field-driven JSON-dict codec, and every YAML
+data file (fixtures, scripts, passages, tasks, suites) is decoded by
+`load_yaml`.  The module deliberately contains no behavior beyond
+validation and (de)serialization; agents, environment and orchestrator
+build on top.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cache
 from types import UnionType
-from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import IO, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
+
+import yaml
 
 __all__ = [
     "ActionKind",
@@ -40,6 +44,7 @@ __all__ = [
     "ValidationResult",
     "VerdictDecision",
     "Violation",
+    "load_yaml",
     "validate",
 ]
 
@@ -190,6 +195,21 @@ def _decoder(hint: Any) -> Callable[[Any], Any]:
     if isinstance(hint, type) and issubclass(hint, Enum):
         return hint
     return _as_is
+
+
+# =====================================================================
+# YAML data files
+# =====================================================================
+
+
+# libyaml's safe loader decodes the same documents as the pure-Python
+# one, several times faster; PyYAML built without libyaml lacks it.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(stream: str | IO[str]) -> Any:
+    """Decode one YAML document with the safe loader; errors raise yaml.YAMLError."""
+    return yaml.load(stream, Loader=_YAML_LOADER)
 
 
 # =====================================================================

@@ -18,13 +18,12 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from urllib.parse import parse_qs, quote_plus, urlsplit
 
-import yaml
-
 from .grammar import render_action
-from .protocol import ActionKind, EvaluatorSpec, Observation, PageAction, StepOutcome
+from .protocol import ActionKind, EvaluatorSpec, Observation, PageAction, StepOutcome, load_yaml
 
 __all__ = [
     "ClearFilter",
@@ -323,10 +322,20 @@ def _parse_page(raw: dict, where: str, row: dict | None = None) -> PageDef:
 
 
 def load_fixture_file(path: str | Path) -> SiteFixture:
-    """Load and cross-check a fixture document."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    """Load and cross-check a fixture document.
+
+    Parsed fixtures are cached per process, keyed by the resolved path and
+    the file's contents, so an edited file is parsed again.  A file that
+    fails to load raises on every call.  Every caller shares the returned
+    fixture, so nothing may mutate it, its entity rows included.
+    """
+    path = Path(path).resolve()
+    return _parse_fixture(path, path.read_text(encoding="utf-8"))
+
+
+@lru_cache(maxsize=16)  # bounded: every edit of a file adds an entry
+def _parse_fixture(path: Path, text: str) -> SiteFixture:
+    doc = load_yaml(text)
     if not isinstance(doc, dict) or doc.get("format") != FIXTURE_FORMAT:
         raise FixtureLoadError(f"{path}: not a {FIXTURE_FORMAT} file")
 

@@ -425,6 +425,32 @@ def test_report_detects_each_tampered_summary_field(demo_report, capsys, tamper)
     assert "integrity mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["site_category", "difficulty"])
+def test_report_detects_a_list_valued_group(demo_report, capsys, key):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    raw["tasks"][0][key] = [raw["tasks"][0][key]]
+    demo_report.write_text(json.dumps(raw), encoding="utf-8")
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"integrity mismatch - tasks[0].{key}:" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["not json", "[1, 2]", json.dumps({"format": "tandem-report", "tasks": [1, 2]})],
+    ids=["not-json", "json-array", "rows-not-objects"],
+)
+def test_report_rejects_a_malformed_file(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_text(content, encoding="utf-8")
+    code = run_cli("report", str(path))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_report_rejects_foreign_json(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"format": "something-else"}), encoding="utf-8")

@@ -120,7 +120,7 @@ def test_exchange_cap_ignored_without_force_stop():
 
 
 def fresh_state(mode: Mode = Mode.PLANNING, plan: GlobalPlan | None = None) -> OrchestratorState:
-    state = OrchestratorState(task=make_task(), budgets=Budgets(), recorder=RunRecorder())
+    state = OrchestratorState(task=make_task(), recorder=RunRecorder())
     state.mode = mode
     state.plan = plan
     return state
@@ -213,7 +213,7 @@ def test_budget_trip_reason_selects_termination():
 def test_terminal_state_rejects_everything_after_close():
     outcome, recorder, _ = run_scenario("scn-happy")
     assert recorder.closed
-    state = OrchestratorState(task=make_task(), budgets=Budgets(), recorder=recorder)
+    state = OrchestratorState(task=make_task(), recorder=recorder)
     state.mode = Mode.DONE
     with pytest.raises(IllegalTransition):
         step(state, PlanReady(make_plan()))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,11 @@ from tandem.protocol import (
     Task,
     TranscriptEvent,
     VerdictDecision,
+    load_yaml,
     validate,
 )
+
+from conftest import DATA
 
 from conftest import make_obs, make_task
 
@@ -219,3 +223,16 @@ def test_validate_per_kind_action_fields():
     assert not validate(PageAction(ActionKind.TYPE, target=1, text=None))
     assert not validate(PageAction(ActionKind.SCROLL, target="sideways"))
     assert validate(PageAction(ActionKind.GO_BACK))
+
+
+# ---------------------------------------------------------------------
+# YAML data files
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "path", sorted(DATA.rglob("*.yaml")), ids=lambda p: str(p.relative_to(DATA))
+)
+def test_load_yaml_decodes_packaged_data_like_the_pure_python_loader(path):
+    text = path.read_text(encoding="utf-8")
+    assert load_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader)

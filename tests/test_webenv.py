@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from tandem.protocol import ActionKind, PageAction
+from tandem import webenv
+from tandem.harness import load_suite, run_suite
+from tandem.protocol import ActionKind, Budgets, PageAction, load_yaml
 from tandem.webenv import (
     ClearFilter,
     ERR_NOT_APPLICABLE,
@@ -24,7 +26,7 @@ from tandem.webenv import (
     slugify,
 )
 
-from conftest import action
+from conftest import DATA, action, scenario_backend
 
 SEED = 20260819
 
@@ -306,6 +308,68 @@ def test_bundled_fixtures_all_load():
     for name in ("shop", "cms", "gitlab"):
         fixture = load_fixture(name)
         assert fixture.start_url in fixture.pages
+
+
+# ---------------------------------------------------------------------
+# Fixture cache
+# ---------------------------------------------------------------------
+
+
+@pytest.fixture()
+def count_parses(monkeypatch):
+    """Count the YAML documents the fixture loader decodes."""
+    parses = []
+
+    def counting_load_yaml(stream):
+        parses.append(stream)
+        return load_yaml(stream)
+
+    monkeypatch.setattr(webenv, "load_yaml", counting_load_yaml)
+    return parses
+
+
+@pytest.fixture()
+def shop_copy(tmp_path):
+    path = tmp_path / "shop.yaml"
+    path.write_text((DATA / "fixtures" / "shop.yaml").read_text(encoding="utf-8"), encoding="utf-8")
+    return path
+
+
+def test_fixture_cache_parses_a_file_once(shop_copy, count_parses):
+    first = load_fixture_file(shop_copy)
+    assert load_fixture_file(shop_copy) is first
+    assert load_fixture(str(shop_copy)) is first
+    assert len(count_parses) == 1
+
+
+def test_fixture_cache_parses_an_edited_file_again(shop_copy, count_parses):
+    before = load_fixture_file(shop_copy)
+    text = shop_copy.read_text(encoding="utf-8")
+    shop_copy.write_text(text.replace("title: Shop Home", "title: Shop Front"), encoding="utf-8")
+    after = load_fixture_file(shop_copy)
+    assert len(count_parses) == 2
+    assert before.pages[before.start_url].title == "Shop Home"
+    assert after.pages[after.start_url].title == "Shop Front"
+
+
+def test_fixture_cache_never_keeps_a_failed_load(tmp_path, count_parses):
+    path = tmp_path / "f.yaml"
+    path.write_text("format: tandem-fixture\npages: [{title: no url}]\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(FixtureLoadError):
+            load_fixture_file(path)
+    assert len(count_parses) == 2
+
+
+def test_runs_leave_the_cached_bundled_fixtures_unchanged():
+    run_listing_oracle(SEED, 30)
+    run_search_oracle(SEED + 1, 20)
+    report = run_suite(load_suite("demo"), lambda task: scenario_backend(task.id), Budgets())
+    assert report.n_success == report.n_tasks
+    for name in ("shop", "cms", "gitlab"):
+        path = (DATA / "fixtures" / f"{name}.yaml").resolve()
+        fresh = webenv._parse_fixture.__wrapped__(path, path.read_text(encoding="utf-8"))
+        assert load_fixture(name) == fresh
 
 
 # ---------------------------------------------------------------------
