@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
 
-import requests
+import yaml
 
 from .grammar import GrammarError
 from .protocol import load_yaml
@@ -44,6 +44,7 @@ __all__ = [
     "RetrievedPassage",
     "ScriptedBackend",
     "ScriptedExchange",
+    "ScriptLoadError",
     "SearchProvider",
     "StaticSearchProvider",
     "TransportError",
@@ -66,6 +67,10 @@ class BackendExhausted(Exception):
 
 class ResponseEmpty(Exception):
     """The backend returned an empty or whitespace-only response."""
+
+
+class ScriptLoadError(ValueError):
+    """A scripted-backend file is not valid YAML or not a well-formed script."""
 
 
 class ProviderError(Exception):
@@ -130,6 +135,10 @@ class HttpChatBackend:
     Retries transient transport failures up to ``retries`` times with
     exponential backoff; a retried call only counts as one exchange
     because counting happens in call_llm after a response arrives.
+
+    ``requests`` is imported when the backend is built rather than with
+    this module, so offline runs never load the HTTP stack and no
+    recorded call latency includes the import.
     """
 
     def __init__(
@@ -147,6 +156,9 @@ class HttpChatBackend:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        import requests
+
+        self._requests = requests
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -172,13 +184,13 @@ class HttpChatBackend:
                 logger.warning("retrying backend call in %.1fs: %s", delay, last_error)
                 time.sleep(delay)
             try:
-                resp = requests.post(
+                resp = self._requests.post(
                     self.endpoint,
                     headers=self._headers(),
                     json=self._body(request),
                     timeout=self.timeout,
                 )
-            except requests.RequestException as exc:
+            except self._requests.RequestException as exc:
                 last_error = exc
                 continue
             if resp.status_code >= 500:
@@ -248,13 +260,23 @@ class ScriptedBackend:
 
 
 def load_script_file(path: str | Path) -> list[ScriptedExchange]:
-    """Load matcher/response pairs from a YAML script file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = load_yaml(fh)
+    """Load matcher/response pairs from a YAML script file.
+
+    Raises ScriptLoadError when the file is not YAML or not a script.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = load_yaml(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # YAML errors span lines; keep one
+        raise ScriptLoadError(f"{path}: not valid YAML: {detail}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SCRIPT_FORMAT:
-        raise ValueError(f"{path}: not a {SCRIPT_FORMAT} file")
+        raise ScriptLoadError(f"{path}: not a {SCRIPT_FORMAT} file")
+    entries = doc.get("exchanges", [])
+    if not isinstance(entries, list):
+        raise ScriptLoadError(f"{path}: exchanges must be a list")
     exchanges = []
-    for i, entry in enumerate(doc.get("exchanges", [])):
+    for i, entry in enumerate(entries):
         try:
             exchanges.append(
                 ScriptedExchange(
@@ -264,7 +286,7 @@ def load_script_file(path: str | Path) -> list[ScriptedExchange]:
                 )
             )
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: exchange {i} malformed: {exc}") from exc
+            raise ScriptLoadError(f"{path}: exchange {i} malformed: {exc}") from exc
     return exchanges
 
 

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .backend import HttpChatBackend, ScriptedBackend, load_script_file
+from .backend import HttpChatBackend, ScriptedBackend, ScriptLoadError, load_script_file
 from .harness import (
     SuiteLoadError,
     SuiteReport,
@@ -261,7 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return args.fn(args)
-    except (CliConfigError, SuiteLoadError, FixtureLoadError, TranscriptCorrupt) as exc:
+    except (
+        CliConfigError, SuiteLoadError, FixtureLoadError, ScriptLoadError, TranscriptCorrupt
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:

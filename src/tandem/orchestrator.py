@@ -531,11 +531,7 @@ def finalize(state: OrchestratorState, planner: GlobalPlanner, env: WebEnv) -> N
         )
         try:
             answer = planner.collate(
-                state.last_report,
-                state.plan,
-                ctx,
-                state.recorder,
-                stop_answer=env.stop_answer,
+                state.last_report, ctx, state.recorder, stop_answer=env.stop_answer
             )
         except ForceStopInterrupt as fs:
             step(state, BudgetTripped("max_exchanges", fs.exchange_count))

@@ -234,8 +234,8 @@ class GlobalPlanner:
         return self._ask(chat, recorder, parse, prompt_texts.REPAIR_PLAN)
 
     def collate(
-        self, final_report: ExecutionReport, plan: GlobalPlan, ctx: PlannerContext,
-        recorder: RunRecorder, stop_answer: str | None = None,
+        self, final_report: ExecutionReport, ctx: PlannerContext, recorder: RunRecorder,
+        stop_answer: str | None = None,
     ) -> str:
         """Assemble the final answer from the last execution report.
 

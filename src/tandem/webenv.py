@@ -481,6 +481,7 @@ class WebEnv:
         self._history: list[str] = []
         self._views: dict[str, _ViewState] = {}
         self._scroll = 0
+        self._rendered: tuple[tuple, list[PageNode]] | None = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -516,7 +517,19 @@ class WebEnv:
         return rows
 
     def render_nodes(self) -> list[PageNode]:
-        """The full rendered tree for the current page, before windowing."""
+        """The full rendered tree for the current page, before windowing.
+
+        The last render is kept, keyed on all it reads besides the
+        immutable fixture: the url and that url's sort and filter.
+        Callers share the returned list and must not mutate it.
+        """
+        view = self._view(self.current_url)
+        key = (self.current_url, view.sort, view.filter)
+        if self._rendered is None or self._rendered[0] != key:
+            self._rendered = (key, self._render_nodes())
+        return self._rendered[1]
+
+    def _render_nodes(self) -> list[PageNode]:
         url = self.current_url
         base = url.split("?", 1)[0]
         nodes: list[PageNode] = []

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +161,7 @@ def test_http_body_shape(monkeypatch):
         posted.append(json)
         return FakeResponse()
 
-    monkeypatch.setattr(backend_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     req = ChatRequest(
         system_prompt="sys",
@@ -194,7 +199,7 @@ def test_http_retries_then_succeeds(monkeypatch):
         calls.append(json)
         return responses[len(calls) - 1]
 
-    monkeypatch.setattr(backend_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setattr(backend_mod.time, "sleep", lambda s: None)
     backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=2)
     assert backend.complete(make_request("hi")) == "recovered"
@@ -203,9 +208,9 @@ def test_http_retries_then_succeeds(monkeypatch):
 
 def test_http_gives_up_after_retries(monkeypatch):
     def fake_post(url, **kwargs):
-        raise backend_mod.requests.ConnectionError("refused")
+        raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr(backend_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setattr(backend_mod.time, "sleep", lambda s: None)
     backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=1)
     with pytest.raises(TransportError):
@@ -223,7 +228,7 @@ def test_http_4xx_is_fatal_without_retry(monkeypatch):
         calls.append(1)
         return FakeResponse()
 
-    monkeypatch.setattr(backend_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=3)
     with pytest.raises(TransportError):
         backend.complete(make_request("hi"))
@@ -238,7 +243,7 @@ def test_http_empty_completion_raises(monkeypatch):
         def json(self):
             return {"choices": [{"message": {"content": "   "}}]}
 
-    monkeypatch.setattr(backend_mod.requests, "post", lambda *a, **k: FakeResponse())
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
     backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     with pytest.raises(ResponseEmpty):
         backend.complete(make_request("hi"))
@@ -280,6 +285,48 @@ def test_http_against_local_server():
     finally:
         server.shutdown()
         server.server_close()
+
+
+_STARTUP_PROBE = """
+import sys
+import tandem.cli as cli
+from tandem.backend import ChatMessage, ChatRequest, HttpChatBackend
+
+scripts, out, url = sys.argv[1:]
+assert "requests" not in sys.modules, "import tandem.cli"
+for argv in (
+    ["suite", "demo", "--backend", "scripted:" + scripts, "--out", out],
+    ["replay", out + "/scn-happy.transcript.jsonl"],
+    ["report", out + "/report.json"],
+):
+    assert cli.main(argv) == 0, argv
+    assert "requests" not in sys.modules, argv
+backend = HttpChatBackend(endpoint=url, model="m-live")
+assert "requests" in sys.modules
+request = ChatRequest(system_prompt="sys", messages=(ChatMessage("user", "ping"),))
+assert backend.complete(request) == "live reply"
+print("probe ok")
+"""
+
+
+def test_only_the_http_backend_loads_requests(tmp_path):
+    """Offline verbs never import requests; building an HttpChatBackend does."""
+    server = HTTPServer(("127.0.0.1", 0), _Recorder)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+        src = Path(backend_mod.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, str(DATA / "scripts"), str(tmp_path), url],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("probe ok\n")
 
 
 # ---------------------------------------------------------------------

@@ -93,6 +93,28 @@ def test_scripted_directory_must_cover_every_task(tmp_path, capsys):
     assert "scn-happy" in err
 
 
+BAD_SCRIPTS = {
+    "bad-yaml": "format: tandem-script\nexchanges: [\n",
+    "no-response": "format: tandem-script\nexchanges:\n  - match: plan\n",
+    "exchanges-not-a-list": "format: tandem-script\nexchanges: 3\n",
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "suite"])
+@pytest.mark.parametrize("case", sorted(BAD_SCRIPTS))
+def test_malformed_script_is_a_config_error(tmp_path, capsys, verb, case):
+    scripts = tmp_path / "scripts"
+    shutil.copytree(SCRIPTS, scripts)
+    (scripts / "scn-happy.yaml").write_text(BAD_SCRIPTS[case], encoding="utf-8")
+    target = str(HAPPY_TASK) if verb == "run" else "demo"
+    out = tmp_path / "out"
+    code = run_cli(verb, target, "--backend", f"scripted:{scripts}", "--out", str(out))
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "scn-happy.yaml" in line
+    assert not (out / "report.json").exists()
+
+
 def test_replay_backend_needs_an_existing_file(tmp_path, capsys):
     code = run_cli(
         "run", str(HAPPY_TASK), "--backend", f"replay:{tmp_path / 'none.jsonl'}"

@@ -308,14 +308,14 @@ def test_revise_plan_repairs_once():
 
 def test_collate_returns_stripped_answer():
     planner = planner_with([("Produce the final answer", "  $34.50  ")])
-    answer = planner.collate(make_report(), make_plan(), make_ctx(), RunRecorder())
+    answer = planner.collate(make_report(), make_ctx(), RunRecorder())
     assert answer == "$34.50"
 
 
 def test_collate_blank_answer_falls_back_to_stop_answer():
     planner = planner_with([("Produce the final answer", "   ")])
     answer = planner.collate(
-        make_report(), make_plan(), make_ctx(), RunRecorder(), stop_answer="kettle is $34.50"
+        make_report(), make_ctx(), RunRecorder(), stop_answer="kettle is $34.50"
     )
     assert answer == "kettle is $34.50"
 
@@ -328,7 +328,7 @@ class _DeadBackend:
 def test_collate_survives_transport_failure():
     planner = GlobalPlanner(_DeadBackend())
     answer = planner.collate(
-        make_report(), make_plan(), make_ctx(), RunRecorder(), stop_answer="fallback"
+        make_report(), make_ctx(), RunRecorder(), stop_answer="fallback"
     )
     assert answer == "fallback"
 
@@ -338,5 +338,5 @@ def test_collate_survives_backend_exhaustion():
     probe = ChatRequest(system_prompt="s", messages=(ChatMessage("user", "x"),))
     with pytest.raises(BackendExhausted):
         planner.backend.complete(probe)
-    answer = planner.collate(make_report(), make_plan(), make_ctx(), RunRecorder())
+    answer = planner.collate(make_report(), make_ctx(), RunRecorder())
     assert answer == ""

@@ -104,6 +104,37 @@ def test_determinism_across_instances():
     assert seen[0] == seen[1]
 
 
+MEMO_WALKS = {
+    "shop": (
+        action("type", target=2, text="mug"),  # search type
+        action("go_back"),
+        action("goto", target="http://shop.local/category/kitchen"),  # navigate
+        action("click", target=4),  # sort by price, high to low
+        action("click", target=5),  # sort by rating
+        action("scroll", target="down"),
+        action("click", target=2),  # navigate home
+    ),
+    "cms": (
+        action("goto", target="http://cms.local/orders"),
+        action("click", target=6),  # filter: pending
+        action("click", target=7),  # filter: complete
+        action("click", target=3),  # sort by date
+        action("click", target=9),  # clear filter
+        action("scroll", target="down"),
+        action("go_back"),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MEMO_WALKS))
+def test_memoized_render_matches_a_fresh_render(site):
+    env = WebEnv(load_fixture(site), window_nodes=4)
+    env.reset()
+    for act in MEMO_WALKS[site]:
+        assert env.apply(act).ok, act
+        assert env.render_nodes() == env._render_nodes(), act
+
+
 # ---------------------------------------------------------------------
 # Windowing and scrolling
 # ---------------------------------------------------------------------
