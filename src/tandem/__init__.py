@@ -58,14 +58,11 @@ from .harness import (
     success_rate,
 )
 from .orchestrator import (
-    BudgetCounters,
-    BudgetVerdict,
     IllegalTransition,
     Mode,
     OrchestratorState,
     TaskOutcome,
     Termination,
-    enforce_budget,
     run_task,
     step,
 )
@@ -91,7 +88,6 @@ from .protocol import (
     Task,
     TranscriptEvent,
     VerdictDecision,
-    validate,
 )
 from .transcript import (
     ForceStopInterrupt,

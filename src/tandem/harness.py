@@ -25,7 +25,7 @@ from .executor import LocalExecutor
 from .orchestrator import TaskOutcome, Termination, run_task
 from .planner import GlobalPlanner
 from .prompts import PromptLibrary
-from .protocol import Budgets, Difficulty, Task, load_yaml, validate
+from .protocol import EVALUATOR_KINDS, Budgets, Difficulty, Task, load_yaml
 from .transcript import (
     ReplayBackend,
     ReplayDivergence,
@@ -103,11 +103,36 @@ class SuiteLoadError(ValueError):
     pass
 
 
-def _checked(value: Any) -> Any:
-    """`value` if validate() passes it; a ValueError naming each violation if not."""
-    result = validate(value)
-    if not result:
-        raise ValueError("; ".join(str(v) for v in result.violations))
+def _checked(value: Task | Budgets) -> Any:
+    """`value` if it keeps its field rules; a ValueError naming each broken rule if not."""
+    broken: list[str] = []
+
+    def rule(bad: bool, path: str, message: str) -> None:
+        if bad:
+            broken.append(f"{type(value).__name__}.{path}: {message}")
+
+    if isinstance(value, Task):
+        spec = value.evaluator
+        rule(not value.id.strip(), "id", "task id must be nonempty")
+        rule(not value.objective.strip(), "objective", "objective must be nonempty")
+        rule(not value.env_fixture.strip(), "env_fixture", "env_fixture must be nonempty")
+        rule(
+            spec.kind not in EVALUATOR_KINDS,
+            "evaluator.kind",
+            f"unknown evaluator kind {spec.kind!r}",
+        )
+        rule(not spec.expected, "evaluator.expected", "expected values must be nonempty")
+        rule(
+            not all(spec.expected),
+            "evaluator.expected",
+            "every expected value must be a nonempty string",
+        )
+    else:
+        rule(value.max_exchanges <= 0, "max_exchanges", "max_exchanges must be positive")
+        for name in ("max_local_revisions_per_phase", "max_replan_requests_per_task"):
+            rule(getattr(value, name) < 0, name, f"{name} must be >= 0")
+    if broken:
+        raise ValueError("; ".join(broken))
     return value
 
 
@@ -125,7 +150,7 @@ def _load_yaml(path: Path, fmt: str) -> dict:
 
 
 def load_task_file(path: str | Path) -> Task:
-    """Load one task file; anything validate() flags is a SuiteLoadError."""
+    """Load one task file; a task that breaks a field rule is a SuiteLoadError."""
     path = Path(path)
     raw = _load_yaml(path, TASK_FORMAT)
     # Task files spell difficulties in any case ("easy", "EASY").

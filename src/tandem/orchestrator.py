@@ -53,9 +53,7 @@ from .transcript import ForceStopInterrupt, RunRecorder
 from .webenv import WebEnv, evaluate
 
 __all__ = [
-    "BudgetCounters",
     "BudgetTripped",
-    "BudgetVerdict",
     "Executed",
     "Finalized",
     "IllegalTransition",
@@ -68,7 +66,6 @@ __all__ = [
     "TaskOutcome",
     "Termination",
     "VerdictReady",
-    "enforce_budget",
     "finalize",
     "run_task",
     "step",
@@ -192,51 +189,6 @@ class TaskOutcome(DictCodec):
     exchanges_used: int
     plan_versions: int
     detail: str = ""
-
-
-# =====================================================================
-# Budget enforcement
-# =====================================================================
-
-
-@dataclass(frozen=True)
-class BudgetCounters:
-    exchanges: int = 0
-    replan_requests: int = 0
-    revisions_this_phase: int = 0
-
-
-class BudgetVerdict(Enum):
-    CONTINUE = "Continue"
-    FORCE_STOP_NOW = "ForceStopNow"
-    BUDGET_EXHAUSTED = "BudgetExhausted"
-
-
-def enforce_budget(
-    counters: BudgetCounters, budgets: Budgets, about_to: str = "exchange"
-) -> BudgetVerdict:
-    """Judge whether the contemplated next step fits the budgets.
-
-    `about_to` names what the caller wants to do next: "exchange" (any
-    LLM call), "local_revision" or "replan_request".  With force stop
-    enabled only the exchange cap binds; with it disabled only the
-    revision/replan limits do.
-    """
-    if budgets.force_stop_enabled:
-        if counters.exchanges >= budgets.max_exchanges:
-            return BudgetVerdict.FORCE_STOP_NOW
-        return BudgetVerdict.CONTINUE
-    if (
-        about_to == "local_revision"
-        and counters.revisions_this_phase >= budgets.max_local_revisions_per_phase
-    ):
-        return BudgetVerdict.BUDGET_EXHAUSTED
-    if (
-        about_to == "replan_request"
-        and counters.replan_requests >= budgets.max_replan_requests_per_task
-    ):
-        return BudgetVerdict.BUDGET_EXHAUSTED
-    return BudgetVerdict.CONTINUE
 
 
 # =====================================================================
@@ -387,14 +339,6 @@ def _issue_plan(state: OrchestratorState, plan: GlobalPlan) -> None:
 # =====================================================================
 
 
-def _counters(state: OrchestratorState) -> BudgetCounters:
-    return BudgetCounters(
-        exchanges=state.recorder.exchanges,
-        replan_requests=state.replan_requests,
-        revisions_this_phase=state.revisions_this_phase,
-    )
-
-
 def run_task(
     task: Task,
     planner: GlobalPlanner,
@@ -451,16 +395,20 @@ def run_task(
                 step(state, VerdictReady(verdict))
 
                 if verdict.decision is VerdictDecision.REVISE:
-                    ruling = enforce_budget(_counters(state), budgets, "local_revision")
-                    if ruling is BudgetVerdict.BUDGET_EXHAUSTED:
+                    if (
+                        not budgets.force_stop_enabled
+                        and state.revisions_this_phase >= budgets.max_local_revisions_per_phase
+                    ):
                         step(state, BudgetTripped("local_revisions", recorder.exchanges))
                     else:
                         state.revisions_this_phase += 1
                         pending_reasons = verdict.reasons
 
                 elif verdict.decision is VerdictDecision.REQUEST:
-                    ruling = enforce_budget(_counters(state), budgets, "replan_request")
-                    if ruling is BudgetVerdict.BUDGET_EXHAUSTED:
+                    if (
+                        not budgets.force_stop_enabled
+                        and state.replan_requests >= budgets.max_replan_requests_per_task
+                    ):
                         step(state, BudgetTripped("replan_requests", recorder.exchanges))
                     else:
                         request = ReplanRequest(

@@ -6,8 +6,7 @@ is defined here as an immutable dataclass.  All of them but
 TranscriptEvent share one field-driven JSON-dict codec, and every YAML
 data file (fixtures, scripts, passages, tasks, suites) is decoded by
 `load_yaml`.  The module deliberately contains no behavior beyond
-validation and (de)serialization; agents, environment and orchestrator
-build on top.
+(de)serialization; agents, environment and orchestrator build on top.
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ __all__ = [
     "StepOutcome",
     "Task",
     "TranscriptEvent",
-    "ValidationResult",
     "VerdictDecision",
-    "Violation",
     "load_yaml",
-    "validate",
 ]
 
 
@@ -88,9 +84,6 @@ class EventKind(str, Enum):
 
 
 EVALUATOR_KINDS = ("exact_match", "must_include", "url_match")
-
-# Directions accepted by scroll actions.
-SCROLL_DIRECTIONS = ("up", "down")
 
 
 # =====================================================================
@@ -474,187 +467,3 @@ class TranscriptEvent:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, line: str) -> "TranscriptEvent":
-        return cls.from_dict(json.loads(line))
-
-
-_PAYLOAD_REQUIRED_KEYS: dict[EventKind, tuple[str, ...]] = {
-    EventKind.LLM_CALL: ("role", "prompt", "response", "latency"),
-    EventKind.ENV_STEP: ("action", "ok"),
-    EventKind.PLAN_ISSUED: ("plan",),
-    EventKind.VERDICT_ISSUED: ("decision",),
-    EventKind.REPLAN_REQUESTED: ("request",),
-    EventKind.DECISION_ISSUED: ("ruling",),
-    EventKind.FORCE_STOP: ("exchange_count", "reason"),
-    EventKind.TASK_RESULT: ("success", "answer", "termination"),
-}
-
-
-# =====================================================================
-# Validation
-# =====================================================================
-
-
-@dataclass(frozen=True)
-class Violation:
-    path: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}: {self.message}"
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", tuple(self.violations))
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _violations_for(value: Any, path: str) -> list[Violation]:
-    out: list[Violation] = []
-
-    def bad(msg: str, sub: str = "") -> None:
-        out.append(Violation(path + sub, msg))
-
-    if isinstance(value, Task):
-        if not value.id.strip():
-            bad("task id must be nonempty", ".id")
-        if not value.objective.strip():
-            bad("objective must be nonempty", ".objective")
-        if not value.env_fixture.strip():
-            bad("env_fixture must be nonempty", ".env_fixture")
-        out.extend(_violations_for(value.evaluator, path + ".evaluator"))
-
-    elif isinstance(value, EvaluatorSpec):
-        if value.kind not in EVALUATOR_KINDS:
-            bad(f"unknown evaluator kind {value.kind!r}", ".kind")
-        if not value.expected:
-            bad("expected values must be nonempty", ".expected")
-        elif any(not isinstance(e, str) or not e for e in value.expected):
-            bad("every expected value must be a nonempty string", ".expected")
-
-    elif isinstance(value, Observation):
-        if not value.axtree.strip():
-            bad("axtree must be nonempty", ".axtree")
-        if not value.previous_action:
-            bad("previous_action must be nonempty (use 'None')", ".previous_action")
-
-    elif isinstance(value, PageAction):
-        kind = value.kind
-        if kind in (ActionKind.CLICK, ActionKind.TYPE):
-            if not isinstance(value.target, int):
-                bad("target must be an integer element id", ".target")
-            if kind is ActionKind.TYPE and not isinstance(value.text, str):
-                bad("type action requires text", ".text")
-        elif kind is ActionKind.SCROLL:
-            if value.target not in SCROLL_DIRECTIONS:
-                bad("scroll direction must be 'up' or 'down'", ".target")
-        elif kind is ActionKind.GOTO:
-            if not isinstance(value.target, str) or not value.target.strip():
-                bad("goto requires a nonempty url", ".target")
-        elif kind is ActionKind.GO_BACK:
-            if value.target is not None or value.text is not None:
-                bad("go_back takes no arguments", ".target")
-        elif kind is ActionKind.STOP:
-            if not isinstance(value.target, str):
-                bad("stop requires an answer string (may be empty)", ".target")
-
-    elif isinstance(value, ActionSequence):
-        if not value.actions:
-            bad("action sequence must be nonempty", ".actions")
-        for i, a in enumerate(value.actions):
-            out.extend(_violations_for(a, f"{path}.actions[{i}]"))
-            if a.kind is ActionKind.STOP and i != len(value.actions) - 1:
-                bad("no action may follow a stop", f".actions[{i}]")
-
-    elif isinstance(value, PhaseSpec):
-        if value.index < 1:
-            bad("phase index must be >= 1", ".index")
-        if not value.subtask.strip():
-            bad("subtask must be nonempty", ".subtask")
-        if not value.expected_state.strip():
-            bad("expected_state must be nonempty", ".expected_state")
-
-    elif isinstance(value, GlobalPlan):
-        if not value.phases:
-            bad("plan must have at least one phase", ".phases")
-        if value.plan_version < 1:
-            bad("plan_version must be >= 1", ".plan_version")
-        for i, p in enumerate(value.phases):
-            out.extend(_violations_for(p, f"{path}.phases[{i}]"))
-        indices = [p.index for p in value.phases]
-        if indices != list(range(1, len(indices) + 1)):
-            bad(f"phase indices must be contiguous from 1, got {indices}", ".phases")
-
-    elif isinstance(value, ExecutionReport):
-        if not value.steps:
-            bad("report must contain at least one step", ".steps")
-        for i, s in enumerate(value.steps):
-            out.extend(_violations_for(s.action, f"{path}.steps[{i}].action"))
-        any_error = any(not s.outcome.ok for s in value.steps)
-        if value.raised_exception != any_error:
-            bad(
-                "raised_exception must equal the presence of an EnvError step",
-                ".raised_exception",
-            )
-        out.extend(_violations_for(value.final_observation, path + ".final_observation"))
-
-    elif isinstance(value, LocalVerdict):
-        if value.decision in (VerdictDecision.REVISE, VerdictDecision.REQUEST):
-            if not value.reasons.strip():
-                bad("reasons required for revise/request verdicts", ".reasons")
-
-    elif isinstance(value, ReplanRequest):
-        if value.phase_index < 1:
-            bad("phase_index must be >= 1", ".phase_index")
-        if not value.reasons.strip():
-            bad("reasons must be nonempty", ".reasons")
-        out.extend(_violations_for(value.report, path + ".report"))
-
-    elif isinstance(value, GlobalDecision):
-        if value.ruling not in ("revise", "overrule"):
-            bad(f"unknown ruling {value.ruling!r}", ".ruling")
-        elif value.ruling == "revise":
-            if value.new_plan is None:
-                bad("revise ruling requires new_plan", ".new_plan")
-            else:
-                out.extend(_violations_for(value.new_plan, path + ".new_plan"))
-        elif not value.guidance.strip():
-            bad("overrule ruling requires nonempty guidance", ".guidance")
-
-    elif isinstance(value, Budgets):
-        if value.max_exchanges <= 0:
-            bad("max_exchanges must be positive", ".max_exchanges")
-        if value.max_local_revisions_per_phase < 0:
-            bad("max_local_revisions_per_phase must be >= 0", ".max_local_revisions_per_phase")
-        if value.max_replan_requests_per_task < 0:
-            bad("max_replan_requests_per_task must be >= 0", ".max_replan_requests_per_task")
-
-    elif isinstance(value, TranscriptEvent):
-        if value.seq < 0:
-            bad("seq must be >= 0", ".seq")
-        required = _PAYLOAD_REQUIRED_KEYS[value.kind]
-        missing = [k for k in required if k not in value.payload]
-        if missing:
-            bad(f"payload missing keys {missing} for kind {value.kind.value}", ".payload")
-
-    else:
-        bad(f"no validation rules for type {type(value).__name__}")
-
-    return out
-
-
-def validate(value: Any) -> ValidationResult:
-    """Check a protocol value against its structural invariants."""
-    return ValidationResult(violations=tuple(_violations_for(value, type(value).__name__)))

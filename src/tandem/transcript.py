@@ -35,6 +35,18 @@ __all__ = [
 TRANSCRIPT_FORMAT = "tandem-transcript"
 TRANSCRIPT_VERSION = 1
 
+# Payload keys every event of a kind carries; replay and reports read them.
+_PAYLOAD_REQUIRED_KEYS: dict[EventKind, tuple[str, ...]] = {
+    EventKind.LLM_CALL: ("role", "prompt", "response", "latency"),
+    EventKind.ENV_STEP: ("action", "ok"),
+    EventKind.PLAN_ISSUED: ("plan",),
+    EventKind.VERDICT_ISSUED: ("decision",),
+    EventKind.REPLAN_REQUESTED: ("request",),
+    EventKind.DECISION_ISSUED: ("ruling",),
+    EventKind.FORCE_STOP: ("exchange_count", "reason"),
+    EventKind.TASK_RESULT: ("success", "answer", "termination"),
+}
+
 
 class TranscriptCorrupt(Exception):
     """A structurally invalid record before the end of the file."""
@@ -127,7 +139,9 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
 
     Returns (header, events, warnings).  A file cut off mid-write yields
     every complete event plus a warning; structural damage before the
-    last line raises TranscriptCorrupt with the offending line number.
+    last line raises TranscriptCorrupt with the offending line number, as
+    does an event payload that is not an object or lacks a key its kind
+    requires.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -159,6 +173,13 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
             event = TranscriptEvent.from_dict(record)
         except (KeyError, ValueError, TypeError) as exc:
             raise TranscriptCorrupt(i, f"bad event record: {exc}") from None
+        if not isinstance(event.payload, dict):
+            raise TranscriptCorrupt(i, f"{event.kind.value} payload is not an object")
+        missing = [k for k in _PAYLOAD_REQUIRED_KEYS[event.kind] if k not in event.payload]
+        if missing:
+            raise TranscriptCorrupt(
+                i, f"payload missing keys {missing} for kind {event.kind.value}"
+            )
         if event.seq != len(events):
             raise TranscriptCorrupt(i, f"seq {event.seq} breaks gap-free order")
         events.append(event)

@@ -22,6 +22,8 @@ from functools import lru_cache
 from pathlib import Path
 from urllib.parse import parse_qs, quote_plus, urlsplit
 
+import yaml
+
 from .grammar import render_action
 from .protocol import ActionKind, EvaluatorSpec, Observation, PageAction, StepOutcome, load_yaml
 
@@ -335,7 +337,11 @@ def load_fixture_file(path: str | Path) -> SiteFixture:
 
 @lru_cache(maxsize=16)  # bounded: every edit of a file adds an entry
 def _parse_fixture(path: Path, text: str) -> SiteFixture:
-    doc = load_yaml(text)
+    try:
+        doc = load_yaml(text)
+    except yaml.YAMLError as exc:
+        detail = " ".join(str(exc).split())  # YAML errors span lines; keep one
+        raise FixtureLoadError(f"{path}: not valid YAML: {detail}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FIXTURE_FORMAT:
         raise FixtureLoadError(f"{path}: not a {FIXTURE_FORMAT} file")
 

@@ -150,6 +150,24 @@ def test_run_rejects_an_invalid_task_before_any_model_call(tmp_path, monkeypatch
     assert not (tmp_path / "scn-happy.transcript.jsonl").exists()
 
 
+def test_run_rejects_a_fixture_that_is_not_yaml(tmp_path, capsys):
+    fixture = tmp_path / "broken-fixture.yaml"
+    fixture.write_text("pages: [\n", encoding="utf-8")
+    task = tmp_path / "task.yaml"
+    task.write_text(
+        HAPPY_TASK.read_text(encoding="utf-8").replace(
+            "env_fixture: shop", f"env_fixture: {json.dumps(str(fixture))}"
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = run_cli("run", str(task), "--backend", f"scripted:{HAPPY_SCRIPT}", "--out", str(out))
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "broken-fixture.yaml" in line
+    assert not (out / "report.json").exists()
+
+
 def test_unknown_suite_name(capsys):
     code = run_cli("suite", "no-such-suite", "--backend", f"scripted:{SCRIPTS}")
     assert code == EXIT_CONFIG
@@ -381,6 +399,28 @@ def test_replay_corrupt_transcript(tmp_path, capsys):
     code = run_cli("replay", str(path))
     assert code == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda payload: {k: v for k, v in payload.items() if k != "prompt"},
+        lambda payload: "oops",
+    ],
+    ids=["missing-prompt", "payload-not-an-object"],
+)
+def test_replay_rejects_a_damaged_event_payload(happy_transcript, tmp_path, capsys, damage):
+    lines = happy_transcript.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    assert record["kind"] == "LlmCall"
+    record["payload"] = damage(record["payload"])
+    lines[1] = json.dumps(record)
+    damaged = tmp_path / "damaged.jsonl"
+    damaged.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = run_cli("replay", str(damaged))
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: line 2: ")
 
 
 def test_run_with_replay_backend(happy_transcript, tmp_path, capsys):

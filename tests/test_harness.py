@@ -229,6 +229,8 @@ def write_task(tmp_path, **changes):
         {"evaluator": "must_include"},
         {"objective": "  "},
         {"id": 7},
+        {"id": ""},
+        {"env_fixture": " "},
     ],
     ids=[
         "unknown-kind",
@@ -239,6 +241,8 @@ def write_task(tmp_path, **changes):
         "evaluator-not-a-mapping",
         "blank-objective",
         "numeric-id",
+        "blank-id",
+        "blank-env-fixture",
     ],
 )
 def test_load_task_file_rejects_invalid_task(tmp_path, changes):
@@ -484,6 +488,17 @@ def test_replay_rejects_a_header_missing_a_budget(tmp_path, key):
     result = replay_transcript(path)
     assert not result.ok
     assert result.message.startswith("bad transcript header")
+
+
+@pytest.mark.parametrize(
+    "key, value", [("max_exchanges", 0), ("max_local_revisions_per_phase", -1)]
+)
+def test_replay_rejects_a_header_with_an_out_of_range_budget(tmp_path, key, value):
+    path = with_header(tmp_path, "scn-replan", lambda h: h["budgets"].update({key: value}))
+    result = replay_transcript(path)
+    assert not result.ok
+    assert result.message.startswith("bad transcript header")
+    assert key in result.message
 
 
 def test_replay_rejects_a_header_with_an_invalid_task(tmp_path):

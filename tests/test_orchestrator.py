@@ -9,9 +9,7 @@ import pytest
 from tandem.backend import ScriptedBackend, ScriptedExchange
 from tandem.executor import LocalExecutor
 from tandem.orchestrator import (
-    BudgetCounters,
     BudgetTripped,
-    BudgetVerdict,
     Executed,
     IllegalTransition,
     Mode,
@@ -20,7 +18,6 @@ from tandem.orchestrator import (
     TaskOutcome,
     Termination,
     VerdictReady,
-    enforce_budget,
     run_task,
     step,
 )
@@ -53,65 +50,6 @@ from conftest import (
 
 FUZZ_RUNS = 1000
 FUZZ_SEED = 977
-
-
-# ---------------------------------------------------------------------
-# enforce_budget
-# ---------------------------------------------------------------------
-
-
-def counters(exchanges=0, replans=0, revisions=0) -> BudgetCounters:
-    return BudgetCounters(
-        exchanges=exchanges, replan_requests=replans, revisions_this_phase=revisions
-    )
-
-
-def test_exchange_below_cap_continues():
-    budgets = Budgets(max_exchanges=10, force_stop_enabled=True)
-    assert enforce_budget(counters(exchanges=9), budgets, "exchange") is BudgetVerdict.CONTINUE
-
-
-def test_exchange_at_cap_forces_stop():
-    budgets = Budgets(max_exchanges=10, force_stop_enabled=True)
-    assert (
-        enforce_budget(counters(exchanges=10), budgets, "exchange")
-        is BudgetVerdict.FORCE_STOP_NOW
-    )
-
-
-def test_revision_limit_binds_only_without_force_stop():
-    soft = Budgets(max_local_revisions_per_phase=3, force_stop_enabled=False)
-    assert (
-        enforce_budget(counters(revisions=3), soft, "local_revision")
-        is BudgetVerdict.BUDGET_EXHAUSTED
-    )
-    assert (
-        enforce_budget(counters(revisions=2), soft, "local_revision")
-        is BudgetVerdict.CONTINUE
-    )
-    hard = Budgets(max_local_revisions_per_phase=3, force_stop_enabled=True)
-    assert (
-        enforce_budget(counters(revisions=3), hard, "local_revision")
-        is BudgetVerdict.CONTINUE
-    )
-
-
-def test_replan_limit_binds_only_without_force_stop():
-    soft = Budgets(max_replan_requests_per_task=3, force_stop_enabled=False)
-    assert (
-        enforce_budget(counters(replans=3), soft, "replan_request")
-        is BudgetVerdict.BUDGET_EXHAUSTED
-    )
-    hard = Budgets(max_replan_requests_per_task=3, force_stop_enabled=True)
-    assert (
-        enforce_budget(counters(replans=3), hard, "replan_request")
-        is BudgetVerdict.CONTINUE
-    )
-
-
-def test_exchange_cap_ignored_without_force_stop():
-    soft = Budgets(max_exchanges=10, force_stop_enabled=False)
-    assert enforce_budget(counters(exchanges=10), soft, "exchange") is BudgetVerdict.CONTINUE
 
 
 # ---------------------------------------------------------------------
