@@ -79,6 +79,7 @@ from .protocol import (
     ExecutionStep,
     GlobalDecision,
     GlobalPlan,
+    InputError,
     LocalVerdict,
     Observation,
     PageAction,
@@ -100,6 +101,6 @@ from .transcript import (
     strip_volatile,
     write_transcript,
 )
-from .webenv import FixtureLoadError, SiteFixture, WebEnv, evaluate, load_fixture
+from .webenv import SiteFixture, WebEnv, evaluate, load_fixture
 
 __version__ = "0.1.0"

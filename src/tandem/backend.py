@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
 
-import yaml
-
 from .grammar import GrammarError
-from .protocol import load_yaml
+from .protocol import load_yaml, read_data
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .transcript import RunRecorder
@@ -44,7 +42,6 @@ __all__ = [
     "RetrievedPassage",
     "ScriptedBackend",
     "ScriptedExchange",
-    "ScriptLoadError",
     "SearchProvider",
     "StaticSearchProvider",
     "TransportError",
@@ -55,6 +52,7 @@ __all__ = [
 ]
 
 PASSAGE_WORD_LIMIT = 100
+PASSAGES_FORMAT = "tandem-passages"
 
 
 class TransportError(Exception):
@@ -67,10 +65,6 @@ class BackendExhausted(Exception):
 
 class ResponseEmpty(Exception):
     """The backend returned an empty or whitespace-only response."""
-
-
-class ScriptLoadError(ValueError):
-    """A scripted-backend file is not valid YAML or not a well-formed script."""
 
 
 class ProviderError(Exception):
@@ -259,35 +253,23 @@ class ScriptedBackend:
         )
 
 
-def load_script_file(path: str | Path) -> list[ScriptedExchange]:
-    """Load matcher/response pairs from a YAML script file.
-
-    Raises ScriptLoadError when the file is not YAML or not a script.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = load_yaml(fh)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        detail = " ".join(str(exc).split())  # YAML errors span lines; keep one
-        raise ScriptLoadError(f"{path}: not valid YAML: {detail}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != SCRIPT_FORMAT:
-        raise ScriptLoadError(f"{path}: not a {SCRIPT_FORMAT} file")
+def _exchanges(doc: dict) -> list[ScriptedExchange]:
     entries = doc.get("exchanges", [])
     if not isinstance(entries, list):
-        raise ScriptLoadError(f"{path}: exchanges must be a list")
+        raise TypeError("exchanges must be a list")
     exchanges = []
     for i, entry in enumerate(entries):
-        try:
-            exchanges.append(
-                ScriptedExchange(
-                    matcher=entry["match"],
-                    response=entry["response"],
-                    regex=bool(entry.get("regex", False)),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ScriptLoadError(f"{path}: exchange {i} malformed: {exc}") from exc
+        regex = bool(entry.get("regex", False))
+        exchange = ScriptedExchange(entry["match"], entry["response"], regex)
+        if not isinstance(exchange.matcher, str) or not isinstance(exchange.response, str):
+            raise TypeError(f"exchange {i}: match and response must be strings")
+        exchanges.append(exchange)
     return exchanges
+
+
+def load_script_file(path: str | Path) -> list[ScriptedExchange]:
+    """Load matcher/response pairs from a YAML script file; a bad one is an InputError."""
+    return read_data(path, load_yaml, SCRIPT_FORMAT, _exchanges)
 
 
 # =====================================================================
@@ -383,13 +365,17 @@ class StaticSearchProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StaticSearchProvider":
-        with open(path, encoding="utf-8") as fh:
-            doc = load_yaml(fh)
-        entries = [
-            (e["trigger"], e["passage"], e.get("source", ""))
-            for e in doc.get("passages", [])
-        ]
-        return cls(entries)
+        """Load a `tandem-passages` file; a bad one is an InputError."""
+
+        def decode(doc: dict) -> "StaticSearchProvider":
+            entries = [
+                (e["trigger"], e["passage"], e.get("source", "")) for e in doc.get("passages", [])
+            ]
+            if not all(isinstance(value, str) for entry in entries for value in entry):
+                raise TypeError("trigger, passage and source must be strings")
+            return cls(entries)
+
+        return read_data(path, load_yaml, PASSAGES_FORMAT, decode)
 
     def search(self, query: str) -> list[tuple[str, str]]:
         q = query.casefold()

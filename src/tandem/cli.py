@@ -7,7 +7,9 @@ Verbs:
     report   re-render and integrity-check a report.json
 
 Exit codes: 0 run completed, 1 configuration or input error, 2 backend
-unreachable (every task died on transport errors).
+unreachable (every task died on transport errors).  Every input error,
+a missing flag or a file that cannot be read or decoded, is an
+InputError and prints one line, ``error: <path or flag>: <reason>``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import os
 import sys
 from pathlib import Path
 
-from .backend import HttpChatBackend, ScriptedBackend, ScriptLoadError, load_script_file
+from .backend import HttpChatBackend, ScriptedBackend, load_script_file
 from .harness import (
-    SuiteLoadError,
     SuiteReport,
     check_report,
     load_report,
@@ -32,17 +33,12 @@ from .harness import (
     run_suite,
 )
 from .prompts import PromptLibrary
-from .protocol import Budgets, Task
-from .transcript import ReplayBackend, TranscriptCorrupt
-from .webenv import FixtureLoadError
+from .protocol import Budgets, InputError, Task
+from .transcript import ReplayBackend
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_UNREACHABLE = 2
-
-
-class CliConfigError(Exception):
-    pass
 
 
 # =====================================================================
@@ -62,8 +58,9 @@ def make_backend_factory(spec: str, args: argparse.Namespace, tasks: list[Task])
         model = args.model or os.environ.get("TANDEM_MODEL", "")
         api_key = os.environ.get("TANDEM_API_KEY", "")
         if not endpoint or not model:
-            raise CliConfigError(
-                "http backend needs --endpoint/--model or TANDEM_ENDPOINT/TANDEM_MODEL"
+            raise InputError(
+                "--backend http",
+                "http backend needs --endpoint/--model or TANDEM_ENDPOINT/TANDEM_MODEL",
             )
         backend = HttpChatBackend(endpoint=endpoint, model=model, api_key=api_key)
         return (lambda task: backend), f"http:{endpoint}"
@@ -71,13 +68,11 @@ def make_backend_factory(spec: str, args: argparse.Namespace, tasks: list[Task])
     if spec.startswith("scripted:"):
         path = Path(spec.split(":", 1)[1])
         if not path.exists():
-            raise CliConfigError(f"script path {path} does not exist")
+            raise InputError(path, "script path does not exist")
         if path.is_dir():
             missing = [t.id for t in tasks if not (path / f"{t.id}.yaml").exists()]
             if missing:
-                raise CliConfigError(
-                    f"script directory {path} lacks files for: {', '.join(missing)}"
-                )
+                raise InputError(path, f"script directory lacks files for: {', '.join(missing)}")
             return (
                 lambda task: ScriptedBackend(load_script_file(path / f"{task.id}.yaml"))
             ), f"scripted:{path}"
@@ -86,11 +81,11 @@ def make_backend_factory(spec: str, args: argparse.Namespace, tasks: list[Task])
     if spec.startswith("replay:"):
         path = Path(spec.split(":", 1)[1])
         if not path.is_file():
-            raise CliConfigError(f"transcript {path} does not exist")
+            raise InputError(path, "transcript does not exist")
         return (lambda task: ReplayBackend.from_file(path)), f"replay:{path}"
 
-    raise CliConfigError(
-        f"unknown backend {spec!r}; expected http, scripted:<path> or replay:<file>"
+    raise InputError(
+        "--backend", f"unknown backend {spec!r}; expected http, scripted:<path> or replay:<file>"
     )
 
 
@@ -182,9 +177,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     raw = load_report(args.report)
-    if not raw.get("tasks"):
-        print("report lists no tasks", file=sys.stderr)
-        return EXIT_CONFIG
     table, mismatches = check_report(raw)
     print(table)
     for m in mismatches:
@@ -256,17 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verb in ("run", "suite") and not args.backend:
-        print("--backend is required for run/suite", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if args.verb in ("run", "suite") and not args.backend:
+            raise InputError("--backend", "--backend is required for run/suite")
         return args.fn(args)
-    except (
-        CliConfigError, SuiteLoadError, FixtureLoadError, ScriptLoadError, TranscriptCorrupt
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

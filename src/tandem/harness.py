@@ -18,14 +18,20 @@ from importlib.resources import as_file, files
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-import yaml
-
 from .backend import ChatBackend, SearchProvider, StaticSearchProvider
 from .executor import LocalExecutor
 from .orchestrator import TaskOutcome, Termination, run_task
 from .planner import GlobalPlanner
 from .prompts import PromptLibrary
-from .protocol import EVALUATOR_KINDS, Budgets, Difficulty, Task, load_yaml
+from .protocol import (
+    EVALUATOR_KINDS,
+    Budgets,
+    Difficulty,
+    InputError,
+    Task,
+    load_yaml,
+    read_data,
+)
 from .transcript import (
     ReplayBackend,
     ReplayDivergence,
@@ -99,10 +105,6 @@ def overall_rate(counts: Mapping[str, tuple[int, int]]) -> Decimal:
 # =====================================================================
 
 
-class SuiteLoadError(ValueError):
-    pass
-
-
 def _checked(value: Task | Budgets) -> Any:
     """`value` if it keeps its field rules; a ValueError naming each broken rule if not."""
     broken: list[str] = []
@@ -139,44 +141,36 @@ def _checked(value: Task | Budgets) -> Any:
 _DIFFICULTIES = {d.value.casefold(): d.value for d in Difficulty}
 
 
-def _load_yaml(path: Path, fmt: str) -> dict:
-    try:
-        raw = load_yaml(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise SuiteLoadError(f"{path}: bad yaml: {exc}") from exc
-    if not isinstance(raw, dict) or raw.get("format") != fmt:
-        raise SuiteLoadError(f"{path}: expected format {fmt!r}")
-    return raw
-
-
-def load_task_file(path: str | Path) -> Task:
-    """Load one task file; a task that breaks a field rule is a SuiteLoadError."""
-    path = Path(path)
-    raw = _load_yaml(path, TASK_FORMAT)
+def _task(raw: dict) -> Task:
     # Task files spell difficulties in any case ("easy", "EASY").
     wanted = str(raw.get("difficulty", "unlabeled")).casefold()
     if wanted not in _DIFFICULTIES:
-        raise SuiteLoadError(f"{path}: unknown difficulty {wanted!r}")
-    try:
-        return _checked(Task.from_dict({**raw, "difficulty": _DIFFICULTIES[wanted]}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SuiteLoadError(f"{path}: {exc}") from exc
+        raise ValueError(f"unknown difficulty {wanted!r}")
+    return _checked(Task.from_dict({**raw, "difficulty": _DIFFICULTIES[wanted]}))
+
+
+def load_task_file(path: str | Path) -> Task:
+    """Load one task file; a task that breaks a field rule is an InputError."""
+    return read_data(path, load_yaml, TASK_FORMAT, _task)
 
 
 def load_manifest(path: str | Path) -> list[Task]:
     """Load a suite manifest; task paths resolve relative to it."""
     path = Path(path)
-    raw = _load_yaml(path, SUITE_FORMAT)
-    entries = raw.get("tasks")
-    if not isinstance(entries, list) or not entries:
-        raise SuiteLoadError(f"{path}: manifest lists no tasks")
-    tasks = [load_task_file((path.parent / str(entry)).resolve()) for entry in entries]
-    seen: set[str] = set()
-    for task in tasks:
-        if task.id in seen:
-            raise SuiteLoadError(f"{path}: duplicate task id {task.id!r}")
-        seen.add(task.id)
-    return tasks
+
+    def decode(raw: dict) -> list[Task]:
+        entries = raw.get("tasks")
+        if not isinstance(entries, list) or not entries:
+            raise ValueError("manifest lists no tasks")
+        tasks = [load_task_file((path.parent / str(entry)).resolve()) for entry in entries]
+        seen: set[str] = set()
+        for task in tasks:
+            if task.id in seen:
+                raise ValueError(f"duplicate task id {task.id!r}")
+            seen.add(task.id)
+        return tasks
+
+    return read_data(path, load_yaml, SUITE_FORMAT, decode)
 
 
 _BUNDLED_SUITES = {"bundled": "bundled.yaml", "demo": "demo.yaml"}
@@ -190,7 +184,7 @@ def load_suite(name_or_path: str | Path) -> list[Task]:
             return load_manifest(concrete)
     path = Path(name_or_path)
     if not path.exists():
-        raise SuiteLoadError(f"no bundled suite or manifest file named {name!r}")
+        raise InputError(name, "no bundled suite or manifest file of this name")
     return load_manifest(path)
 
 
@@ -524,14 +518,15 @@ def render_report(report: SuiteReport) -> str:
     return "\n".join(lines)
 
 
-def load_report(path: str | Path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise SuiteLoadError(f"{path}: not a JSON file: {exc}") from exc
-    if not isinstance(raw, dict) or raw.get("format") != REPORT_FORMAT:
-        raise SuiteLoadError(f"{path}: expected format {REPORT_FORMAT!r}")
+def _report(raw: dict) -> dict:
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list) or not all(isinstance(row, dict) for row in tasks):
-        raise SuiteLoadError(f"{path}: tasks must be a list of objects")
+        raise TypeError("tasks must be a list of objects")
+    if not tasks:
+        raise ValueError("report lists no tasks")
     return raw
+
+
+def load_report(path: str | Path) -> dict:
+    """Load a report.json that lists at least one task row."""
+    return read_data(path, json.loads, REPORT_FORMAT, _report)

@@ -3,10 +3,11 @@
 Prompt text lives in editable files under ``data/prompts/<agent>/<action>.txt``
 inside the package; a PromptLibrary can overlay a user directory with the
 same layout, so deployments can tune wording without touching code.
-PACKAGED_PROMPTS is the one library without an overlay that agents fall
-back to, so each packaged prompt is read once per process.  The shared
-tail block every prompt ends with (OBSERVATION / URL / OBJECTIVE /
-PREVIOUS ACTION) is rendered by ``context_block``.
+A library reads every prompt when it is built, so a bad override fails
+before any task runs.  PACKAGED_PROMPTS is the one library without an
+overlay, shared by all agents.  The shared tail block every prompt ends
+with (OBSERVATION / URL / OBJECTIVE / PREVIOUS ACTION) is rendered by
+``context_block``.
 
 PROMPT_MARKERS maps each prompt key to a phrase unique to that prompt,
 which scripted-backend fixtures use to recognize what kind of response a
@@ -18,7 +19,7 @@ from __future__ import annotations
 from importlib.resources import files
 from pathlib import Path
 
-from .protocol import Observation
+from .protocol import Observation, read_text
 
 __all__ = [
     "PACKAGED_PROMPTS",
@@ -80,29 +81,19 @@ REPAIR_DECISION = (
 
 
 class PromptLibrary:
-    """Loads prompt texts by key, with an optional override directory."""
+    """Prompt texts by key, from the override directory where it has the file."""
 
     def __init__(self, override_dir: str | Path | None = None) -> None:
-        self._override_dir = Path(override_dir) if override_dir else None
-        self._cache: dict[str, str] = {}
+        packaged = files("tandem") / "data" / "prompts"
+        self._texts: dict[str, str] = {}
+        for key in PROMPT_KEYS:
+            path = Path(override_dir, f"{key}.txt") if override_dir else None
+            if path is None or not path.exists():
+                path = packaged / f"{key}.txt"
+            self._texts[key] = read_text(path)
 
     def get(self, key: str) -> str:
-        if key not in PROMPT_KEYS:
-            raise KeyError(f"unknown prompt key {key!r}")
-        if key in self._cache:
-            return self._cache[key]
-        text = self._load(key)
-        self._cache[key] = text
-        return text
-
-    def _load(self, key: str) -> str:
-        relative = f"{key}.txt"
-        if self._override_dir is not None:
-            candidate = self._override_dir / relative
-            if candidate.exists():
-                return candidate.read_text(encoding="utf-8")
-        resource = files("tandem").joinpath("data", "prompts", *relative.split("/"))
-        return resource.read_text(encoding="utf-8")
+        return self._texts[key]
 
 
 PACKAGED_PROMPTS = PromptLibrary()

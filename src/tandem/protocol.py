@@ -3,9 +3,11 @@
 Every value that crosses a module boundary (tasks, observations, plans,
 action sequences, reports, verdicts, decisions, budgets, transcript events)
 is defined here as an immutable dataclass.  All of them but
-TranscriptEvent share one field-driven JSON-dict codec, and every YAML
-data file (fixtures, scripts, passages, tasks, suites) is decoded by
-`load_yaml`.  The module deliberately contains no behavior beyond
+TranscriptEvent share one field-driven JSON-dict codec.  Every file
+tandem reads (tasks, suites, fixtures, scripts, passages, reports,
+transcripts and prompt overrides) is read by `read_text` and decoded by
+`read_data`/`parse_data`, which turn any way a file can be bad into one
+`InputError`.  The module deliberately contains no behavior beyond
 (de)serialization; agents, environment and orchestrator build on top.
 """
 
@@ -15,6 +17,7 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cache
+from pathlib import Path
 from types import UnionType
 from typing import IO, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
@@ -32,6 +35,7 @@ __all__ = [
     "ExecutionStep",
     "GlobalDecision",
     "GlobalPlan",
+    "InputError",
     "LocalVerdict",
     "Observation",
     "PageAction",
@@ -42,6 +46,9 @@ __all__ = [
     "TranscriptEvent",
     "VerdictDecision",
     "load_yaml",
+    "parse_data",
+    "read_data",
+    "read_text",
 ]
 
 
@@ -191,7 +198,7 @@ def _decoder(hint: Any) -> Callable[[Any], Any]:
 
 
 # =====================================================================
-# YAML data files
+# Input files
 # =====================================================================
 
 
@@ -203,6 +210,53 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def load_yaml(stream: str | IO[str]) -> Any:
     """Decode one YAML document with the safe loader; errors raise yaml.YAMLError."""
     return yaml.load(stream, Loader=_YAML_LOADER)
+
+
+class InputError(ValueError):
+    """A file (or the flag that should name one) that tandem cannot use."""
+
+    def __init__(self, path: str | Path, reason: str) -> None:
+        self.path = str(path)
+        self.reason = " ".join(reason.split())  # YAML errors span several lines
+        super().__init__(f"{path}: {self.reason}")
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of `path`; a file that cannot be read is an InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(path, exc.strerror or str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(path, f"not UTF-8 text: {exc}") from exc
+
+
+def parse_data(path: str | Path, text: str, parse: Callable, fmt: str, decode: Callable) -> Any:
+    """`decode` of the mapping `parse` (`load_yaml` or `json.loads`) makes of `text`.
+
+    A syntax error, a document that is not a mapping whose `format` is
+    `fmt`, or a KeyError, TypeError, ValueError or AttributeError from
+    `decode` is an InputError naming `path`.  An InputError from a file
+    `decode` reads in turn keeps its own path after `path`.
+    """
+    try:
+        doc = parse(text)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: json.JSONDecodeError
+        raise InputError(path, f"syntax error: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise InputError(path, f"not a {fmt} file")
+    try:
+        return decode(doc)
+    except KeyError as exc:
+        raise InputError(path, f"missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(path, str(exc)) from exc
+
+
+def read_data(path: str | Path, parse: Callable, fmt: str, decode: Callable) -> Any:
+    """`parse_data` over the text of the file at `path`."""
+    return parse_data(path, read_text(path), parse, fmt, decode)
 
 
 # =====================================================================

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .backend import ChatRequest
-from .protocol import EventKind, TranscriptEvent
+from .protocol import EventKind, InputError, TranscriptEvent, parse_data, read_text
 
 __all__ = [
     "ForceStopInterrupt",
@@ -48,11 +48,11 @@ _PAYLOAD_REQUIRED_KEYS: dict[EventKind, tuple[str, ...]] = {
 }
 
 
-class TranscriptCorrupt(Exception):
+class TranscriptCorrupt(InputError):
     """A structurally invalid record before the end of the file."""
 
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path: str | Path, line_no: int, message: str) -> None:
+        super().__init__(path, f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -141,20 +141,15 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     every complete event plus a warning; structural damage before the
     last line raises TranscriptCorrupt with the offending line number, as
     does an event payload that is not an object or lacks a key its kind
-    requires.
+    requires.  A file that cannot be read is an InputError.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
-        raise TranscriptCorrupt(1, "empty file")
-
+        raise TranscriptCorrupt(path, 1, "empty file")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TranscriptCorrupt(1, f"unreadable header: {exc}") from exc
-    if header.get("format") != TRANSCRIPT_FORMAT:
-        raise TranscriptCorrupt(1, f"not a {TRANSCRIPT_FORMAT} file")
+        header = parse_data(path, lines[0], json.loads, TRANSCRIPT_FORMAT, dict)
+    except InputError as exc:
+        raise TranscriptCorrupt(path, 1, exc.reason) from exc
 
     events: list[TranscriptEvent] = []
     warnings: list[str] = []
@@ -164,24 +159,24 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
         last = i == len(lines)
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # json.JSONDecodeError
             if last:
                 warnings.append(f"line {i}: truncated record dropped")
                 break
-            raise TranscriptCorrupt(i, "invalid JSON before end of file") from None
+            raise TranscriptCorrupt(path, i, "invalid JSON before end of file") from None
         try:
             event = TranscriptEvent.from_dict(record)
         except (KeyError, ValueError, TypeError) as exc:
-            raise TranscriptCorrupt(i, f"bad event record: {exc}") from None
+            raise TranscriptCorrupt(path, i, f"bad event record: {exc}") from None
         if not isinstance(event.payload, dict):
-            raise TranscriptCorrupt(i, f"{event.kind.value} payload is not an object")
+            raise TranscriptCorrupt(path, i, f"{event.kind.value} payload is not an object")
         missing = [k for k in _PAYLOAD_REQUIRED_KEYS[event.kind] if k not in event.payload]
         if missing:
             raise TranscriptCorrupt(
-                i, f"payload missing keys {missing} for kind {event.kind.value}"
+                path, i, f"payload missing keys {missing} for kind {event.kind.value}"
             )
         if event.seq != len(events):
-            raise TranscriptCorrupt(i, f"seq {event.seq} breaks gap-free order")
+            raise TranscriptCorrupt(path, i, f"seq {event.seq} breaks gap-free order")
         events.append(event)
     return header, events, warnings
 

@@ -18,20 +18,27 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from urllib.parse import parse_qs, quote_plus, urlsplit
 
-import yaml
-
 from .grammar import render_action
-from .protocol import ActionKind, EvaluatorSpec, Observation, PageAction, StepOutcome, load_yaml
+from .protocol import (
+    ActionKind,
+    EvaluatorSpec,
+    InputError,
+    Observation,
+    PageAction,
+    StepOutcome,
+    load_yaml,
+    parse_data,
+    read_text,
+)
 
 __all__ = [
     "ClearFilter",
     "Condition",
     "FilterBy",
-    "FixtureLoadError",
     "ListingSpec",
     "Navigate",
     "NodeSpec",
@@ -55,10 +62,6 @@ ERR_UNKNOWN_URL = "unknown url"
 ERR_STOPPED = "environment stopped"
 
 FIXTURE_FORMAT = "tandem-fixture"
-
-
-class FixtureLoadError(Exception):
-    """The fixture file is malformed or internally inconsistent."""
 
 
 # =====================================================================
@@ -174,10 +177,7 @@ class SiteFixture:
     search_pages: dict[str, SearchBox] = field(default_factory=dict)
 
     def rows(self, collection: str) -> tuple[dict, ...]:
-        try:
-            return self.entities[collection]
-        except KeyError:
-            raise FixtureLoadError(f"fixture references unknown collection {collection!r}") from None
+        return self.entities[collection]
 
 
 @dataclass(frozen=True)
@@ -215,23 +215,20 @@ def _format(template: str, row: dict, where: str) -> str:
     try:
         return template.format_map(row)
     except (KeyError, ValueError, IndexError) as exc:
-        raise FixtureLoadError(f"{where}: template {template!r} failed: {exc}") from exc
+        raise ValueError(f"{where}: template {template!r} failed: {exc}") from exc
 
 
 def _parse_condition(raw: dict, where: str) -> Condition:
-    try:
-        cond = Condition(field=raw["field"], op=raw.get("op", "eq"), value=raw["value"])
-    except (KeyError, TypeError) as exc:
-        raise FixtureLoadError(f"{where}: malformed condition: {exc}") from exc
+    cond = Condition(field=raw["field"], op=raw.get("op", "eq"), value=raw["value"])
     if cond.op not in _OPS:
-        raise FixtureLoadError(f"{where}: unknown condition op {cond.op!r}")
+        raise ValueError(f"{where}: unknown condition op {cond.op!r}")
     return cond
 
 
 def _parse_behavior(raw: dict, where: str) -> Behavior | None:
     keys = [k for k in ("navigate", "sort", "filter", "clear_filter", "search") if k in raw]
     if len(keys) > 1:
-        raise FixtureLoadError(f"{where}: node declares multiple behaviors {keys}")
+        raise ValueError(f"{where}: node declares multiple behaviors {keys}")
     if not keys:
         return None
     key = keys[0]
@@ -246,31 +243,24 @@ def _parse_behavior(raw: dict, where: str) -> Behavior | None:
     if key == "clear_filter":
         return ClearFilter()
     spec = raw["search"]
-    try:
-        return SearchBox(
-            results_url=spec["results_url"],
-            collection=spec["collection"],
-            match_field=spec.get("match_field", "name"),
-            item_template=spec.get("item", "{name}"),
-            link_template=spec.get("item_link"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FixtureLoadError(f"{where}: malformed search box: {exc}") from exc
+    return SearchBox(
+        results_url=spec["results_url"],
+        collection=spec["collection"],
+        match_field=spec.get("match_field", "name"),
+        item_template=spec.get("item", "{name}"),
+        link_template=spec.get("item_link"),
+    )
 
 
 def _parse_node(raw: dict, where: str, row: dict | None) -> list[NodeSpec]:
     """Parse one node entry; with a template row this may expand to many."""
-    try:
-        role = raw["role"]
-        label = raw["label"]
-    except (KeyError, TypeError) as exc:
-        raise FixtureLoadError(f"{where}: node needs role and label: {exc}") from exc
+    role, label = raw["role"], raw["label"]
     behavior = _parse_behavior(raw, where)
     children_raw = raw.get("children", [])
 
     if "for_each_item" in raw:
         if row is None:
-            raise FixtureLoadError(f"{where}: for_each_item only works inside page templates")
+            raise ValueError(f"{where}: for_each_item only works inside page templates")
         items = row.get(raw["for_each_item"], [])
         nodes = []
         for item in items:
@@ -291,31 +281,27 @@ def _parse_node(raw: dict, where: str, row: dict | None) -> list[NodeSpec]:
 
 
 def _parse_listing(raw: dict, where: str) -> ListingSpec:
-    try:
-        listing = ListingSpec(
-            collection=raw["collection"],
-            item_template=raw["item"],
-            link_template=raw.get("item_link"),
-            where=_parse_condition(raw["where"], where) if raw.get("where") else None,
-            default_sort=(
-                SortBy(
-                    field=raw["default_sort"]["field"],
-                    ascending=bool(raw["default_sort"].get("ascending", True)),
-                )
-                if raw.get("default_sort")
-                else None
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FixtureLoadError(f"{where}: malformed listing: {exc}") from exc
-    return listing
+    return ListingSpec(
+        collection=raw["collection"],
+        item_template=raw["item"],
+        link_template=raw.get("item_link"),
+        where=_parse_condition(raw["where"], where) if raw.get("where") else None,
+        default_sort=(
+            SortBy(
+                field=raw["default_sort"]["field"],
+                ascending=bool(raw["default_sort"].get("ascending", True)),
+            )
+            if raw.get("default_sort")
+            else None
+        ),
+    )
 
 
 def _parse_page(raw: dict, where: str, row: dict | None = None) -> PageDef:
     url = raw["url"] if row is None else _format(raw["url_template"], row, where)
     title = _format(raw.get("title", ""), row, where) if row is not None else raw.get("title", "")
     if not title:
-        raise FixtureLoadError(f"{where}: page needs a title")
+        raise ValueError(f"{where}: page needs a title")
     nodes: list[NodeSpec] = []
     for i, node_raw in enumerate(raw.get("nodes", [])):
         nodes.extend(_parse_node(node_raw, f"{where}.nodes[{i}]", row))
@@ -328,36 +314,33 @@ def load_fixture_file(path: str | Path) -> SiteFixture:
 
     Parsed fixtures are cached per process, keyed by the resolved path and
     the file's contents, so an edited file is parsed again.  A file that
-    fails to load raises on every call.  Every caller shares the returned
-    fixture, so nothing may mutate it, its entity rows included.
+    fails to load raises InputError on every call.  Every caller shares
+    the returned fixture, so nothing may mutate it, its entity rows
+    included.
     """
     path = Path(path).resolve()
-    return _parse_fixture(path, path.read_text(encoding="utf-8"))
+    return _parse_fixture(path, read_text(path))
 
 
 @lru_cache(maxsize=16)  # bounded: every edit of a file adds an entry
 def _parse_fixture(path: Path, text: str) -> SiteFixture:
-    try:
-        doc = load_yaml(text)
-    except yaml.YAMLError as exc:
-        detail = " ".join(str(exc).split())  # YAML errors span lines; keep one
-        raise FixtureLoadError(f"{path}: not valid YAML: {detail}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FIXTURE_FORMAT:
-        raise FixtureLoadError(f"{path}: not a {FIXTURE_FORMAT} file")
+    return parse_data(path, text, load_yaml, FIXTURE_FORMAT, partial(_fixture, path))
 
+
+def _fixture(path: Path, doc: dict) -> SiteFixture:
     entities: dict[str, tuple[dict, ...]] = {}
     for name, rows in (doc.get("entities") or {}).items():
         if not isinstance(rows, list):
-            raise FixtureLoadError(f"{path}: collection {name!r} must be a list")
+            raise ValueError(f"collection {name!r} must be a list")
         entities[name] = tuple(_with_derived_fields(r) for r in rows)
 
     pages: dict[str, PageDef] = {}
     for i, raw in enumerate(doc.get("pages", [])):
-        where = f"{path}:pages[{i}]"
+        where = f"pages[{i}]"
         if "url_template" in raw:
             collection = raw.get("for_each")
             if collection not in entities:
-                raise FixtureLoadError(f"{where}: for_each references unknown collection")
+                raise ValueError(f"{where}: for_each references unknown collection")
             for row in entities[collection]:
                 page = _parse_page(raw, where, row)
                 pages[page.url] = page
@@ -365,7 +348,7 @@ def _parse_fixture(path: Path, text: str) -> SiteFixture:
             page = _parse_page(raw, where)
             pages[page.url] = page
         else:
-            raise FixtureLoadError(f"{where}: page needs url or url_template")
+            raise ValueError(f"{where}: page needs url or url_template")
 
     fixture = SiteFixture(
         site_id=doc.get("site_id", path.stem),
@@ -435,7 +418,7 @@ def _check_fixture(fixture: SiteFixture) -> None:
             check_listing(page.listing, url)
 
     if problems:
-        raise FixtureLoadError("; ".join(problems))
+        raise ValueError("; ".join(problems))
 
 
 def _is_search_url(fixture: SiteFixture, url: str) -> bool:
@@ -458,7 +441,7 @@ def load_fixture(name_or_path: str | Path) -> SiteFixture:
             return load_fixture_file(concrete)
     if Path(name).exists():
         return load_fixture_file(name)
-    raise FixtureLoadError(f"unknown fixture {name!r} (not bundled, not a file)")
+    raise InputError(name, "unknown fixture (not bundled, not a file)")
 
 
 # =====================================================================
@@ -576,7 +559,7 @@ class WebEnv:
             emit_listing(listing, query, box)
             return nodes
         if page is None:  # unreachable while apply() validates urls
-            raise FixtureLoadError(f"current url {url!r} has no page")
+            raise RuntimeError(f"current url {url!r} has no page")
 
         emit("heading", page.title, 0)
         for spec in page.nodes:

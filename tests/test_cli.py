@@ -20,10 +20,10 @@ from tandem.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_UNREACHABLE,
-    CliConfigError,
     main,
     make_backend_factory,
 )
+from tandem.protocol import InputError
 
 from conftest import DATA
 
@@ -188,7 +188,7 @@ def test_http_factory_reads_environment(monkeypatch):
 
 def test_http_factory_without_any_config_raises():
     parser_args = type("Args", (), {"endpoint": "", "model": ""})()
-    with pytest.raises(CliConfigError):
+    with pytest.raises(InputError):
         make_backend_factory("http", parser_args, [])
 
 
@@ -420,7 +420,7 @@ def test_replay_rejects_a_damaged_event_payload(happy_transcript, tmp_path, caps
     code = run_cli("replay", str(damaged))
     assert code == EXIT_CONFIG
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: line 2: ")
+    assert line.startswith(f"error: {damaged}: line 2: ")
 
 
 def test_run_with_replay_backend(happy_transcript, tmp_path, capsys):

@@ -7,7 +7,6 @@ from decimal import Decimal
 import pytest
 
 from tandem.harness import (
-    SuiteLoadError,
     SuiteReport,
     TaskRun,
     aggregate,
@@ -24,7 +23,7 @@ from tandem.harness import (
     success_rate,
 )
 from tandem.orchestrator import TaskOutcome, Termination
-from tandem.protocol import Budgets, Difficulty, ReplanRequest
+from tandem.protocol import Budgets, Difficulty, InputError, ReplanRequest
 from tandem.transcript import read_transcript
 
 from conftest import DATA, REPO, make_task, scenario_backend, scenario_task
@@ -140,7 +139,7 @@ def test_suite_report_to_dict_round_trips_through_json(tmp_path):
 def test_load_report_rejects_wrong_format(tmp_path):
     path = tmp_path / "r.json"
     path.write_text('{"format": "other"}', encoding="utf-8")
-    with pytest.raises(SuiteLoadError):
+    with pytest.raises(InputError):
         load_report(path)
 
 
@@ -192,14 +191,14 @@ def test_load_task_file_rejects_unknown_difficulty(tmp_path):
         "difficulty: brutal\nevaluator: {kind: must_include, expected: [a]}\n",
         encoding="utf-8",
     )
-    with pytest.raises(SuiteLoadError):
+    with pytest.raises(InputError):
         load_task_file(path)
 
 
 def test_load_task_file_rejects_wrong_format(tmp_path):
     path = tmp_path / "task.yaml"
     path.write_text("format: nope\nid: x\n", encoding="utf-8")
-    with pytest.raises(SuiteLoadError):
+    with pytest.raises(InputError):
         load_task_file(path)
 
 
@@ -246,7 +245,7 @@ def write_task(tmp_path, **changes):
     ],
 )
 def test_load_task_file_rejects_invalid_task(tmp_path, changes):
-    with pytest.raises(SuiteLoadError):
+    with pytest.raises(InputError):
         load_task_file(write_task(tmp_path, **changes))
 
 
@@ -281,7 +280,7 @@ def test_load_manifest_rejects_duplicate_ids(tmp_path):
         "format: tandem-suite\nname: dup\ntasks:\n  - a.yaml\n  - a.yaml\n",
         encoding="utf-8",
     )
-    with pytest.raises(SuiteLoadError):
+    with pytest.raises(InputError):
         load_manifest(manifest)
 
 
@@ -290,7 +289,7 @@ def test_load_manifest_rejects_missing_file(tmp_path):
     manifest.write_text(
         "format: tandem-suite\nname: ghost\ntasks:\n  - nowhere.yaml\n", encoding="utf-8"
     )
-    with pytest.raises((SuiteLoadError, FileNotFoundError)):
+    with pytest.raises(InputError):
         load_manifest(manifest)
 
 
@@ -314,7 +313,7 @@ def test_demo_suite_lists_the_five_scenarios_plus_one():
 
 
 def test_load_suite_rejects_unknown_name():
-    with pytest.raises(SuiteLoadError):
+    with pytest.raises(InputError):
         load_suite("not-a-suite")
 
 

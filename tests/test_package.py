@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,27 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+SOURCES = sorted(Path(tandem.__file__).parent.glob("*.py"))
+# Errors that only reading or parsing a file raises; protocol.read_text and
+# protocol.parse_data turn them into InputError, so no other module catches them.
+PARSE_ERRORS = {"YAMLError", "UnicodeDecodeError", "JSONDecodeError"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "protocol.py"], ids=lambda p: p.name
+)
+def test_only_protocol_parses_input_files(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    assert not [m for m in imported if m == "yaml" or m.startswith("yaml.")]
+    caught = {
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for h in ast.walk(tree)
+        if isinstance(h, ast.ExceptHandler) and h.type is not None
+        for n in ast.walk(h.type)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    assert not caught & PARSE_ERRORS

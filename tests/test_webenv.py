@@ -7,7 +7,7 @@ import pytest
 
 from tandem import webenv
 from tandem.harness import load_suite, run_suite
-from tandem.protocol import ActionKind, Budgets, PageAction, load_yaml
+from tandem.protocol import ActionKind, Budgets, InputError, PageAction, load_yaml
 from tandem.webenv import (
     ClearFilter,
     ERR_NOT_APPLICABLE,
@@ -16,7 +16,6 @@ from tandem.webenv import (
     ERR_UNKNOWN_URL,
     EvaluatorSpec,
     FilterBy,
-    FixtureLoadError,
     SortBy,
     WebEnv,
     evaluate,
@@ -279,14 +278,14 @@ def test_reset_restores_initial_state(shop_env):
 
 
 def test_load_fixture_rejects_unknown_name():
-    with pytest.raises(FixtureLoadError):
+    with pytest.raises(InputError):
         load_fixture("no-such-site")
 
 
 def test_load_fixture_file_rejects_wrong_format(tmp_path):
     path = tmp_path / "f.yaml"
     path.write_text("format: wrong\n", encoding="utf-8")
-    with pytest.raises(FixtureLoadError):
+    with pytest.raises(InputError):
         load_fixture_file(path)
 
 
@@ -309,7 +308,7 @@ pages:
 """,
         encoding="utf-8",
     )
-    with pytest.raises(FixtureLoadError) as err:
+    with pytest.raises(InputError) as err:
         load_fixture_file(path)
     assert "template" in str(err.value)
 
@@ -330,7 +329,7 @@ pages:
 """,
         encoding="utf-8",
     )
-    with pytest.raises(FixtureLoadError) as err:
+    with pytest.raises(InputError) as err:
         load_fixture_file(path)
     assert "http://t.local/missing" in str(err.value)
 
@@ -387,7 +386,7 @@ def test_fixture_cache_never_keeps_a_failed_load(tmp_path, count_parses):
     path = tmp_path / "f.yaml"
     path.write_text("format: tandem-fixture\npages: [{title: no url}]\n", encoding="utf-8")
     for _ in range(2):
-        with pytest.raises(FixtureLoadError):
+        with pytest.raises(InputError):
             load_fixture_file(path)
     assert len(count_parses) == 2
 
