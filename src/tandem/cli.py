@@ -34,7 +34,7 @@ from .harness import (
 )
 from .prompts import PromptLibrary
 from .protocol import Budgets, InputError, Task
-from .transcript import ReplayBackend
+from .transcript import ReplayBackend, read_transcript
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,6 +52,8 @@ def make_backend_factory(spec: str, args: argparse.Namespace, tasks: list[Task])
     "http" talks to a chat-completions endpoint; "scripted:<path>" plays
     canned exchanges (a directory means one <task_id>.yaml per task);
     "replay:<file>" serves the responses out of a recorded transcript.
+    A single script file or transcript is read once, here; each task
+    still gets a fresh backend over it.
     """
     if spec == "http":
         endpoint = args.endpoint or os.environ.get("TANDEM_ENDPOINT", "")
@@ -76,13 +78,15 @@ def make_backend_factory(spec: str, args: argparse.Namespace, tasks: list[Task])
             return (
                 lambda task: ScriptedBackend(load_script_file(path / f"{task.id}.yaml"))
             ), f"scripted:{path}"
-        return (lambda task: ScriptedBackend(load_script_file(path))), f"scripted:{path}"
+        exchanges = load_script_file(path)
+        return (lambda task: ScriptedBackend(exchanges)), f"scripted:{path}"
 
     if spec.startswith("replay:"):
         path = Path(spec.split(":", 1)[1])
         if not path.is_file():
             raise InputError(path, "transcript does not exist")
-        return (lambda task: ReplayBackend.from_file(path)), f"replay:{path}"
+        _, events, _ = read_transcript(path)
+        return (lambda task: ReplayBackend(events)), f"replay:{path}"
 
     raise InputError(
         "--backend", f"unknown backend {spec!r}; expected http, scripted:<path> or replay:<file>"
@@ -115,6 +119,8 @@ def _common_setup(args: argparse.Namespace):
     provider = None
     if args.augment_search:
         provider = resolve_search_provider(args.search_passages or "bundled")
+    elif args.search_passages:
+        raise InputError("--search-passages", "needs --augment-search")
     return library, provider
 
 
@@ -142,7 +148,6 @@ def _execute(args: argparse.Namespace, tasks: list[Task], parallel: int) -> int:
         _budgets(args),
         library=library,
         temperature=args.temperature,
-        augment_search=args.augment_search,
         search_provider=provider,
         out_dir=args.out,
         parallel=parallel,
@@ -219,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--search-passages",
         default="",
-        help="passage file for search augmentation ('bundled' for the packaged one)",
+        help="passage file for --augment-search ('bundled' for the packaged one)",
     )
     common.add_argument("--out", default=None, help="directory for transcripts and reports")
     common.add_argument("--prompt-dir", default=None, help="directory overriding bundled prompts")

@@ -54,12 +54,10 @@ class LocalExecutor:
         backend: ChatBackend,
         library: PromptLibrary | None = None,
         temperature: float = 1.0,
-        max_response_tokens: int = 1024,
     ) -> None:
         self.backend = backend
         self.library = library or prompt_texts.PACKAGED_PROMPTS
         self.temperature = temperature
-        self.max_response_tokens = max_response_tokens
 
     # -- prompt construction -------------------------------------------
 
@@ -86,7 +84,6 @@ class LocalExecutor:
             system_prompt=self.library.get("local/intro"),
             messages=(ChatMessage("user", user_text),),
             temperature=self.temperature,
-            max_response_tokens=self.max_response_tokens,
         )
 
     def _ask(

@@ -188,14 +188,12 @@ def load_suite(name_or_path: str | Path) -> list[Task]:
     return load_manifest(path)
 
 
-def resolve_search_provider(spec: str | None) -> StaticSearchProvider | None:
+def resolve_search_provider(spec: str) -> StaticSearchProvider:
     """Map a provider spec to a search provider.
 
-    None or "" means no provider; "bundled" loads the packaged passage
-    file; anything else is a filesystem path to a passage file.
+    "bundled" loads the packaged passage file; anything else is a
+    filesystem path to a passage file.
     """
-    if not spec:
-        return None
     if spec == "bundled":
         resource = files("tandem") / "data" / "search" / "passages.yaml"
         with as_file(resource) as concrete:
@@ -308,7 +306,7 @@ def check_report(raw: dict) -> tuple[str, list[str]]:
 
 def _wire(
     task: Task, backend: ChatBackend, budgets: Budgets, *, library: PromptLibrary | None,
-    temperature: float, augment_search: bool, search_provider: SearchProvider | None,
+    temperature: float, search_provider: SearchProvider | None,
 ) -> tuple[RunRecorder, Callable[[], TaskOutcome]]:
     """Wire a fresh env, recorder, planner and executor to one task.
 
@@ -320,8 +318,7 @@ def _wire(
     cap = budgets.max_exchanges if budgets.force_stop_enabled else None
     recorder = RunRecorder(exchange_cap=cap)
     planner = GlobalPlanner(
-        backend, library=library, temperature=temperature,
-        search_provider=search_provider, augment_search=augment_search,
+        backend, library=library, temperature=temperature, search_provider=search_provider
     )
     executor = LocalExecutor(backend, library=library, temperature=temperature)
     return recorder, partial(run_task, task, planner, executor, env, budgets, recorder)
@@ -334,7 +331,6 @@ def run_single(
     *,
     library: PromptLibrary | None = None,
     temperature: float = 1.0,
-    augment_search: bool = False,
     search_provider: SearchProvider | None = None,
     out_dir: str | Path | None = None,
     backend_label: str = "",
@@ -342,7 +338,7 @@ def run_single(
     """Run one task with its own environment and recorder."""
     recorder, run = _wire(
         task, backend, budgets, library=library, temperature=temperature,
-        augment_search=augment_search, search_provider=search_provider,
+        search_provider=search_provider,
     )
     try:
         outcome = run()
@@ -365,7 +361,7 @@ def run_single(
             "budgets": budgets.to_dict(),
             "backend": backend_label,
             "temperature": temperature,
-            "augment_search": augment_search,
+            "augment_search": search_provider is not None,
         }
         write_transcript(dest, header, recorder.events)
         transcript_path = str(dest)
@@ -379,7 +375,6 @@ def run_suite(
     *,
     library: PromptLibrary | None = None,
     temperature: float = 1.0,
-    augment_search: bool = False,
     search_provider: SearchProvider | None = None,
     out_dir: str | Path | None = None,
     parallel: int = 1,
@@ -398,7 +393,6 @@ def run_suite(
             budgets,
             library=library,
             temperature=temperature,
-            augment_search=augment_search,
             search_provider=search_provider,
             out_dir=out_dir,
             backend_label=backend_label,
@@ -458,7 +452,6 @@ def replay_transcript(
     augment = bool(header.get("augment_search", False))
     recorder, run = _wire(
         task, ReplayBackend(events), budgets, library=library, temperature=temperature,
-        augment_search=augment,
         search_provider=resolve_search_provider("bundled") if augment else None,
     )
     try:

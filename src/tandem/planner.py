@@ -97,22 +97,18 @@ class GlobalPlanner:
         backend: ChatBackend,
         library: PromptLibrary | None = None,
         temperature: float = 1.0,
-        max_response_tokens: int = 1024,
         search_provider: SearchProvider | None = None,
-        augment_search: bool = False,
     ) -> None:
         self.backend = backend
         self.library = library or prompt_texts.PACKAGED_PROMPTS
         self.temperature = temperature
-        self.max_response_tokens = max_response_tokens
         self.search_provider = search_provider
-        self.augment_search = augment_search
 
     # -- prompt construction -------------------------------------------
 
     def fetch_passages(self, objective: str) -> tuple[RetrievedPassage, ...]:
-        """Background passages for planning; provider failures are non-fatal."""
-        if not self.augment_search or self.search_provider is None:
+        """Passages for planning, none without a provider; provider failures are non-fatal."""
+        if self.search_provider is None:
             return ()
         try:
             return augment_with_search(objective, self.search_provider)
@@ -168,7 +164,6 @@ class GlobalPlanner:
             system_prompt=self.library.get("global/intro"),
             messages=(ChatMessage("user", user_text),),
             temperature=self.temperature,
-            max_response_tokens=self.max_response_tokens,
         )
 
     def _ask(

@@ -26,7 +26,6 @@ __all__ = [
     "ReplayDivergence",
     "RunRecorder",
     "TranscriptCorrupt",
-    "events_equal",
     "read_transcript",
     "strip_volatile",
     "write_transcript",
@@ -85,7 +84,6 @@ class RunRecorder:
         self.exchange_cap = exchange_cap
         self.events: list[TranscriptEvent] = []
         self.exchanges = 0
-        self._closed = False
 
     # -- budget gate --------------------------------------------------
 
@@ -96,14 +94,12 @@ class RunRecorder:
     # -- appends ------------------------------------------------------
 
     def append(self, kind: EventKind, payload: dict) -> TranscriptEvent:
-        if self._closed:
+        if self.closed:
             raise RuntimeError("transcript already terminated by a TaskResult")
         event = TranscriptEvent(
             seq=len(self.events), timestamp=time.time(), kind=kind, payload=payload
         )
         self.events.append(event)
-        if kind is EventKind.TASK_RESULT:
-            self._closed = True
         return event
 
     def record_llm_call(self, role: str, prompt: str, response: str, latency: float) -> None:
@@ -115,7 +111,8 @@ class RunRecorder:
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        """True once a TaskResult has terminated the transcript."""
+        return bool(self.events) and self.events[-1].kind is EventKind.TASK_RESULT
 
 
 # =====================================================================
@@ -199,10 +196,6 @@ def strip_volatile(event: TranscriptEvent) -> dict:
     return d
 
 
-def events_equal(a: list[TranscriptEvent], b: list[TranscriptEvent]) -> bool:
-    return [strip_volatile(e) for e in a] == [strip_volatile(e) for e in b]
-
-
 def first_divergence(a: list[TranscriptEvent], b: list[TranscriptEvent]) -> int | None:
     """Seq of the first differing event, or None when sequences match."""
     for i in range(max(len(a), len(b))):
@@ -230,11 +223,6 @@ class ReplayBackend:
     def __init__(self, events: list[TranscriptEvent]) -> None:
         self._calls = [e for e in events if e.kind is EventKind.LLM_CALL]
         self._cursor = 0
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ReplayBackend":
-        _, events, _ = read_transcript(path)
-        return cls(events)
 
     @property
     def remaining(self) -> int:

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
+from typing import Iterator
 from urllib.parse import parse_qs, quote_plus, urlsplit
 
 from .grammar import render_action
@@ -81,13 +82,6 @@ class SortBy:
 
 
 @dataclass(frozen=True)
-class FilterBy:
-    field: str
-    op: str = "eq"
-    value: object = None
-
-
-@dataclass(frozen=True)
 class ClearFilter:
     pass
 
@@ -102,8 +96,10 @@ class SearchBox:
     item_template: str = "{name}"
     link_template: str | None = None
 
+    def listing(self) -> "ListingSpec":
+        """The results page's listing: the collection, unsorted and unfiltered."""
+        return ListingSpec(self.collection, self.item_template, self.link_template)
 
-Behavior = Navigate | SortBy | FilterBy | ClearFilter | SearchBox
 
 _OPS = {
     "eq": operator.eq,
@@ -124,6 +120,13 @@ class Condition:
 
     def holds(self, row: dict) -> bool:
         return _OPS[self.op](row[self.field], self.value)
+
+
+class FilterBy(Condition):
+    """A control that narrows its page's listing to the rows where it holds."""
+
+
+Behavior = Navigate | SortBy | FilterBy | ClearFilter | SearchBox
 
 
 # =====================================================================
@@ -218,8 +221,8 @@ def _format(template: str, row: dict, where: str) -> str:
         raise ValueError(f"{where}: template {template!r} failed: {exc}") from exc
 
 
-def _parse_condition(raw: dict, where: str) -> Condition:
-    cond = Condition(field=raw["field"], op=raw.get("op", "eq"), value=raw["value"])
+def _parse_condition(raw: dict, where: str, kind: type[Condition] = Condition) -> Condition:
+    cond = kind(field=raw["field"], op=raw.get("op", "eq"), value=raw["value"])
     if cond.op not in _OPS:
         raise ValueError(f"{where}: unknown condition op {cond.op!r}")
     return cond
@@ -238,8 +241,7 @@ def _parse_behavior(raw: dict, where: str) -> Behavior | None:
         spec = raw["sort"]
         return SortBy(field=spec["field"], ascending=bool(spec.get("ascending", True)))
     if key == "filter":
-        cond = _parse_condition(raw["filter"], where)
-        return FilterBy(field=cond.field, op=cond.op, value=cond.value)
+        return _parse_condition(raw["filter"], where, FilterBy)
     if key == "clear_filter":
         return ClearFilter()
     spec = raw["search"]
@@ -361,20 +363,24 @@ def _fixture(path: Path, doc: dict) -> SiteFixture:
     return fixture
 
 
+def _tree(nodes: tuple[NodeSpec, ...]) -> Iterator[NodeSpec]:
+    """Every node of a page tree, depth first."""
+    for node in nodes:
+        yield node
+        yield from _tree(node.children)
+
+
 def _collect_search_pages(pages: dict[str, PageDef]) -> dict[str, SearchBox]:
-    found: dict[str, SearchBox] = {}
-    def walk(nodes: tuple[NodeSpec, ...]) -> None:
-        for node in nodes:
-            if isinstance(node.behavior, SearchBox):
-                found[node.behavior.results_url] = node.behavior
-            walk(node.children)
-    for page in pages.values():
-        walk(page.nodes)
-    return found
+    return {
+        node.behavior.results_url: node.behavior
+        for page in pages.values()
+        for node in _tree(page.nodes)
+        if isinstance(node.behavior, SearchBox)
+    }
 
 
 def _check_fixture(fixture: SiteFixture) -> None:
-    """Every click target must resolve inside the fixture's closed world."""
+    """Every link must resolve, and every listing view a page's controls reach must render."""
     problems: list[str] = []
     if fixture.start_url not in fixture.pages:
         problems.append(f"start_url {fixture.start_url!r} is not a page")
@@ -383,39 +389,38 @@ def _check_fixture(fixture: SiteFixture) -> None:
         if url not in fixture.pages and not _is_search_url(fixture, url):
             problems.append(f"{where}: link target {url!r} does not resolve")
 
-    def check_listing(listing: ListingSpec, where: str) -> None:
+    def check_listing(
+        listing: ListingSpec, where: str, views: list[_ViewState], box: SearchBox | None = None
+    ) -> None:
         rows = fixture.entities.get(listing.collection)
         if rows is None:
             problems.append(f"{where}: unknown collection {listing.collection!r}")
             return
-        for ref in (listing.where, listing.default_sort):
-            if ref is not None and rows and ref.field not in rows[0]:
-                problems.append(f"{where}: unknown field {ref.field!r}")
+        try:
+            for view in views:
+                _listing_rows(fixture, listing, view, "", box)
+        except KeyError as exc:
+            problems.append(f"{where}: a row has no field {exc.args[0]!r}")
+        except TypeError as exc:
+            problems.append(f"{where}: listing cannot be filtered or sorted: {exc}")
         for row in rows:
             _format(listing.item_template, row, where)
             if listing.link_template:
                 check_url(_format(listing.link_template, row, where), where)
 
-    def walk(nodes: tuple[NodeSpec, ...], where: str) -> None:
+    for url, page in fixture.pages.items():
+        nodes = list(_tree(page.nodes))
         for node in nodes:
             if isinstance(node.behavior, Navigate):
-                check_url(node.behavior.url, f"{where} {node.label!r}")
+                check_url(node.behavior.url, f"{url} {node.label!r}")
             elif isinstance(node.behavior, SearchBox):
                 box = node.behavior
-                rows = fixture.entities.get(box.collection)
-                if rows is None:
-                    problems.append(f"{where}: search over unknown collection {box.collection!r}")
-                else:
-                    for row in rows:
-                        _format(box.item_template, row, where)
-                        if box.link_template:
-                            check_url(_format(box.link_template, row, where), where)
-            walk(node.children, where)
-
-    for url, page in fixture.pages.items():
-        walk(page.nodes, url)
+                check_listing(box.listing(), f"{url} search", [_ViewState()], box)
         if page.listing:
-            check_listing(page.listing, url)
+            sorts = [None, *(n.behavior for n in nodes if isinstance(n.behavior, SortBy))]
+            filters = [None, *(n.behavior for n in nodes if isinstance(n.behavior, FilterBy))]
+            views = [_ViewState(sort, filt) for sort in sorts for filt in filters]
+            check_listing(page.listing, url, views)
 
     if problems:
         raise ValueError("; ".join(problems))
@@ -455,6 +460,28 @@ class _ViewState:
     filter: FilterBy | None = None
 
 
+def _listing_rows(fixture: SiteFixture, listing: ListingSpec, view: _ViewState,
+                  query: str | None = None, box: SearchBox | None = None) -> list[dict]:
+    """The listing's rows under a view and, on a results page, a search query.
+
+    Raises KeyError for a field a row lacks and TypeError for values the
+    view's condition or sort cannot compare; the fixture check runs every
+    view a page's controls reach, so neither happens while rendering.
+    """
+    rows = list(fixture.rows(listing.collection))
+    if listing.where is not None:
+        rows = [r for r in rows if listing.where.holds(r)]
+    if box is not None and query is not None:
+        needle = query.casefold()
+        rows = [r for r in rows if needle in str(r[box.match_field]).casefold()]
+    if view.filter is not None:
+        rows = [r for r in rows if view.filter.holds(r)]
+    sort = view.sort or listing.default_sort
+    if sort is not None:
+        rows = sorted(rows, key=lambda r: r[sort.field], reverse=not sort.ascending)
+    return rows
+
+
 class WebEnv:
     """Mutable session over an immutable SiteFixture."""
 
@@ -489,22 +516,6 @@ class WebEnv:
     def _view(self, url: str) -> _ViewState:
         return self._views.setdefault(url, _ViewState())
 
-    def _listing_rows(self, listing: ListingSpec, view: _ViewState, query: str | None = None,
-                      box: SearchBox | None = None) -> list[dict]:
-        rows = list(self.fixture.rows(listing.collection))
-        if listing.where is not None:
-            rows = [r for r in rows if listing.where.holds(r)]
-        if box is not None and query is not None:
-            needle = query.casefold()
-            rows = [r for r in rows if needle in str(r[box.match_field]).casefold()]
-        if view.filter is not None:
-            cond = Condition(view.filter.field, view.filter.op, view.filter.value)
-            rows = [r for r in rows if cond.holds(r)]
-        sort = view.sort or listing.default_sort
-        if sort is not None:
-            rows = sorted(rows, key=lambda r: r[sort.field], reverse=not sort.ascending)
-        return rows
-
     def render_nodes(self) -> list[PageNode]:
         """The full rendered tree for the current page, before windowing.
 
@@ -535,7 +546,7 @@ class WebEnv:
 
         def emit_listing(listing: ListingSpec, query: str | None, box: SearchBox | None) -> None:
             view = self._view(url)
-            rows = self._listing_rows(listing, view, query, box)
+            rows = _listing_rows(self.fixture, listing, view, query, box)
             emit("list", f"{listing.collection} ({len(rows)} items)", 0)
             for row in rows:
                 label = listing.item_template.format_map(row)
@@ -551,12 +562,7 @@ class WebEnv:
             box = self.fixture.search_pages[base]
             query = parse_qs(urlsplit(url).query).get("q", [""])[0]
             emit("heading", f"Search results for '{query}'", 0)
-            listing = ListingSpec(
-                collection=box.collection,
-                item_template=box.item_template,
-                link_template=box.link_template,
-            )
-            emit_listing(listing, query, box)
+            emit_listing(box.listing(), query, box)
             return nodes
         if page is None:  # unreachable while apply() validates urls
             raise RuntimeError(f"current url {url!r} has no page")

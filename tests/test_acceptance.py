@@ -221,7 +221,6 @@ def test_criterion_6_search_augmentation():
         planner = GlobalPlanner(
             ScriptedBackend([]),
             search_provider=_ExplodingProvider(),
-            augment_search=True,
         )
         assert planner.fetch_passages("count electronics products") == ()
 
@@ -229,7 +228,6 @@ def test_criterion_6_search_augmentation():
             scenario_task("scn-happy"),
             ScriptedBackend(load_script_file(DATA / "scripts" / "scn-happy.yaml")),
             Budgets(),
-            augment_search=True,
             search_provider=_ExplodingProvider(),
         )
         assert run.outcome.success

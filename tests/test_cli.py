@@ -8,6 +8,7 @@ at the end checks that the installed console script resolves.
 
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -23,9 +24,10 @@ from tandem.cli import (
     main,
     make_backend_factory,
 )
-from tandem.protocol import InputError
+from tandem.harness import run_single
+from tandem.protocol import Budgets, InputError
 
-from conftest import DATA
+from conftest import DATA, REPO, scenario_task
 
 TASKS = DATA / "tasks"
 SCRIPTS = DATA / "scripts"
@@ -267,6 +269,19 @@ def test_run_with_search_augmentation(tmp_path, capsys):
     assert header["augment_search"] is True
 
 
+def test_search_passages_without_augment_search_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", str(HAPPY_TASK), "--backend", f"scripted:{HAPPY_SCRIPT}",
+        "--search-passages", "bundled", "--out", str(out),
+    )
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --search-passages: needs --augment-search"
+    ]
+    assert not out.exists()
+
+
 def test_run_against_unreachable_http_backend(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(backend_mod.time, "sleep", lambda s: None)
     code = run_cli(
@@ -421,6 +436,37 @@ def test_replay_rejects_a_damaged_event_payload(happy_transcript, tmp_path, caps
     assert code == EXIT_CONFIG
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {damaged}: line 2: ")
+
+
+def test_replay_detects_an_edited_event_that_no_prompt_shows(tmp_path, capsys):
+    # The verdict's reasons reach no later prompt, so only the final
+    # event-stream comparison can catch the edit.
+    recorded = REPO / "tests" / "recorded" / "scn-overrule.transcript.jsonl"
+    lines = recorded.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        if record["kind"] == "VerdictIssued":
+            record["payload"]["reasons"] += " (edited)"
+            lines[i] = json.dumps(record)
+            break
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("replay", str(edited)) == EXIT_CONFIG
+    assert capsys.readouterr().out.splitlines()[0] == "event stream diverged at seq 5"
+
+
+@pytest.mark.parametrize("kind", ["scripted", "replay"])
+def test_single_file_backend_is_read_once(happy_transcript, tmp_path, kind):
+    source = HAPPY_SCRIPT if kind == "scripted" else happy_transcript
+    copy = tmp_path / "once" / source.name
+    copy.parent.mkdir()
+    shutil.copy(source, copy)
+    task = scenario_task("scn-happy")
+    factory, _ = make_backend_factory(f"{kind}:{copy}", argparse.Namespace(), [task])
+    copy.unlink()
+    # Each task still gets a backend with nothing consumed.
+    for _ in range(2):
+        assert run_single(task, factory(task), Budgets()).outcome.success
 
 
 def test_run_with_replay_backend(happy_transcript, tmp_path, capsys):

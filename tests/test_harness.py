@@ -323,8 +323,6 @@ def test_load_suite_rejects_unknown_name():
 
 
 def test_resolve_search_provider():
-    assert resolve_search_provider(None) is None
-    assert resolve_search_provider("") is None
     bundled = resolve_search_provider("bundled")
     assert bundled is not None
     assert bundled.search("how many electronics products are there")

@@ -261,3 +261,31 @@ def test_any_prefix_of_an_input_runs_or_is_one_input_error(tmp_path, capsys, cap
     code, err = run_main(kind.argv(path, work), capsys, caplog)
     if code != EXIT_OK:
         assert_one_input_error(code, err, path, work)
+
+
+SHOP = _text(DATA / "fixtures" / "shop.yaml")
+KITCHEN = ("Copper Pour-Over Kettle", "Ceramic Mug Set", "Cast Iron Skillet")
+UNRENDERABLE = {
+    **{
+        f"{product}-name-{value}": SHOP.replace(f"- name: {product}", f"- name: {value}")
+        for product in KITCHEN
+        for value in ("5", "[1]", "{}", "null", "true")
+    },
+    "where-compares-number-to-text": SHOP.replace(
+        "where: {field: category, op: eq, value: kitchen}",
+        "where: {field: price, op: lt, value: cheap}",
+    ),
+    "search-match-field-no-row-has": SHOP.replace("match_field: name", "match_field: maker"),
+}
+
+
+@pytest.mark.parametrize("text", UNRENDERABLE.values(), ids=UNRENDERABLE.keys())
+def test_fixture_whose_listing_cannot_render_is_one_input_error(tmp_path, capsys, caplog, text):
+    # Each fixture loads as YAML; its listing or search page would only
+    # fail when rendered, so the load-time check must catch it.
+    assert text != SHOP
+    path = tmp_path / "shop.yaml"
+    path.write_text(text, encoding="utf-8")
+    code, err = run_main(_fixture_argv(path, tmp_path), capsys, caplog)
+    assert_one_input_error(code, err, path, tmp_path)
+    assert "http://shop.local/" in err

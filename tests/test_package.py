@@ -43,3 +43,45 @@ def test_only_protocol_parses_input_files(path):
         if isinstance(n, (ast.Name, ast.Attribute))
     }
     assert not caught & PARSE_ERRORS
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Names used inside quoted annotations such as ``-> "RunRecorder"``."""
+    annotations = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.arg, ast.AnnAssign)):
+            annotations.append(n.annotation)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(n.returns)
+    quoted = [
+        c.value
+        for a in annotations
+        if a is not None
+        for c in ast.walk(a)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    return {
+        n.id for q in quoted for n in ast.walk(ast.parse(q, mode="eval")) if isinstance(n, ast.Name)
+    }
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import) or (isinstance(n, ast.ImportFrom) and n.module != "__future__")
+        for alias in n.names
+    }
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
+    exported = {
+        c.value
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in n.targets)
+        for c in ast.walk(n.value)
+        if isinstance(c, ast.Constant)
+    }
+    assert sorted(imported - used - exported) == []

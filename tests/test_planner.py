@@ -73,7 +73,7 @@ def test_plan_prompt_carries_objective_and_observation():
 
 def test_plan_prompt_inserts_passages_between_meta_and_context():
     provider = StaticSearchProvider([("kettle", "kettles pour water", "guide")])
-    planner = planner_with([], search_provider=provider, augment_search=True)
+    planner = planner_with([], search_provider=provider)
     passages = planner.fetch_passages("where is the kettle")
     text = planner.render_prompt("plan", make_ctx(passages=passages))
     meta_at = text.index("Construct the global plan")
@@ -142,14 +142,8 @@ def test_unknown_prompt_action_rejected():
 # ---------------------------------------------------------------------
 
 
-def test_fetch_passages_disabled_by_default():
-    provider = StaticSearchProvider([("kettle", "text", "")])
-    planner = planner_with([], search_provider=provider)
-    assert planner.fetch_passages("kettle question") == ()
-
-
 def test_fetch_passages_requires_provider():
-    planner = planner_with([], augment_search=True)
+    planner = planner_with([])
     assert planner.fetch_passages("kettle question") == ()
 
 
@@ -159,7 +153,7 @@ class _FailingProvider:
 
 
 def test_fetch_passages_swallows_provider_errors():
-    planner = planner_with([], search_provider=_FailingProvider(), augment_search=True)
+    planner = planner_with([], search_provider=_FailingProvider())
     assert planner.fetch_passages("anything") == ()
 
 

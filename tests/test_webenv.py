@@ -334,6 +334,86 @@ pages:
     assert "http://t.local/missing" in str(err.value)
 
 
+CHECKED_FIXTURE = """\
+format: tandem-fixture
+site_id: t
+start_url: http://t.local/
+entities:
+  things:
+    - {name: a, price: 1}
+    - {name: b, price: 2}
+pages:
+  - url: http://t.local/
+    title: Home
+    nodes:
+      - role: textbox
+        label: Find
+        search: {results_url: http://t.local/search, collection: things}
+      - {role: button, label: Cheap, filter: {field: price, op: lt, value: 2}}
+    listing:
+      collection: things
+      item: "{name}"
+      where: {field: price, op: ge, value: 0}
+      default_sort: {field: name}
+  - url_template: "http://t.local/thing/{name}"
+    for_each: things
+    title: "Thing {name}"
+"""
+
+FIXTURE_REJECTIONS = [
+    # text replaced in CHECKED_FIXTURE, its replacement, words the error must contain
+    pytest.param("op: lt", "op: near", "unknown condition op 'near'", id="unknown-condition-op"),
+    pytest.param(
+        "label: Cheap,", "label: Cheap, navigate: http://t.local/,", "multiple behaviors",
+        id="several-behaviors",
+    ),
+    pytest.param(
+        "      - {role: button",
+        "      - {role: listitem, label: x, for_each_item: tags}\n      - {role: button",
+        "for_each_item only works inside page templates",
+        id="for-each-item-outside-template",
+    ),
+    pytest.param("title: Home", "title: ''", "page needs a title", id="page-without-title"),
+    pytest.param(
+        "entities:\n", "entities:\n  extra: 5\n", "collection 'extra' must be a list",
+        id="collection-not-a-list",
+    ),
+    pytest.param(
+        "for_each: things", "for_each: widgets", "for_each references unknown collection",
+        id="for-each-unknown-collection",
+    ),
+    pytest.param(
+        "collection: things\n      item", "collection: widgets\n      item",
+        "http://t.local/: unknown collection 'widgets'", id="listing-unknown-collection",
+    ),
+    pytest.param(
+        "default_sort: {field: name}", "default_sort: {field: colour}", "no field 'colour'",
+        id="unknown-sort-field",
+    ),
+    pytest.param(
+        "where: {field: price", "where: {field: weight", "no field 'weight'",
+        id="unknown-where-field",
+    ),
+    pytest.param(
+        "collection: things}", "collection: widgets}", "search: unknown collection 'widgets'",
+        id="search-unknown-collection",
+    ),
+]
+
+
+@pytest.mark.parametrize("old, new, words", FIXTURE_REJECTIONS)
+def test_loader_rejects_each_fixture_problem(tmp_path, old, new, words):
+    valid = tmp_path / "valid.yaml"
+    valid.write_text(CHECKED_FIXTURE, encoding="utf-8")
+    assert load_fixture_file(valid).start_url == "http://t.local/"
+    assert CHECKED_FIXTURE.count(old) == 1
+    path = tmp_path / "f.yaml"
+    path.write_text(CHECKED_FIXTURE.replace(old, new), encoding="utf-8")
+    with pytest.raises(InputError) as err:
+        load_fixture_file(path)
+    assert str(err.value).startswith(f"{path}: ") and words in str(err.value)
+
+
 def test_bundled_fixtures_all_load():
     for name in ("shop", "cms", "gitlab"):
         fixture = load_fixture(name)
