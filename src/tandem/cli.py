@@ -110,18 +110,20 @@ def _backend_unreachable(report: SuiteReport) -> bool:
     )
 
 
-def _common_setup(args: argparse.Namespace):
+def _common_setup(args: argparse.Namespace) -> PromptLibrary | None:
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    library = PromptLibrary(override_dir=args.prompt_dir) if args.prompt_dir else None
-    provider = None
+    return PromptLibrary(override_dir=args.prompt_dir) if args.prompt_dir else None
+
+
+def _search_provider(args: argparse.Namespace):
     if args.augment_search:
-        provider = resolve_search_provider(args.search_passages or "bundled")
-    elif args.search_passages:
+        return resolve_search_provider(args.search_passages or "bundled")
+    if args.search_passages:
         raise InputError("--search-passages", "needs --augment-search")
-    return library, provider
+    return None
 
 
 # =====================================================================
@@ -140,7 +142,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _execute(args: argparse.Namespace, tasks: list[Task], parallel: int) -> int:
-    library, provider = _common_setup(args)
+    library = _common_setup(args)
+    provider = _search_provider(args)
     factory, label = make_backend_factory(args.backend, args, tasks)
     report = run_suite(
         tasks,
@@ -168,7 +171,13 @@ def _execute(args: argparse.Namespace, tasks: list[Task], parallel: int) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    library, _ = _common_setup(args)
+    for flag, value in (
+        ("--augment-search", args.augment_search),
+        ("--search-passages", args.search_passages),
+    ):
+        if value:
+            raise InputError(flag, "replay takes search from the transcript")
+    library = _common_setup(args)
     result = replay_transcript(args.transcript, library=library)
     print(result.message)
     if result.outcome is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -408,12 +409,21 @@ def run_suite(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        (out / "report.txt").write_text(render_report(report) + "\n", encoding="utf-8")
+        _replace_file(out / "report.json", json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _replace_file(out / "report.txt", render_report(report))
     return report
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write `text` plus a newline to a temp file beside `path`, then move it
+    into place, so a crash leaves the old file or the new one, never a torn one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # =====================================================================

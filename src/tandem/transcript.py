@@ -196,12 +196,25 @@ def strip_volatile(event: TranscriptEvent) -> dict:
     return d
 
 
+def _same_event(x: TranscriptEvent, y: TranscriptEvent) -> bool:
+    """strip_volatile(x) == strip_volatile(y), without building either dict."""
+    if x.seq != y.seq or x.kind is not y.kind:
+        return False
+    p, q = x.payload, y.payload
+    shared = 0
+    for key, value in p.items():
+        if key in _VOLATILE_KEYS:
+            continue
+        if key not in q or q[key] != value:
+            return False
+        shared += 1
+    return shared == sum(key not in _VOLATILE_KEYS for key in q)
+
+
 def first_divergence(a: list[TranscriptEvent], b: list[TranscriptEvent]) -> int | None:
     """Seq of the first differing event, or None when sequences match."""
     for i in range(max(len(a), len(b))):
-        if i >= len(a) or i >= len(b):
-            return i
-        if strip_volatile(a[i]) != strip_volatile(b[i]):
+        if i >= len(a) or i >= len(b) or not _same_event(a[i], b[i]):
             return i
     return None
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import Iterator
 from urllib.parse import parse_qs, quote_plus, urlsplit
@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW_NODES = 120
+
+# Rendered pages a fixture keeps for every env over it.  Search urls carry
+# free text, so the set of views is open; a full cache is cleared.
+SHARED_RENDERS_CAP = 256
 
 ERR_UNKNOWN_NODE = "unknown node id"
 ERR_NOT_APPLICABLE = "action not applicable to role"
@@ -171,13 +175,18 @@ class PageDef:
 
 @dataclass(frozen=True)
 class SiteFixture:
-    """Entities plus a closed world of pages. Immutable and shareable."""
+    """Entities plus a closed world of pages. Immutable and shareable.
+
+    `renders` is the one mutable part: the page renders every WebEnv over
+    this fixture shares (see WebEnv.render_nodes).
+    """
 
     site_id: str
     start_url: str
     entities: dict[str, tuple[dict, ...]]
     pages: dict[str, PageDef]
     search_pages: dict[str, SearchBox] = field(default_factory=dict)
+    renders: dict[tuple, list[PageNode]] = field(default_factory=dict, compare=False, repr=False)
 
     def rows(self, collection: str) -> tuple[dict, ...]:
         return self.entities[collection]
@@ -225,6 +234,9 @@ def _parse_condition(raw: dict, where: str, kind: type[Condition] = Condition) -
     cond = kind(field=raw["field"], op=raw.get("op", "eq"), value=raw["value"])
     if cond.op not in _OPS:
         raise ValueError(f"{where}: unknown condition op {cond.op!r}")
+    if isinstance(cond.value, (list, dict)):
+        # A filter keys the shared page renders, so its value must hash.
+        raise ValueError(f"{where}: condition value {cond.value!r} is not a scalar")
     return cond
 
 
@@ -435,15 +447,28 @@ def _is_search_url(fixture: SiteFixture, url: str) -> bool:
 _BUNDLED = {"shop": "shop.yaml", "cms": "cms.yaml", "gitlab": "gitlab.yaml"}
 
 
+@cache
+def _bundled_path(name: str) -> Path:
+    """The resolved path of a bundled fixture, looked up once per process.
+
+    The package ships its data as plain files, so the path stays valid
+    for the life of the process.
+    """
+    from importlib.resources import files
+
+    return Path(files("tandem").joinpath("data", "fixtures", _BUNDLED[name])).resolve()
+
+
 def load_fixture(name_or_path: str | Path) -> SiteFixture:
-    """Resolve a fixture by bundled id or filesystem path."""
+    """Resolve a fixture by bundled id or filesystem path.
+
+    A bundled fixture is located once per process; its file is still read
+    on every call, so the parse cache stays keyed by its contents.
+    """
     name = str(name_or_path)
     if name in _BUNDLED:
-        from importlib.resources import as_file, files
-
-        resource = files("tandem").joinpath("data", "fixtures", _BUNDLED[name])
-        with as_file(resource) as concrete:
-            return load_fixture_file(concrete)
+        path = _bundled_path(name)
+        return _parse_fixture(path, read_text(path))
     if Path(name).exists():
         return load_fixture_file(name)
     raise InputError(name, "unknown fixture (not bundled, not a file)")
@@ -497,7 +522,6 @@ class WebEnv:
         self._history: list[str] = []
         self._views: dict[str, _ViewState] = {}
         self._scroll = 0
-        self._rendered: tuple[tuple, list[PageNode]] | None = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -519,15 +543,23 @@ class WebEnv:
     def render_nodes(self) -> list[PageNode]:
         """The full rendered tree for the current page, before windowing.
 
-        The last render is kept, keyed on all it reads besides the
-        immutable fixture: the url and that url's sort and filter.
-        Callers share the returned list and must not mutate it.
+        Renders are shared by every env over the fixture, keyed on all a
+        render reads besides the immutable fixture: the url and that url's
+        sort and filter.  Callers share the returned list and must not
+        mutate it.  Only single dict operations touch the shared cache, so
+        envs on other threads at worst render the same page twice, or hold
+        a few entries past the cap until the next insert clears it.
         """
         view = self._view(self.current_url)
         key = (self.current_url, view.sort, view.filter)
-        if self._rendered is None or self._rendered[0] != key:
-            self._rendered = (key, self._render_nodes())
-        return self._rendered[1]
+        renders = self.fixture.renders
+        nodes = renders.get(key)
+        if nodes is None:
+            nodes = self._render_nodes()
+            if len(renders) >= SHARED_RENDERS_CAP:
+                renders.clear()
+            renders[key] = nodes
+        return nodes
 
     def _render_nodes(self) -> list[PageNode]:
         url = self.current_url

@@ -402,6 +402,27 @@ def test_replay_tampered_transcript(happy_transcript, tmp_path, capsys):
     assert "diverge" in capsys.readouterr().out.lower()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--augment-search"],
+        ["--search-passages", "missing.yaml"],
+        ["--augment-search", "--search-passages", "missing.yaml"],
+    ],
+    ids=["augment-search", "search-passages", "both"],
+)
+def test_replay_rejects_search_flags(tmp_path, capsys, flags):
+    flags = [str(tmp_path / f) if f.endswith(".yaml") else f for f in flags]
+    recorded = REPO / "tests" / "recorded" / "scn-overrule.transcript.jsonl"
+    code = run_cli("replay", str(recorded), *flags)
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {flags[0]}: replay takes search from the transcript"
+    ]
+
+
 def test_replay_missing_transcript(tmp_path, capsys):
     code = run_cli("replay", str(tmp_path / "void.jsonl"))
     assert code == EXIT_CONFIG

@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+from tandem import harness
 from tandem.harness import (
     SuiteReport,
     TaskRun,
@@ -395,6 +396,81 @@ def test_run_suite_parallel_matches_serial(tmp_path):
     parallel_rows = [r.outcome.to_dict() for r in parallel.runs]
     assert serial_rows == parallel_rows
     assert serial.overall == parallel.overall
+
+
+def _torn_open(fault_on: int):
+    """An `open` whose `fault_on`-th file writes half its text, then fails."""
+    calls = []
+
+    def fake_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        calls.append(path)
+        if len(calls) != fault_on:
+            return fh
+
+        class Torn:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, text):
+                fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        return Torn()
+
+    return fake_open
+
+
+def _failing_replace(fault_on: int):
+    """An `os.replace` whose `fault_on`-th call fails before moving anything."""
+    calls = []
+    real_replace = harness.os.replace
+
+    def fake_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == fault_on:
+            raise OSError("killed")
+        real_replace(src, dst)
+
+    return fake_replace
+
+
+REPORT_FAULTS = {
+    "torn report.json": ("open", _torn_open, 1, ("old", "old")),
+    "torn report.txt": ("open", _torn_open, 2, ("new", "old")),
+    "crash before report.json moves": ("os.replace", _failing_replace, 1, ("old", "old")),
+    "crash between the two reports": ("os.replace", _failing_replace, 2, ("new", "old")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(REPORT_FAULTS))
+def test_a_failed_report_write_leaves_the_old_report_or_the_new_one(tmp_path, monkeypatch, fault):
+    name, make_fake, fault_on, expected = REPORT_FAULTS[fault]
+    tasks, factory = demo_tasks_and_factory()
+    names = ("report.json", "report.txt")
+
+    def reports() -> list[bytes]:
+        return [(tmp_path / n).read_bytes() for n in names]
+
+    run_suite(tasks[:2], factory, Budgets(), out_dir=tmp_path)
+    old = reports()
+    with monkeypatch.context() as patch:
+        if name == "open":
+            patch.setattr(harness, "open", make_fake(fault_on), raising=False)
+        else:
+            patch.setattr(harness.os, "replace", make_fake(fault_on))
+        with pytest.raises(OSError):
+            run_suite(tasks, factory, Budgets(), out_dir=tmp_path)
+    after_fault = reports()
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == []
+    run_suite(tasks, factory, Budgets(), out_dir=tmp_path)
+    new = reports()
+    assert old != new
+    sides = {"old": old, "new": new}
+    assert after_fault == [sides[side][i] for i, side in enumerate(expected)]
 
 
 # ---------------------------------------------------------------------

@@ -196,6 +196,45 @@ def test_first_divergence_flags_length_mismatch():
     assert first_divergence([], []) is None
 
 
+def _event(seq: int, kind: EventKind, payload: dict, ts: float = 1.0) -> TranscriptEvent:
+    return TranscriptEvent(seq=seq, timestamp=ts, kind=kind, payload=payload)
+
+
+_STEP = {"action": "click [3]", "ok": True, "error": ""}
+_CALL = {"role": "local", "prompt": "p", "response": "r", "latency": 0.5}
+_COMMON = [_event(0, EventKind.LLM_CALL, _CALL)]
+
+FIRST_DIVERGENCE_CASES = {
+    "kind only": ([_event(1, EventKind.ENV_STEP, _STEP)], [_event(1, EventKind.VERDICT_ISSUED, _STEP)], 1),
+    "seq only": ([_event(1, EventKind.ENV_STEP, _STEP)], [_event(2, EventKind.ENV_STEP, _STEP)], 1),
+    "payload key on one side": (
+        [_event(1, EventKind.ENV_STEP, _STEP)],
+        [_event(1, EventKind.ENV_STEP, {**_STEP, "note": ""})],
+        1,
+    ),
+    "payload value": (
+        [_event(1, EventKind.ENV_STEP, _STEP)],
+        [_event(1, EventKind.ENV_STEP, {**_STEP, "ok": False})],
+        1,
+    ),
+    "latency on one side": (
+        [_event(1, EventKind.ENV_STEP, _STEP)],
+        [_event(1, EventKind.ENV_STEP, {**_STEP, "latency": 0.25})],
+        None,
+    ),
+    "ts only": ([_event(1, EventKind.ENV_STEP, _STEP, ts=1.0)], [_event(1, EventKind.ENV_STEP, _STEP, ts=2.0)], None),
+    "common prefix, unequal lengths": ([_event(1, EventKind.ENV_STEP, _STEP)], [], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_DIVERGENCE_CASES))
+def test_first_divergence_cases(case):
+    tail_a, tail_b, expected = FIRST_DIVERGENCE_CASES[case]
+    a, b = _COMMON + tail_a, _COMMON + tail_b
+    assert first_divergence(a, b) == expected
+    assert first_divergence(b, a) == expected
+
+
 # ---------------------------------------------------------------------
 # ReplayBackend
 # ---------------------------------------------------------------------

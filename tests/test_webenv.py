@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib.resources
 import operator
 import random
+import sys
+import threading
 
 import pytest
 
@@ -132,6 +135,77 @@ def test_memoized_render_matches_a_fresh_render(site):
     for act in MEMO_WALKS[site]:
         assert env.apply(act).ok, act
         assert env.render_nodes() == env._render_nodes(), act
+
+
+KITCHEN = "http://shop.local/category/kitchen"
+
+
+def test_envs_on_one_fixture_share_renders(shop_copy):
+    fixture = load_fixture_file(shop_copy)
+    first, second = WebEnv(fixture), WebEnv(fixture)
+    for env in (first, second):
+        env.reset()
+        assert goto(env, KITCHEN).ok
+    assert first.render_nodes() is second.render_nodes()
+
+
+def test_a_sort_in_one_env_leaves_the_other_env_unsorted(shop_copy):
+    fixture = load_fixture_file(shop_copy)
+    sorted_env, plain_env = WebEnv(fixture), WebEnv(fixture)
+    for env in (sorted_env, plain_env):
+        env.reset()
+        assert goto(env, KITCHEN).ok
+    unsorted = plain_env.render_axtree()
+    assert click(sorted_env, 4).ok  # sort by price, high to low
+    assert sorted_env.render_axtree() != unsorted
+    assert plain_env.render_axtree() == unsorted
+    assert plain_env.render_nodes() == plain_env._render_nodes()
+
+
+def test_shared_renders_stay_within_their_cap(shop_copy):
+    fixture = load_fixture_file(shop_copy)
+    env = WebEnv(fixture)
+    for i in range(webenv.SHARED_RENDERS_CAP + 10):
+        env.reset()
+        assert env.apply(action("type", target=2, text=f"query {i}")).ok
+        assert env.render_nodes() == env._render_nodes()
+        assert len(fixture.renders) <= webenv.SHARED_RENDERS_CAP
+
+
+def test_shared_renders_hold_under_threads(shop_copy, monkeypatch):
+    # A small cap makes the threads clear the cache under each other.
+    monkeypatch.setattr(webenv, "SHARED_RENDERS_CAP", 4)
+    fixture = load_fixture_file(shop_copy)
+    failures: list[str] = []
+
+    def walk(seed: int) -> None:
+        rng = random.Random(seed)
+        env = WebEnv(fixture)
+        for _ in range(60):
+            env.reset()
+            if rng.random() < 0.5:
+                acts = [action("type", target=2, text=rng.choice(["mug", "pan", "kettle", "x"]))]
+            else:
+                acts = [action("goto", target=KITCHEN), action("click", target=rng.choice([4, 5]))]
+            for act in acts:
+                env.apply(act)
+                if env.render_nodes() != env._render_nodes():
+                    failures.append(f"{seed}: {act}")
+
+    threads = [threading.Thread(target=walk, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    # Racing inserts may each pass the size check before one clears.
+    assert len(fixture.renders) <= 4 + len(threads) - 1
 
 
 # ---------------------------------------------------------------------
@@ -364,6 +438,10 @@ FIXTURE_REJECTIONS = [
     # text replaced in CHECKED_FIXTURE, its replacement, words the error must contain
     pytest.param("op: lt", "op: near", "unknown condition op 'near'", id="unknown-condition-op"),
     pytest.param(
+        "op: lt, value: 2", "op: eq, value: [2]", "condition value [2] is not a scalar",
+        id="condition-value-not-scalar",
+    ),
+    pytest.param(
         "label: Cheap,", "label: Cheap, navigate: http://t.local/,", "multiple behaviors",
         id="several-behaviors",
     ),
@@ -460,6 +538,16 @@ def test_fixture_cache_parses_an_edited_file_again(shop_copy, count_parses):
     assert len(count_parses) == 2
     assert before.pages[before.start_url].title == "Shop Home"
     assert after.pages[after.start_url].title == "Shop Front"
+
+
+def test_bundled_fixture_is_located_once(monkeypatch):
+    first = load_fixture("shop")
+
+    def no_lookup(*args):
+        raise AssertionError("bundled fixture located again")
+
+    monkeypatch.setattr(importlib.resources, "files", no_lookup)
+    assert load_fixture("shop") is first
 
 
 def test_fixture_cache_never_keeps_a_failed_load(tmp_path, count_parses):
@@ -589,6 +677,7 @@ def run_listing_oracle(seed: int, n_cases: int) -> int:
         for _ in range(rng.randint(0, 4)):
             control = rng.choice(controls)
             assert click(env, control.node_id).ok
+            assert env.render_nodes() == env._render_nodes()
             if isinstance(control.behavior, SortBy):
                 sort = control.behavior
             elif isinstance(control.behavior, FilterBy):
