@@ -196,19 +196,19 @@ def strip_volatile(event: TranscriptEvent) -> dict:
     return d
 
 
+_ABSENT = object()
+
+
 def _same_event(x: TranscriptEvent, y: TranscriptEvent) -> bool:
     """strip_volatile(x) == strip_volatile(y), without building either dict."""
     if x.seq != y.seq or x.kind is not y.kind:
         return False
     p, q = x.payload, y.payload
-    shared = 0
-    for key, value in p.items():
-        if key in _VOLATILE_KEYS:
-            continue
-        if key not in q or q[key] != value:
-            return False
-        shared += 1
-    return shared == sum(key not in _VOLATILE_KEYS for key in q)
+    return all(
+        p.get(key, _ABSENT) == q.get(key, _ABSENT)
+        for key in p.keys() | q.keys()
+        if key not in _VOLATILE_KEYS
+    )
 
 
 def first_divergence(a: list[TranscriptEvent], b: list[TranscriptEvent]) -> int | None:

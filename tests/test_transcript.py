@@ -212,6 +212,11 @@ FIRST_DIVERGENCE_CASES = {
         [_event(1, EventKind.ENV_STEP, {**_STEP, "note": ""})],
         1,
     ),
+    "payload key on one side, set to None": (
+        [_event(1, EventKind.ENV_STEP, _STEP)],
+        [_event(1, EventKind.ENV_STEP, {**_STEP, "note": None})],
+        1,
+    ),
     "payload value": (
         [_event(1, EventKind.ENV_STEP, _STEP)],
         [_event(1, EventKind.ENV_STEP, {**_STEP, "ok": False})],
