@@ -170,13 +170,26 @@ def _execute(args: argparse.Namespace, tasks: list[Task], parallel: int) -> int:
     return EXIT_OK
 
 
+# The shared flags replay does not read, by what replay uses instead.
+_REPLAY_IGNORES = {
+    "replay serves the recorded responses": ("backend", "endpoint", "model"),
+    "replay takes the run settings from the transcript": (
+        "max_exchanges",
+        "max_local_revisions",
+        "max_replan_requests",
+        "force_stop",
+        "temperature",
+    ),
+    "replay takes search from the transcript": ("augment_search", "search_passages"),
+    "replay writes no files": ("out",),
+}
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
-    for flag, value in (
-        ("--augment-search", args.augment_search),
-        ("--search-passages", args.search_passages),
-    ):
-        if value:
-            raise InputError(flag, "replay takes search from the transcript")
+    reasons = {dest: reason for reason, dests in _REPLAY_IGNORES.items() for dest in dests}
+    for dest, default in vars(_common_parser().parse_args([])).items():
+        if dest in reasons and getattr(args, dest) != default:
+            raise InputError("--" + dest.replace("_", "-"), reasons[dest])
     library = _common_setup(args)
     result = replay_transcript(args.transcript, library=library)
     print(result.message)
@@ -203,13 +216,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 # =====================================================================
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tandem",
-        description="Two-agent web task runner with a simulated environment.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags run, suite and replay share."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--backend", default="", help="http | scripted:<path> | replay:<file>")
     common.add_argument("--endpoint", default="", help="chat completions URL for the http backend")
@@ -238,6 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="directory for transcripts and reports")
     common.add_argument("--prompt-dir", default=None, help="directory overriding bundled prompts")
     common.add_argument("-v", "--verbose", action="store_true")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tandem",
+        description="Two-agent web task runner with a simulated environment.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    common = _common_parser()
 
     p_run = sub.add_parser("run", parents=[common], help="run one task file")
     p_run.add_argument("task", help="task yaml file")

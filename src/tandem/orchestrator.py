@@ -14,6 +14,7 @@ Mode graph (inputs in parentheses):
     PassCheck --(move)--> PhaseExecution(k+1) | Collation (last phase)
     PassCheck | FailCheck --(revise)--> LocalRevision
     PassCheck | FailCheck --(request)--> ReplanPending
+    PassCheck | FailCheck --(revise | request past its limit, force stop off)--> ForceStopped
     ReplanPending --(RequestReady)--> AwaitingDecision
     AwaitingDecision --(revise ruling)--> PhaseExecution(k=1, new plan)
     AwaitingDecision --(overrule ruling)--> LocalRevision
@@ -22,15 +23,16 @@ Mode graph (inputs in parentheses):
     any active --(ProtocolFailed)--> Done
 
 Budget semantics: with force stop enabled the recorder's exchange gate
-interrupts the run the moment a call would exceed max_exchanges; the
-per-phase revision and per-task replan limits bind only when force stop
-is disabled.  Either way the budget event recorded is a ForceStop event
-whose ``reason`` field says which limit tripped.
+interrupts the run the moment a call would exceed max_exchanges; with it
+disabled, ``step`` applies the per-phase revision and per-task replan
+limits to each revise or request verdict.  Either way the budget event
+recorded is a ForceStop event whose ``reason`` field says which limit
+tripped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .backend import BackendExhausted, ResponseEmpty, TransportError
@@ -131,7 +133,7 @@ class DecisionReady:
 
 @dataclass(frozen=True)
 class BudgetTripped:
-    reason: str  # "max_exchanges" | "local_revisions" | "replan_requests"
+    reason: str  # "max_exchanges"
     exchange_count: int
 
 
@@ -168,6 +170,7 @@ StepInput = (
 class OrchestratorState:
     task: Task
     recorder: RunRecorder
+    budgets: Budgets = field(default_factory=Budgets)
     mode: Mode = Mode.PLANNING
     phase_index: int = 0
     plan: GlobalPlan | None = None
@@ -176,8 +179,6 @@ class OrchestratorState:
     termination: Termination = Termination.COMPLETED
     termination_detail: str = ""
     last_report: ExecutionReport | None = None
-    success: bool = False
-    final_answer: str = ""
 
 
 @dataclass(frozen=True)
@@ -211,17 +212,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
     if isinstance(inp, BudgetTripped):
         if mode in TERMINAL_MODES:
             raise IllegalTransition(f"{mode.value} cannot trip a budget")
-        rec.append(
-            EventKind.FORCE_STOP,
-            {"exchange_count": inp.exchange_count, "reason": inp.reason},
-        )
-        state.termination = (
-            Termination.FORCE_STOPPED
-            if inp.reason == "max_exchanges"
-            else Termination.BUDGET_EXHAUSTED
-        )
-        state.termination_detail = inp.reason
-        state.mode = Mode.FORCE_STOPPED
+        _force_stop(state, inp.reason, inp.exchange_count)
         return state
 
     if isinstance(inp, ProtocolFailed):
@@ -229,9 +220,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
             raise IllegalTransition(f"{mode.value} cannot fail")
         state.termination = Termination.PROTOCOL_ERROR
         state.termination_detail = inp.detail
-        state.success = False
-        state.final_answer = inp.answer
-        _record_result(state)
+        _record_result(state, False, inp.answer)
         state.mode = Mode.DONE
         return state
 
@@ -276,16 +265,21 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
             else:
                 state.mode = Mode.COLLATION
         elif decision is VerdictDecision.REVISE:
-            state.mode = Mode.LOCAL_REVISION
+            limit = state.budgets.max_local_revisions_per_phase
+            if _within_limit(state, state.revisions_this_phase, limit, "local_revisions"):
+                state.revisions_this_phase += 1
+                state.mode = Mode.LOCAL_REVISION
         else:
-            state.mode = Mode.REPLAN_PENDING
+            limit = state.budgets.max_replan_requests_per_task
+            if _within_limit(state, state.replan_requests, limit, "replan_requests"):
+                state.replan_requests += 1
+                state.mode = Mode.REPLAN_PENDING
         return state
 
     if isinstance(inp, RequestReady):
         if mode is not Mode.REPLAN_PENDING:
             raise IllegalTransition(f"{mode.value} cannot file a replan request")
         rec.append(EventKind.REPLAN_REQUESTED, {"request": inp.request.to_dict()})
-        state.replan_requests += 1
         state.mode = Mode.AWAITING_DECISION
         return state
 
@@ -304,9 +298,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
     if isinstance(inp, Finalized):
         if mode not in (Mode.COLLATION, Mode.FORCE_STOPPED):
             raise IllegalTransition(f"{mode.value} cannot finalize")
-        state.success = inp.success
-        state.final_answer = inp.answer
-        _record_result(state)
+        _record_result(state, inp.success, inp.answer)
         if mode is Mode.COLLATION:
             state.mode = Mode.DONE
         return state
@@ -314,12 +306,35 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
     raise IllegalTransition(f"unknown input {type(inp).__name__}")
 
 
-def _record_result(state: OrchestratorState) -> None:
+def _within_limit(state: OrchestratorState, used: int, limit: int, reason: str) -> bool:
+    """Whether the run may take one more revision or replan request.
+
+    The per-phase revision and per-task replan limits bind only with force
+    stop disabled; a verdict past its limit force-stops the run instead.
+    """
+    if state.budgets.force_stop_enabled or used < limit:
+        return True
+    _force_stop(state, reason, state.recorder.exchanges)
+    return False
+
+
+def _force_stop(state: OrchestratorState, reason: str, exchange_count: int) -> None:
+    state.recorder.append(
+        EventKind.FORCE_STOP, {"exchange_count": exchange_count, "reason": reason}
+    )
+    state.termination = (
+        Termination.FORCE_STOPPED if reason == "max_exchanges" else Termination.BUDGET_EXHAUSTED
+    )
+    state.termination_detail = reason
+    state.mode = Mode.FORCE_STOPPED
+
+
+def _record_result(state: OrchestratorState, success: bool, answer: str) -> None:
     state.recorder.append(
         EventKind.TASK_RESULT,
         {
-            "success": state.success,
-            "answer": state.final_answer,
+            "success": success,
+            "answer": answer,
             "termination": state.termination.value,
             "detail": state.termination_detail,
         },
@@ -355,7 +370,7 @@ def run_task(
     cap the caller sets from the budgets, ends up holding the full
     transcript.
     """
-    state = OrchestratorState(task=task, recorder=recorder)
+    state = OrchestratorState(task=task, recorder=recorder, budgets=budgets)
 
     obs = env.reset()
     pending_reasons = ""
@@ -369,9 +384,9 @@ def run_task(
         step(state, PlanReady(plan))
 
         while state.mode not in (Mode.COLLATION, *TERMINAL_MODES):
+            assert state.plan is not None
+            phase = state.plan.phase(state.phase_index)
             if state.mode in (Mode.PHASE_EXECUTION, Mode.LOCAL_REVISION):
-                assert state.plan is not None
-                phase = state.plan.phase(state.phase_index)
                 obs = env.observe()
                 if state.mode is Mode.PHASE_EXECUTION:
                     seq = executor.plan_phase(phase, obs, recorder)
@@ -383,8 +398,7 @@ def run_task(
                 step(state, Executed(executor.execute_actions(seq, env)))
 
             elif state.mode in (Mode.PASS_CHECK, Mode.FAIL_CHECK):
-                assert state.plan is not None and state.last_report is not None
-                phase = state.plan.phase(state.phase_index)
+                assert state.last_report is not None
                 report = state.last_report
                 check = (
                     executor.check_pass
@@ -392,43 +406,26 @@ def run_task(
                     else executor.check_fail
                 )
                 verdict = check(report, phase, report.final_observation, recorder)
+                pending_reasons = verdict.reasons
                 step(state, VerdictReady(verdict))
 
-                if verdict.decision is VerdictDecision.REVISE:
-                    if (
-                        not budgets.force_stop_enabled
-                        and state.revisions_this_phase >= budgets.max_local_revisions_per_phase
-                    ):
-                        step(state, BudgetTripped("local_revisions", recorder.exchanges))
-                    else:
-                        state.revisions_this_phase += 1
-                        pending_reasons = verdict.reasons
-
-                elif verdict.decision is VerdictDecision.REQUEST:
-                    if (
-                        not budgets.force_stop_enabled
-                        and state.replan_requests >= budgets.max_replan_requests_per_task
-                    ):
-                        step(state, BudgetTripped("replan_requests", recorder.exchanges))
-                    else:
-                        request = ReplanRequest(
-                            phase_index=state.phase_index,
-                            reasons=verdict.reasons,
-                            report=report,
-                        )
-                        replan_ctx = PlannerContext(
-                            task=task,
-                            observation=env.observe(),
-                            previous_plan=state.plan,
-                            passages=planner.fetch_passages(task.objective),
-                        )
-                        decision = planner.decide_replan(
-                            request, state.plan, replan_ctx, recorder
-                        )
-                        step(state, RequestReady(request))
-                        step(state, DecisionReady(decision))
-                        if decision.ruling == "overrule":
-                            pending_guidance = decision.guidance
+            elif state.mode is Mode.REPLAN_PENDING:
+                request = ReplanRequest(
+                    phase_index=state.phase_index,
+                    reasons=pending_reasons,
+                    report=state.last_report,
+                )
+                replan_ctx = PlannerContext(
+                    task=task,
+                    observation=env.observe(),
+                    previous_plan=state.plan,
+                    passages=planner.fetch_passages(task.objective),
+                )
+                decision = planner.decide_replan(request, state.plan, replan_ctx, recorder)
+                step(state, RequestReady(request))
+                step(state, DecisionReady(decision))
+                if decision.ruling == "overrule":
+                    pending_guidance = decision.guidance
 
             else:  # pragma: no cover - defensive
                 raise IllegalTransition(f"driver stuck in mode {state.mode.value}")
@@ -444,14 +441,15 @@ def run_task(
     if state.mode in (Mode.COLLATION, Mode.FORCE_STOPPED):
         finalize(state, planner, env)
 
+    result = recorder.events[-1].payload
     return TaskOutcome(
         task_id=task.id,
-        success=state.success,
-        final_answer=state.final_answer,
-        termination=state.termination,
+        success=result["success"],
+        final_answer=result["answer"],
+        termination=Termination(result["termination"]),
         exchanges_used=recorder.exchanges,
         plan_versions=state.plan.plan_version if state.plan is not None else 0,
-        detail=state.termination_detail,
+        detail=result["detail"],
     )
 
 
@@ -462,11 +460,9 @@ def finalize(state: OrchestratorState, planner: GlobalPlanner, env: WebEnv) -> N
     LLM call; force-stopped or budget-exhausted runs fall back to the
     execution agent's stop answer (or "") without burning an exchange.
     A force stop tripping on the collation call itself downgrades the
-    run to ForceStopped.
+    run to ForceStopped.  Called from any other mode, it raises
+    IllegalTransition at ``step(Finalized)`` without calling the backend.
     """
-    if state.mode not in (Mode.COLLATION, Mode.FORCE_STOPPED):
-        raise IllegalTransition(f"cannot finalize from {state.mode.value}")
-
     answer = (env.stop_answer or "").strip()
     if (
         state.mode is Mode.COLLATION

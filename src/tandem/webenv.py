@@ -51,7 +51,6 @@ __all__ = [
     "WebEnv",
     "evaluate",
     "load_fixture",
-    "load_fixture_file",
     "normalize_answer",
 ]
 
@@ -323,19 +322,6 @@ def _parse_page(raw: dict, where: str, row: dict | None = None) -> PageDef:
     return PageDef(url=url, title=title, nodes=tuple(nodes), listing=listing)
 
 
-def load_fixture_file(path: str | Path) -> SiteFixture:
-    """Load and cross-check a fixture document.
-
-    Parsed fixtures are cached per process, keyed by the resolved path and
-    the file's contents, so an edited file is parsed again.  A file that
-    fails to load raises InputError on every call.  Every caller shares
-    the returned fixture, so nothing may mutate it, its entity rows
-    included.
-    """
-    path = Path(path).resolve()
-    return _parse_fixture(path, read_text(path))
-
-
 @lru_cache(maxsize=16)  # bounded: every edit of a file adds an entry
 def _parse_fixture(path: Path, text: str) -> SiteFixture:
     return parse_data(path, text, load_yaml, FIXTURE_FORMAT, partial(_fixture, path))
@@ -448,30 +434,33 @@ _BUNDLED = {"shop": "shop.yaml", "cms": "cms.yaml", "gitlab": "gitlab.yaml"}
 
 
 @cache
-def _bundled_path(name: str) -> Path:
-    """The resolved path of a bundled fixture, looked up once per process.
+def _fixture_path(name: str) -> Path:
+    """The resolved path of a bundled fixture or a fixture file.
 
-    The package ships its data as plain files, so the path stays valid
-    for the life of the process.
+    Each name is located once per process.  The package ships its data as
+    plain files, so a path stays valid for the life of the process.  A
+    name that is neither raises InputError, and the cache keeps no failure.
     """
-    from importlib.resources import files
+    if name in _BUNDLED:
+        from importlib.resources import files
 
-    return Path(files("tandem").joinpath("data", "fixtures", _BUNDLED[name])).resolve()
+        return Path(files("tandem").joinpath("data", "fixtures", _BUNDLED[name])).resolve()
+    if Path(name).exists():
+        return Path(name).resolve()
+    raise InputError(name, "unknown fixture (not bundled, not a file)")
 
 
 def load_fixture(name_or_path: str | Path) -> SiteFixture:
-    """Resolve a fixture by bundled id or filesystem path.
+    """Load and cross-check a fixture by bundled id or filesystem path.
 
-    A bundled fixture is located once per process; its file is still read
-    on every call, so the parse cache stays keyed by its contents.
+    The fixture is located once per process, but its file is read on every
+    call: parsed fixtures are cached keyed by the resolved path and the
+    file's contents, so an edited file is parsed again.  A file that fails
+    to load raises InputError on every call.  Every caller shares the
+    returned fixture, so nothing may mutate it, its entity rows included.
     """
-    name = str(name_or_path)
-    if name in _BUNDLED:
-        path = _bundled_path(name)
-        return _parse_fixture(path, read_text(path))
-    if Path(name).exists():
-        return load_fixture_file(name)
-    raise InputError(name, "unknown fixture (not bundled, not a file)")
+    path = _fixture_path(str(name_or_path))
+    return _parse_fixture(path, read_text(path))
 
 
 # =====================================================================

@@ -423,6 +423,40 @@ def test_replay_rejects_search_flags(tmp_path, capsys, flags):
     ]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-exchanges", "1"],
+        ["--max-local-revisions", "0"],
+        ["--max-replan-requests", "0"],
+        ["--force-stop", "--no-force-stop"],
+        ["--temperature", "0.2"],
+        ["--backend", "scripted:/nonexistent"],
+        ["--endpoint", "http://x", "--model", "m"],
+        ["--model", "m"],
+        ["--out", "out"],
+    ],
+    ids=lambda flags: flags[0].lstrip("-"),
+)
+def test_replay_rejects_every_flag_it_ignores(tmp_path, capsys, flags):
+    flags = [str(tmp_path / f) if f == "out" else f for f in flags]
+    recorded = REPO / "tests" / "recorded" / "scn-overrule.transcript.jsonl"
+    code = run_cli("replay", str(recorded), *flags)
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {flags[0]}: replay ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_accepts_the_flags_it_reads(capsys):
+    recorded = REPO / "tests" / "recorded" / "scn-overrule.transcript.jsonl"
+    code = run_cli("replay", str(recorded), "--prompt-dir", str(DATA / "prompts"), "-v")
+    assert code == EXIT_OK
+    assert "replay reproduced the recording" in capsys.readouterr().out
+
+
 def test_replay_missing_transcript(tmp_path, capsys):
     code = run_cli("replay", str(tmp_path / "void.jsonl"))
     assert code == EXIT_CONFIG

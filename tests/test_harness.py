@@ -495,7 +495,8 @@ def test_replay_reproduces_a_recording(tmp_path):
 
 def test_replay_detects_a_tampered_response(tmp_path):
     path = fresh_transcript(tmp_path)
-    raw_lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        raw_lines = fh.read().splitlines()
     for i, line in enumerate(raw_lines[1:], start=1):
         record = json.loads(line)
         if record["kind"] == "LlmCall" and "click" in record["payload"]["response"]:

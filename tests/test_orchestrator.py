@@ -18,6 +18,7 @@ from tandem.orchestrator import (
     TaskOutcome,
     Termination,
     VerdictReady,
+    finalize,
     run_task,
     step,
 )
@@ -146,6 +147,87 @@ def test_budget_trip_reason_selects_termination():
     step(state, BudgetTripped("local_revisions", 7))
     assert state.termination is Termination.BUDGET_EXHAUSTED
     assert state.termination_detail == "local_revisions"
+
+
+# Each limit: the verdict it counts, the counter, the Budgets field, the
+# ForceStop reason past the limit and the mode below it.
+LIMITS = [
+    pytest.param(
+        VerdictDecision.REVISE,
+        "revisions_this_phase",
+        "max_local_revisions_per_phase",
+        "local_revisions",
+        Mode.LOCAL_REVISION,
+        id="revise",
+    ),
+    pytest.param(
+        VerdictDecision.REQUEST,
+        "replan_requests",
+        "max_replan_requests_per_task",
+        "replan_requests",
+        Mode.REPLAN_PENDING,
+        id="request",
+    ),
+]
+
+
+def verdict_state(counter: str, used: int, limit_field: str, force_stop: bool) -> OrchestratorState:
+    budgets = Budgets(**{limit_field: 2, "force_stop_enabled": force_stop})
+    state = OrchestratorState(task=make_task(), recorder=RunRecorder(), budgets=budgets)
+    state.mode, state.plan, state.phase_index = Mode.FAIL_CHECK, make_plan(), 1
+    setattr(state, counter, used)
+    for _ in range(3):
+        state.recorder.record_llm_call("local", "prompt", "response", 0.0)
+    return state
+
+
+@pytest.mark.parametrize("decision,counter,limit_field,reason,next_mode", LIMITS)
+def test_verdict_at_its_limit_force_stops(decision, counter, limit_field, reason, next_mode):
+    state = verdict_state(counter, 2, limit_field, force_stop=False)
+    step(state, VerdictReady(LocalVerdict(decision=decision, reasons="again")))
+    tail = state.recorder.events[-2:]
+    assert [e.kind.value for e in tail] == ["VerdictIssued", "ForceStop"]
+    assert tail[1].payload == {"exchange_count": 3, "reason": reason}
+    assert state.mode is Mode.FORCE_STOPPED
+    assert state.termination is Termination.BUDGET_EXHAUSTED
+    assert state.termination_detail == reason
+    assert getattr(state, counter) == 2
+
+
+@pytest.mark.parametrize("decision,counter,limit_field,reason,next_mode", LIMITS)
+def test_verdict_below_its_limit_is_counted(decision, counter, limit_field, reason, next_mode):
+    state = verdict_state(counter, 1, limit_field, force_stop=False)
+    step(state, VerdictReady(LocalVerdict(decision=decision, reasons="again")))
+    assert state.recorder.events[-1].kind.value == "VerdictIssued"
+    assert state.mode is next_mode
+    assert getattr(state, counter) == 2
+
+
+@pytest.mark.parametrize("decision,counter,limit_field,reason,next_mode", LIMITS)
+def test_limits_do_not_bind_with_force_stop(decision, counter, limit_field, reason, next_mode):
+    state = verdict_state(counter, 2, limit_field, force_stop=True)
+    step(state, VerdictReady(LocalVerdict(decision=decision, reasons="again")))
+    assert state.recorder.events[-1].kind.value == "VerdictIssued"
+    assert state.mode is next_mode
+    assert state.termination is Termination.COMPLETED
+    assert getattr(state, counter) == 3
+
+
+class RefusingBackend:
+    def complete(self, request) -> str:
+        raise AssertionError("no backend call expected")
+
+
+def test_finalize_outside_collation_is_illegal():
+    state = fresh_state(Mode.PHASE_EXECUTION, plan=make_plan())
+    state.phase_index = 1
+    state.last_report = ok_report()
+    env = WebEnv(load_fixture("shop"))
+    env.reset()
+    with pytest.raises(IllegalTransition):
+        finalize(state, GlobalPlanner(RefusingBackend()), env)
+    assert state.recorder.events == []
+    assert state.mode is Mode.PHASE_EXECUTION
 
 
 def test_terminal_state_rejects_everything_after_close():

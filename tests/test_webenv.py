@@ -23,7 +23,6 @@ from tandem.webenv import (
     WebEnv,
     evaluate,
     load_fixture,
-    load_fixture_file,
     normalize_answer,
     slugify,
 )
@@ -141,7 +140,7 @@ KITCHEN = "http://shop.local/category/kitchen"
 
 
 def test_envs_on_one_fixture_share_renders(shop_copy):
-    fixture = load_fixture_file(shop_copy)
+    fixture = load_fixture(shop_copy)
     first, second = WebEnv(fixture), WebEnv(fixture)
     for env in (first, second):
         env.reset()
@@ -150,7 +149,7 @@ def test_envs_on_one_fixture_share_renders(shop_copy):
 
 
 def test_a_sort_in_one_env_leaves_the_other_env_unsorted(shop_copy):
-    fixture = load_fixture_file(shop_copy)
+    fixture = load_fixture(shop_copy)
     sorted_env, plain_env = WebEnv(fixture), WebEnv(fixture)
     for env in (sorted_env, plain_env):
         env.reset()
@@ -163,7 +162,7 @@ def test_a_sort_in_one_env_leaves_the_other_env_unsorted(shop_copy):
 
 
 def test_shared_renders_stay_within_their_cap(shop_copy):
-    fixture = load_fixture_file(shop_copy)
+    fixture = load_fixture(shop_copy)
     env = WebEnv(fixture)
     for i in range(webenv.SHARED_RENDERS_CAP + 10):
         env.reset()
@@ -175,7 +174,7 @@ def test_shared_renders_stay_within_their_cap(shop_copy):
 def test_shared_renders_hold_under_threads(shop_copy, monkeypatch):
     # A small cap makes the threads clear the cache under each other.
     monkeypatch.setattr(webenv, "SHARED_RENDERS_CAP", 4)
-    fixture = load_fixture_file(shop_copy)
+    fixture = load_fixture(shop_copy)
     failures: list[str] = []
 
     def walk(seed: int) -> None:
@@ -360,7 +359,7 @@ def test_load_fixture_file_rejects_wrong_format(tmp_path):
     path = tmp_path / "f.yaml"
     path.write_text("format: wrong\n", encoding="utf-8")
     with pytest.raises(InputError):
-        load_fixture_file(path)
+        load_fixture(path)
 
 
 def test_loader_rejects_bad_template(tmp_path):
@@ -383,7 +382,7 @@ pages:
         encoding="utf-8",
     )
     with pytest.raises(InputError) as err:
-        load_fixture_file(path)
+        load_fixture(path)
     assert "template" in str(err.value)
 
 
@@ -404,7 +403,7 @@ pages:
         encoding="utf-8",
     )
     with pytest.raises(InputError) as err:
-        load_fixture_file(path)
+        load_fixture(path)
     assert "http://t.local/missing" in str(err.value)
 
 
@@ -483,12 +482,12 @@ FIXTURE_REJECTIONS = [
 def test_loader_rejects_each_fixture_problem(tmp_path, old, new, words):
     valid = tmp_path / "valid.yaml"
     valid.write_text(CHECKED_FIXTURE, encoding="utf-8")
-    assert load_fixture_file(valid).start_url == "http://t.local/"
+    assert load_fixture(valid).start_url == "http://t.local/"
     assert CHECKED_FIXTURE.count(old) == 1
     path = tmp_path / "f.yaml"
     path.write_text(CHECKED_FIXTURE.replace(old, new), encoding="utf-8")
     with pytest.raises(InputError) as err:
-        load_fixture_file(path)
+        load_fixture(path)
     assert str(err.value).startswith(f"{path}: ") and words in str(err.value)
 
 
@@ -524,17 +523,17 @@ def shop_copy(tmp_path):
 
 
 def test_fixture_cache_parses_a_file_once(shop_copy, count_parses):
-    first = load_fixture_file(shop_copy)
-    assert load_fixture_file(shop_copy) is first
+    first = load_fixture(shop_copy)
+    assert load_fixture(shop_copy) is first
     assert load_fixture(str(shop_copy)) is first
     assert len(count_parses) == 1
 
 
 def test_fixture_cache_parses_an_edited_file_again(shop_copy, count_parses):
-    before = load_fixture_file(shop_copy)
+    before = load_fixture(shop_copy)
     text = shop_copy.read_text(encoding="utf-8")
     shop_copy.write_text(text.replace("title: Shop Home", "title: Shop Front"), encoding="utf-8")
-    after = load_fixture_file(shop_copy)
+    after = load_fixture(shop_copy)
     assert len(count_parses) == 2
     assert before.pages[before.start_url].title == "Shop Home"
     assert after.pages[after.start_url].title == "Shop Front"
@@ -550,12 +549,31 @@ def test_bundled_fixture_is_located_once(monkeypatch):
     assert load_fixture("shop") is first
 
 
+def test_fixture_file_is_located_once(shop_copy, monkeypatch):
+    first = load_fixture(shop_copy)
+
+    def no_resolve(self, strict=False):
+        raise AssertionError("fixture file located again")
+
+    monkeypatch.setattr(webenv.Path, "resolve", no_resolve)
+    assert load_fixture(shop_copy) is first
+
+
+def test_unknown_fixture_is_an_input_error_every_time(tmp_path):
+    path = tmp_path / "later.yaml"
+    for _ in range(2):
+        with pytest.raises(InputError, match="unknown fixture"):
+            load_fixture(path)
+    path.write_text((DATA / "fixtures" / "cms.yaml").read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_fixture(path) == load_fixture("cms")
+
+
 def test_fixture_cache_never_keeps_a_failed_load(tmp_path, count_parses):
     path = tmp_path / "f.yaml"
     path.write_text("format: tandem-fixture\npages: [{title: no url}]\n", encoding="utf-8")
     for _ in range(2):
         with pytest.raises(InputError):
-            load_fixture_file(path)
+            load_fixture(path)
     assert len(count_parses) == 2
 
 
