@@ -94,12 +94,15 @@ def make_backend_factory(spec: str, args: argparse.Namespace, tasks: list[Task])
 
 
 def _budgets(args: argparse.Namespace) -> Budgets:
-    return Budgets(
-        max_exchanges=args.max_exchanges,
-        max_local_revisions_per_phase=args.max_local_revisions,
-        max_replan_requests_per_task=args.max_replan_requests,
-        force_stop_enabled=args.force_stop,
-    )
+    try:
+        return Budgets(
+            max_exchanges=args.max_exchanges,
+            max_local_revisions_per_phase=args.max_local_revisions,
+            max_replan_requests_per_task=args.max_replan_requests,
+            force_stop_enabled=args.force_stop,
+        )
+    except ValueError as exc:
+        raise InputError("budget flags", str(exc)) from exc
 
 
 def _backend_unreachable(report: SuiteReport) -> bool:

@@ -17,15 +17,14 @@ from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from importlib.resources import as_file, files
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .backend import ChatBackend, SearchProvider, StaticSearchProvider
 from .executor import LocalExecutor
-from .orchestrator import TaskOutcome, Termination, run_task
+from .orchestrator import TaskOutcome, Termination, record_result, run_task
 from .planner import GlobalPlanner
 from .prompts import PromptLibrary
 from .protocol import (
-    EVALUATOR_KINDS,
     Budgets,
     Difficulty,
     InputError,
@@ -106,39 +105,6 @@ def overall_rate(counts: Mapping[str, tuple[int, int]]) -> Decimal:
 # =====================================================================
 
 
-def _checked(value: Task | Budgets) -> Any:
-    """`value` if it keeps its field rules; a ValueError naming each broken rule if not."""
-    broken: list[str] = []
-
-    def rule(bad: bool, path: str, message: str) -> None:
-        if bad:
-            broken.append(f"{type(value).__name__}.{path}: {message}")
-
-    if isinstance(value, Task):
-        spec = value.evaluator
-        rule(not value.id.strip(), "id", "task id must be nonempty")
-        rule(not value.objective.strip(), "objective", "objective must be nonempty")
-        rule(not value.env_fixture.strip(), "env_fixture", "env_fixture must be nonempty")
-        rule(
-            spec.kind not in EVALUATOR_KINDS,
-            "evaluator.kind",
-            f"unknown evaluator kind {spec.kind!r}",
-        )
-        rule(not spec.expected, "evaluator.expected", "expected values must be nonempty")
-        rule(
-            not all(spec.expected),
-            "evaluator.expected",
-            "every expected value must be a nonempty string",
-        )
-    else:
-        rule(value.max_exchanges <= 0, "max_exchanges", "max_exchanges must be positive")
-        for name in ("max_local_revisions_per_phase", "max_replan_requests_per_task"):
-            rule(getattr(value, name) < 0, name, f"{name} must be >= 0")
-    if broken:
-        raise ValueError("; ".join(broken))
-    return value
-
-
 _DIFFICULTIES = {d.value.casefold(): d.value for d in Difficulty}
 
 
@@ -147,7 +113,7 @@ def _task(raw: dict) -> Task:
     wanted = str(raw.get("difficulty", "unlabeled")).casefold()
     if wanted not in _DIFFICULTIES:
         raise ValueError(f"unknown difficulty {wanted!r}")
-    return _checked(Task.from_dict({**raw, "difficulty": _DIFFICULTIES[wanted]}))
+    return Task.from_dict({**raw, "difficulty": _DIFFICULTIES[wanted]})
 
 
 def load_task_file(path: str | Path) -> Task:
@@ -336,7 +302,7 @@ def run_single(
     out_dir: str | Path | None = None,
     backend_label: str = "",
 ) -> TaskRun:
-    """Run one task with its own environment and recorder."""
+    """Run one task with its own environment and recorder; `out_dir`, if given, must exist."""
     recorder, run = _wire(
         task, backend, budgets, library=library, temperature=temperature,
         search_provider=search_provider,
@@ -345,15 +311,9 @@ def run_single(
         outcome = run()
     except Exception as exc:  # harness must survive any single bad task
         logger.exception("task %s crashed outside the protocol", task.id)
-        outcome = TaskOutcome(
-            task_id=task.id,
-            success=False,
-            final_answer="",
-            termination=Termination.PROTOCOL_ERROR,
-            exchanges_used=recorder.exchanges,
-            plan_versions=0,
-            detail=f"harness: {type(exc).__name__}: {exc}",
-        )
+        detail = f"harness: {type(exc).__name__}: {exc}"
+        record_result(recorder, False, "", Termination.PROTOCOL_ERROR, detail)
+        outcome = TaskOutcome.from_events(task.id, recorder.events)
     transcript_path = ""
     if out_dir is not None:
         dest = Path(out_dir) / f"{task.id}.transcript.jsonl"
@@ -385,7 +345,12 @@ def run_suite(
     if not tasks:
         raise ValueError("run_suite needs at least one task")
     if parallel < 1:
-        raise ValueError("parallel must be >= 1")
+        raise InputError("--parallel", "parallel must be >= 1")
+    if out_dir is not None:
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(out_dir, f"not a usable output directory: {exc.strerror}") from exc
 
     def one(task: Task) -> TaskRun:
         return run_single(
@@ -408,7 +373,6 @@ def run_suite(
     report = aggregate(runs)
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _replace_file(out / "report.json", json.dumps(report.to_dict(), indent=2, sort_keys=True))
         _replace_file(out / "report.txt", render_report(report))
     return report
@@ -453,8 +417,8 @@ def replay_transcript(
     for w in warnings:
         logger.warning("replay %s: %s", path, w)
     try:
-        task = _checked(Task.from_dict(header["task"]))
-        budgets = _checked(Budgets.from_dict(header["budgets"]))
+        task = Task.from_dict(header["task"])
+        budgets = Budgets.from_dict(header["budgets"])
         temperature = float(header.get("temperature", 1.0))
     except (KeyError, TypeError, ValueError) as exc:
         return ReplayResult(ok=False, message=f"bad transcript header: {exc}")

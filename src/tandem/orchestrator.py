@@ -49,6 +49,7 @@ from .protocol import (
     LocalVerdict,
     ReplanRequest,
     Task,
+    TranscriptEvent,
     VerdictDecision,
 )
 from .transcript import ForceStopInterrupt, RunRecorder
@@ -69,6 +70,7 @@ __all__ = [
     "Termination",
     "VerdictReady",
     "finalize",
+    "record_result",
     "run_task",
     "step",
 ]
@@ -191,6 +193,22 @@ class TaskOutcome(DictCodec):
     plan_versions: int
     detail: str = ""
 
+    @classmethod
+    def from_events(cls, task_id: str, events: list[TranscriptEvent]) -> "TaskOutcome":
+        """The outcome recorded by a run's closing TaskResult, its LlmCall
+        count and its last PlanIssued's version (0 with no plan)."""
+        result = events[-1].payload
+        plans = [e.payload["plan"] for e in events if e.kind is EventKind.PLAN_ISSUED]
+        return cls(
+            task_id=task_id,
+            success=result["success"],
+            final_answer=result["answer"],
+            termination=Termination(result["termination"]),
+            exchanges_used=sum(e.kind is EventKind.LLM_CALL for e in events),
+            plan_versions=plans[-1]["plan_version"] if plans else 0,
+            detail=result["detail"],
+        )
+
 
 # =====================================================================
 # Transition function
@@ -220,7 +238,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
             raise IllegalTransition(f"{mode.value} cannot fail")
         state.termination = Termination.PROTOCOL_ERROR
         state.termination_detail = inp.detail
-        _record_result(state, False, inp.answer)
+        record_result(rec, False, inp.answer, state.termination, inp.detail)
         state.mode = Mode.DONE
         return state
 
@@ -298,7 +316,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
     if isinstance(inp, Finalized):
         if mode not in (Mode.COLLATION, Mode.FORCE_STOPPED):
             raise IllegalTransition(f"{mode.value} cannot finalize")
-        _record_result(state, inp.success, inp.answer)
+        record_result(rec, inp.success, inp.answer, state.termination, state.termination_detail)
         if mode is Mode.COLLATION:
             state.mode = Mode.DONE
         return state
@@ -329,15 +347,13 @@ def _force_stop(state: OrchestratorState, reason: str, exchange_count: int) -> N
     state.mode = Mode.FORCE_STOPPED
 
 
-def _record_result(state: OrchestratorState, success: bool, answer: str) -> None:
-    state.recorder.append(
+def record_result(
+    recorder: RunRecorder, success: bool, answer: str, termination: Termination, detail: str
+) -> None:
+    """Close the transcript with its TaskResult; the one writer of that payload."""
+    recorder.append(
         EventKind.TASK_RESULT,
-        {
-            "success": success,
-            "answer": answer,
-            "termination": state.termination.value,
-            "detail": state.termination_detail,
-        },
+        {"success": success, "answer": answer, "termination": termination.value, "detail": detail},
     )
 
 
@@ -362,7 +378,7 @@ def run_task(
     budgets: Budgets,
     recorder: RunRecorder,
 ) -> TaskOutcome:
-    """Run one task end to end and return its outcome.
+    """Run one task end to end and return the outcome its events record.
 
     Parse failures that survive their repair round become a
     protocol_error outcome rather than an exception; environment load
@@ -440,17 +456,7 @@ def run_task(
 
     if state.mode in (Mode.COLLATION, Mode.FORCE_STOPPED):
         finalize(state, planner, env)
-
-    result = recorder.events[-1].payload
-    return TaskOutcome(
-        task_id=task.id,
-        success=result["success"],
-        final_answer=result["answer"],
-        termination=Termination(result["termination"]),
-        exchanges_used=recorder.exchanges,
-        plan_versions=state.plan.plan_version if state.plan is not None else 0,
-        detail=result["detail"],
-    )
+    return TaskOutcome.from_events(task.id, recorder.events)
 
 
 def finalize(state: OrchestratorState, planner: GlobalPlanner, env: WebEnv) -> None:
@@ -464,23 +470,15 @@ def finalize(state: OrchestratorState, planner: GlobalPlanner, env: WebEnv) -> N
     IllegalTransition at ``step(Finalized)`` without calling the backend.
     """
     answer = (env.stop_answer or "").strip()
-    if (
-        state.mode is Mode.COLLATION
-        and state.termination is Termination.COMPLETED
-        and state.plan is not None
-        and state.last_report is not None
-    ):
-        ctx = PlannerContext(
-            task=state.task, observation=env.observe(), previous_plan=state.plan
-        )
+    if state.mode is Mode.COLLATION:
+        ctx = PlannerContext(task=state.task, observation=env.observe(), previous_plan=state.plan)
         try:
             answer = planner.collate(
                 state.last_report, ctx, state.recorder, stop_answer=env.stop_answer
             )
-        except ForceStopInterrupt as fs:
+        except ForceStopInterrupt as fs:  # answer keeps the stop answer
             step(state, BudgetTripped("max_exchanges", fs.exchange_count))
-            answer = (env.stop_answer or "").strip()
 
     passed = evaluate(answer, env, state.task.evaluator)
-    success = passed and state.termination is Termination.COMPLETED
+    success = passed and state.mode is Mode.COLLATION
     step(state, Finalized(success=success, answer=answer))

@@ -3,11 +3,11 @@
 Prompt text lives in editable files under ``data/prompts/<agent>/<action>.txt``
 inside the package; a PromptLibrary can overlay a user directory with the
 same layout, so deployments can tune wording without touching code.
-A library reads every prompt when it is built, so a bad override fails
-before any task runs.  PACKAGED_PROMPTS is the one library without an
-overlay, shared by all agents.  The shared tail block every prompt ends
-with (OBSERVATION / URL / OBJECTIVE / PREVIOUS ACTION) is rendered by
-``context_block``.
+A library reads every prompt when it is built, so a bad override, or an
+override path that is not a directory, fails before any task runs.
+PACKAGED_PROMPTS is the one library without an overlay, shared by all
+agents.  The shared tail block every prompt ends with (OBSERVATION /
+URL / OBJECTIVE / PREVIOUS ACTION) is rendered by ``context_block``.
 
 PROMPT_MARKERS maps each prompt key to a phrase unique to that prompt,
 which scripted-backend fixtures use to recognize what kind of response a
@@ -19,7 +19,7 @@ from __future__ import annotations
 from importlib.resources import files
 from pathlib import Path
 
-from .protocol import Observation, read_text
+from .protocol import InputError, Observation, read_text
 
 __all__ = [
     "PACKAGED_PROMPTS",
@@ -84,6 +84,8 @@ class PromptLibrary:
     """Prompt texts by key, from the override directory where it has the file."""
 
     def __init__(self, override_dir: str | Path | None = None) -> None:
+        if override_dir and not Path(override_dir).is_dir():
+            raise InputError(override_dir, "not a directory")
         packaged = files("tandem") / "data" / "prompts"
         self._texts: dict[str, str] = {}
         for key in PROMPT_KEYS:

@@ -7,8 +7,8 @@ TranscriptEvent share one field-driven JSON-dict codec.  Every file
 tandem reads (tasks, suites, fixtures, scripts, passages, reports,
 transcripts and prompt overrides) is read by `read_text` and decoded by
 `read_data`/`parse_data`, which turn any way a file can be bad into one
-`InputError`.  The module deliberately contains no behavior beyond
-(de)serialization; agents, environment and orchestrator build on top.
+`InputError`.  Beyond (de)serialization the module holds only the field
+rules Task and Budgets check when built; the rest builds on top.
 """
 
 from __future__ import annotations
@@ -134,6 +134,13 @@ class DictCodec:
             elif f.required or cls._all_keys_required:
                 raise KeyError(f.name)
         return cls(**kwargs)
+
+
+def _check_rules(value: DictCodec, *rules: tuple[bool, str, str]) -> None:
+    """Raise one ValueError naming each (broken, field path, message) rule of `value`."""
+    broken = [f"{type(value).__name__}.{path}: {message}" for bad, path, message in rules if bad]
+    if broken:
+        raise ValueError("; ".join(broken))
 
 
 class _Field(NamedTuple):
@@ -301,6 +308,23 @@ class Task(DictCodec):
     # Free-form class label from the difficulty taxonomy shipped with the
     # bundled fixtures (e.g. "Order Management"); empty when unused.
     task_class: str = ""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        kind, expected = self.evaluator.kind, self.evaluator.expected
+        _check_rules(
+            self,
+            (not self.id.strip(), "id", "task id must be nonempty"),
+            (not self.objective.strip(), "objective", "objective must be nonempty"),
+            (not self.env_fixture.strip(), "env_fixture", "env_fixture must be nonempty"),
+            (kind not in EVALUATOR_KINDS, "evaluator.kind", f"unknown evaluator kind {kind!r}"),
+            (not expected, "evaluator.expected", "expected values must be nonempty"),
+            (
+                not all(expected),
+                "evaluator.expected",
+                "every expected value must be a nonempty string",
+            ),
+        )
 
 
 # =====================================================================
@@ -475,6 +499,15 @@ class Budgets(DictCodec):
 
     # A transcript header must spell out every limit it ran under.
     _all_keys_required = True
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        limits = ("max_local_revisions_per_phase", "max_replan_requests_per_task")
+        _check_rules(
+            self,
+            (self.max_exchanges <= 0, "max_exchanges", "max_exchanges must be positive"),
+            *((getattr(self, name) < 0, name, f"{name} must be >= 0") for name in limits),
+        )
 
 
 # =====================================================================

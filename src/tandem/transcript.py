@@ -121,9 +121,7 @@ class RunRecorder:
 
 
 def write_transcript(path: str | Path, header: dict, events: list[TranscriptEvent]) -> None:
-    """Write a header line plus one JSON line per event."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write a header line plus one JSON line per event; the directory must exist."""
     full_header = {"format": TRANSCRIPT_FORMAT, "version": TRANSCRIPT_VERSION, **header}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(full_header, ensure_ascii=False) + "\n")

@@ -170,6 +170,83 @@ def test_run_rejects_a_fixture_that_is_not_yaml(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+RUN_HAPPY = ("run", str(HAPPY_TASK), "--backend", f"scripted:{HAPPY_SCRIPT}")
+REPLAN_RECORDING = REPO / "tests" / "recorded" / "scn-replan.transcript.jsonl"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            [*RUN_HAPPY, "--max-exchanges", "0"],
+            "budget flags: Budgets.max_exchanges: max_exchanges must be positive",
+        ),
+        (
+            [*RUN_HAPPY, "--max-local-revisions", "-1", "--no-force-stop"],
+            "budget flags: Budgets.max_local_revisions_per_phase: "
+            "max_local_revisions_per_phase must be >= 0",
+        ),
+        (
+            [*RUN_HAPPY, "--max-exchanges", "-3", "--no-force-stop"],
+            "budget flags: Budgets.max_exchanges: max_exchanges must be positive",
+        ),
+        (
+            ["suite", "demo", "--backend", f"scripted:{SCRIPTS}", "--parallel", "0"],
+            "--parallel: parallel must be >= 1",
+        ),
+        ([*RUN_HAPPY, "--prompt-dir", "{tmp}/missing"], "{tmp}/missing: not a directory"),
+    ],
+    ids=[
+        "max-exchanges-0",
+        "local-revisions-below-0",
+        "max-exchanges-below-0",
+        "parallel-0",
+        "prompt-dir-missing",
+    ],
+)
+def test_a_bad_run_flag_fails_before_any_task_runs(tmp_path, monkeypatch, capsys, argv, error):
+    calls = []
+    monkeypatch.setattr(
+        backend_mod.ScriptedBackend, "complete", lambda self, request: calls.append(request)
+    )
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: " + error.replace("{tmp}", str(tmp_path))]
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_out_path_that_is_a_file_fails_before_any_task_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(
+        backend_mod.ScriptedBackend, "complete", lambda self, request: calls.append(request)
+    )
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    code = run_cli(*RUN_HAPPY, "--out", str(taken))
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {taken}: not a usable output directory: File exists"
+    ]
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_replay_with_a_missing_prompt_dir_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code = run_cli("replay", str(REPLAN_RECORDING), "--prompt-dir", str(missing))
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {missing}: not a directory"]
+
+
 def test_unknown_suite_name(capsys):
     code = run_cli("suite", "no-such-suite", "--backend", f"scripted:{SCRIPTS}")
     assert code == EXIT_CONFIG

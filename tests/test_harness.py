@@ -358,15 +358,43 @@ def test_run_single_writes_a_replayable_transcript(tmp_path):
     assert events[-1].kind.value == "TaskResult"
 
 
-def test_run_single_survives_crashing_backend(tmp_path):
-    class Boom:
-        def complete(self, request):
-            raise RuntimeError("wild failure")
+class CrashOnCall:
+    """scn-happy's scripted backend, raising RuntimeError on call number `n`."""
 
-    run = run_single(scenario_task("scn-happy"), Boom(), Budgets(), out_dir=tmp_path)
-    assert not run.outcome.success
-    assert run.outcome.termination is Termination.PROTOCOL_ERROR
-    assert "RuntimeError" in run.outcome.detail
+    def __init__(self, n: int) -> None:
+        self.inner, self.n, self.calls = scenario_backend("scn-happy"), n, 0
+
+    def complete(self, request):
+        self.calls += 1
+        if self.calls == self.n:
+            raise RuntimeError("wild failure")
+        return self.inner.complete(request)
+
+
+@pytest.mark.parametrize(
+    "crash_on, plan_versions", [(1, 0), (3, 1)], ids=["before-the-plan", "after-the-plan"]
+)
+def test_run_single_survives_crashing_backend(tmp_path, crash_on, plan_versions):
+    tasks = [scenario_task("scn-happy")]
+    report = run_suite(tasks, lambda task: CrashOnCall(crash_on), Budgets(), out_dir=tmp_path)
+    outcome = report.runs[0].outcome
+    assert not outcome.success
+    assert outcome.termination is Termination.PROTOCOL_ERROR
+    assert outcome.detail == "harness: RuntimeError: wild failure"
+    assert outcome.exchanges_used == crash_on - 1
+    assert outcome.plan_versions == plan_versions
+
+    [row] = load_report(tmp_path / "report.json")["tasks"]
+    _, events, _ = read_transcript(row["transcript"])
+    assert events[-1].kind.value == "TaskResult"
+    assert events[-1].payload == {
+        "success": False,
+        "answer": "",
+        "termination": "protocol_error",
+        "detail": "harness: RuntimeError: wild failure",
+    }
+    from_transcript = TaskOutcome.from_events("scn-happy", events).to_dict()
+    assert {key: row[key] for key in from_transcript} == from_transcript
 
 
 def demo_tasks_and_factory():
@@ -537,6 +565,7 @@ def test_recorded_transcripts_cover_both_rulings_and_plan_versions():
 def test_replay_reproduces_a_transcript_recorded_by_earlier_code(task_id):
     result = replay_transcript(RECORDED / f"{task_id}.transcript.jsonl")
     assert result.ok, result.message
+    assert result.outcome == TaskOutcome.from_events(task_id, recorded_events(task_id))
 
 
 def with_header(tmp_path, task_id, edit):

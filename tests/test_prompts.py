@@ -8,7 +8,7 @@ from tandem.prompts import (
     PromptLibrary,
     context_block,
 )
-from tandem.protocol import Observation
+from tandem.protocol import InputError, Observation
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,13 @@ def test_override_dir_takes_precedence(tmp_path):
     assert library.get("global/plan") == "custom plan prompt\n"
     # keys without an override still resolve to the packaged file
     assert "Judge whether the fault lies" in library.get("global/decide")
+
+
+def test_an_override_path_that_is_not_a_directory_is_an_input_error(tmp_path):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    for path in (tmp_path / "missing", tmp_path / "file"):
+        with pytest.raises(InputError, match="not a directory"):
+            PromptLibrary(override_dir=path)
 
 
 def test_context_block_label_order():

@@ -12,6 +12,7 @@ from tandem.protocol import (
     ActionKind,
     Budgets,
     Difficulty,
+    EvaluatorSpec,
     EventKind,
     ExecutionReport,
     ExecutionStep,
@@ -27,7 +28,7 @@ from tandem.protocol import (
     load_yaml,
 )
 
-from conftest import DATA
+from conftest import DATA, make_task
 
 from conftest import make_obs, make_task
 
@@ -104,6 +105,32 @@ def test_budgets_defaults_and_round_trip():
     assert budgets.max_replan_requests_per_task == 3
     assert budgets.force_stop_enabled is True
     assert Budgets.from_dict(budgets.to_dict()) == budgets
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Budgets(max_exchanges=0), "Budgets.max_exchanges: max_exchanges must be positive"),
+        (
+            lambda: Budgets(max_replan_requests_per_task=-1, force_stop_enabled=False),
+            "Budgets.max_replan_requests_per_task: max_replan_requests_per_task must be >= 0",
+        ),
+        (
+            lambda: make_task(id=" ", objective=""),
+            "Task.id: task id must be nonempty; Task.objective: objective must be nonempty",
+        ),
+        (
+            lambda: make_task(evaluator=EvaluatorSpec(kind="bogus", expected=("",))),
+            "Task.evaluator.kind: unknown evaluator kind 'bogus'; Task.evaluator.expected: "
+            "every expected value must be a nonempty string",
+        ),
+    ],
+    ids=["max-exchanges", "replan-requests", "id-and-objective", "evaluator"],
+)
+def test_task_and_budgets_keep_their_field_rules_when_built(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
 
 
 def test_transcript_event_json_round_trip():
