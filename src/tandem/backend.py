@@ -93,6 +93,9 @@ class ChatRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
+        # Joined once: the backend and call_llm both read it.
+        parts = [self.system_prompt] + [m.content for m in self.messages]
+        object.__setattr__(self, "_rendered", "\n\n".join(p for p in parts if p))
 
     def rendered(self) -> str:
         """Flat text view of the whole request.
@@ -100,8 +103,7 @@ class ChatRequest:
         Scripted matchers run against this, and it is what transcripts
         store as the prompt.
         """
-        parts = [self.system_prompt] + [m.content for m in self.messages]
-        return "\n\n".join(p for p in parts if p)
+        return self._rendered
 
     def with_followup(self, assistant_text: str, user_text: str) -> "ChatRequest":
         """Extend the conversation for a repair round."""

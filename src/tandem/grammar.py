@@ -20,6 +20,7 @@ repair round and then give up.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .protocol import (
     ActionKind,
@@ -213,6 +214,12 @@ def render_action_sequence(seq: ActionSequence) -> str:
 # =====================================================================
 
 
+@cache
+def _token_pattern(tokens: tuple[str, ...]) -> re.Pattern[str]:
+    alternatives = "|".join(tokens)
+    return re.compile(rf"```\s*({alternatives})\s*```|\b({alternatives})\b", re.IGNORECASE)
+
+
 def _first_token(text: str, tokens: tuple[str, ...]) -> tuple[str, int, int] | None:
     """Find the first fenced or standalone occurrence of any token.
 
@@ -220,9 +227,7 @@ def _first_token(text: str, tokens: tuple[str, ...]) -> tuple[str, int, int] | N
     (```token```) and bare word-boundary occurrences are both accepted;
     the first position wins.
     """
-    alternatives = "|".join(tokens)
-    pattern = re.compile(rf"```\s*({alternatives})\s*```|\b({alternatives})\b", re.IGNORECASE)
-    m = pattern.search(text)
+    m = _token_pattern(tokens).search(text)
     if not m:
         return None
     token = (m.group(1) or m.group(2)).lower()

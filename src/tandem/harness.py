@@ -27,8 +27,10 @@ from .prompts import PromptLibrary
 from .protocol import (
     Budgets,
     Difficulty,
+    EventKind,
     InputError,
     Task,
+    TranscriptEvent,
     load_yaml,
     read_data,
 )
@@ -47,6 +49,9 @@ logger = logging.getLogger(__name__)
 TASK_FORMAT = "tandem-task"
 SUITE_FORMAT = "tandem-suite"
 REPORT_FORMAT = "tandem-report"
+
+# The start of the TaskResult detail of a run that crashed outside the protocol.
+CRASH_PREFIX = "harness: "
 
 __all__ = [
     "ReplayResult",
@@ -311,7 +316,7 @@ def run_single(
         outcome = run()
     except Exception as exc:  # harness must survive any single bad task
         logger.exception("task %s crashed outside the protocol", task.id)
-        detail = f"harness: {type(exc).__name__}: {exc}"
+        detail = f"{CRASH_PREFIX}{type(exc).__name__}: {exc}"
         record_result(recorder, False, "", Termination.PROTOCOL_ERROR, detail)
         outcome = TaskOutcome.from_events(task.id, recorder.events)
     transcript_path = ""
@@ -424,13 +429,24 @@ def replay_transcript(
         return ReplayResult(ok=False, message=f"bad transcript header: {exc}")
 
     augment = bool(header.get("augment_search", False))
+    backend = ReplayBackend(events)
     recorder, run = _wire(
-        task, ReplayBackend(events), budgets, library=library, temperature=temperature,
+        task, backend, budgets, library=library, temperature=temperature,
         search_provider=resolve_search_provider("bundled") if augment else None,
     )
     try:
         outcome = run()
     except ReplayDivergence as exc:
+        crash = _recorded_crash(events)
+        # Out of calls with every event before the recorded crash reproduced.
+        if crash and not backend.remaining and (
+            first_divergence(events[:-1], recorder.events) is None
+        ):
+            return ReplayResult(
+                ok=False,
+                message=f"recorded run crashed: {crash}",
+                outcome=TaskOutcome.from_events(task.id, events),
+            )
         return ReplayResult(
             ok=False,
             message=f"prompt diverged from recording: {exc}",
@@ -446,6 +462,16 @@ def replay_transcript(
         divergence_seq=where,
         outcome=outcome,
     )
+
+
+def _recorded_crash(events: list[TranscriptEvent]) -> str:
+    """The detail of the crash that closed a recorded run, or "" for none."""
+    if not events or events[-1].kind is not EventKind.TASK_RESULT:
+        return ""
+    result = events[-1].payload
+    detail = result.get("detail")
+    crashed = result["termination"] == Termination.PROTOCOL_ERROR.value
+    return detail if crashed and str(detail).startswith(CRASH_PREFIX) else ""
 
 
 # =====================================================================

@@ -1,9 +1,11 @@
 """Shared protocol types for the two-agent runtime.
 
-Every value that crosses a module boundary (tasks, observations, plans,
-action sequences, reports, verdicts, decisions, budgets, transcript events)
-is defined here as an immutable dataclass.  All of them but
-TranscriptEvent share one field-driven JSON-dict codec.  Every file
+Every value that crosses a module boundary is defined here and is
+immutable.  Tasks, observations, plans, action sequences, reports,
+verdicts, decisions and budgets are frozen dataclasses sharing one
+field-driven JSON-dict codec.  A transcript event is a NamedTuple with
+its own codec: a run builds dozens of them, and a tuple is the cheapest
+record Python builds.  Every file
 tandem reads (tasks, suites, fixtures, scripts, passages, reports,
 transcripts and prompt overrides) is read by `read_text` and decoded by
 `read_data`/`parse_data`, which turn any way a file can be bad into one
@@ -14,7 +16,7 @@ rules Task and Budgets check when built; the rest builds on top.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -113,10 +115,10 @@ class DictCodec:
     _all_keys_required = False
 
     def __post_init__(self) -> None:
-        for f in _fields_of(type(self)):
-            value = getattr(self, f.name)
-            if f.is_tuple and not isinstance(value, tuple):
-                object.__setattr__(self, f.name, tuple(value))
+        for name in _tuple_fields(type(self)):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                object.__setattr__(self, name, tuple(value))
 
     def to_dict(self) -> dict:
         return {
@@ -163,6 +165,12 @@ def _fields_of(cls: type) -> tuple[_Field, ...]:
         )
         for f in fields(cls)
     )
+
+
+@cache
+def _tuple_fields(cls: type) -> tuple[str, ...]:
+    """The names of the class's tuple fields, the only ones __post_init__ converts."""
+    return tuple(f.name for f in _fields_of(cls) if f.is_tuple)
 
 
 def _encode(value: Any) -> Any:
@@ -405,7 +413,9 @@ class StepOutcome(DictCodec):
     error: str = ""
 
     @classmethod
+    @cache
     def success(cls) -> "StepOutcome":
+        """The one shared Ok outcome; an outcome is immutable."""
         return cls(ok=True)
 
     @classmethod
@@ -515,8 +525,12 @@ class Budgets(DictCodec):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+# ensure_ascii=False, built once: json.dumps builds an encoder per call
+# whenever it is given an option.
+_EVENT_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+class TranscriptEvent(NamedTuple):
     """One record in a task's append-only event log.
 
     Payload schema by kind:
@@ -533,7 +547,7 @@ class TranscriptEvent:
     seq: int
     timestamp: float
     kind: EventKind
-    payload: dict = field(default_factory=dict)
+    payload: dict
 
     def to_dict(self) -> dict:
         return {
@@ -545,12 +559,7 @@ class TranscriptEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TranscriptEvent":
-        return cls(
-            seq=d["seq"],
-            timestamp=d["ts"],
-            kind=EventKind(d["kind"]),
-            payload=d.get("payload", {}),
-        )
+        return cls(d["seq"], d["ts"], EventKind(d["kind"]), d.get("payload", {}))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
+        return _EVENT_ENCODER.encode(self.to_dict())

@@ -96,9 +96,7 @@ class RunRecorder:
     def append(self, kind: EventKind, payload: dict) -> TranscriptEvent:
         if self.closed:
             raise RuntimeError("transcript already terminated by a TaskResult")
-        event = TranscriptEvent(
-            seq=len(self.events), timestamp=time.time(), kind=kind, payload=payload
-        )
+        event = TranscriptEvent(len(self.events), time.time(), kind, payload)
         self.events.append(event)
         return event
 
@@ -123,10 +121,14 @@ class RunRecorder:
 def write_transcript(path: str | Path, header: dict, events: list[TranscriptEvent]) -> None:
     """Write a header line plus one JSON line per event; the directory must exist."""
     full_header = {"format": TRANSCRIPT_FORMAT, "version": TRANSCRIPT_VERSION, **header}
+    lines = [json.dumps(full_header, ensure_ascii=False), *(event.to_json() for event in events)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(full_header, ensure_ascii=False) + "\n")
-        for event in events:
-            fh.write(event.to_json() + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+# json.loads hands each str to a decoder like this one; calling it
+# directly skips the per-call argument checks.
+_DECODER = json.JSONDecoder()
 
 
 def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list[str]]:
@@ -136,9 +138,13 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     every complete event plus a warning; structural damage before the
     last line raises TranscriptCorrupt with the offending line number, as
     does an event payload that is not an object or lacks a key its kind
-    requires.  A file that cannot be read is an InputError.
+    requires.  A file that cannot be read is an InputError.  Records end
+    at line feeds only, so a string value may hold U+2028 or any other
+    line break raw.
     """
-    lines = read_text(path).splitlines()
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise TranscriptCorrupt(path, 1, "empty file")
     try:
@@ -153,7 +159,7 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
             continue
         last = i == len(lines)
         try:
-            record = json.loads(line)
+            record = _DECODER.decode(line)
         except ValueError:  # json.JSONDecodeError
             if last:
                 warnings.append(f"line {i}: truncated record dropped")

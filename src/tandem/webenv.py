@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 from urllib.parse import parse_qs, quote_plus, urlsplit
 
 from .grammar import render_action
@@ -56,8 +56,9 @@ __all__ = [
 
 DEFAULT_WINDOW_NODES = 120
 
-# Rendered pages a fixture keeps for every env over it.  Search urls carry
-# free text, so the set of views is open; a full cache is cleared.
+# Rendered pages and observation texts a fixture keeps for every env over
+# it.  Search urls carry free text, so the set of views is open; a full
+# cache is cleared.
 SHARED_RENDERS_CAP = 256
 
 ERR_UNKNOWN_NODE = "unknown node id"
@@ -176,8 +177,9 @@ class PageDef:
 class SiteFixture:
     """Entities plus a closed world of pages. Immutable and shareable.
 
-    `renders` is the one mutable part: the page renders every WebEnv over
-    this fixture shares (see WebEnv.render_nodes).
+    `renders` is the one mutable part: the page renders and observation
+    texts every WebEnv over this fixture shares (see WebEnv.render_nodes
+    and WebEnv.render_axtree).
     """
 
     site_id: str
@@ -185,7 +187,9 @@ class SiteFixture:
     entities: dict[str, tuple[dict, ...]]
     pages: dict[str, PageDef]
     search_pages: dict[str, SearchBox] = field(default_factory=dict)
-    renders: dict[tuple, list[PageNode]] = field(default_factory=dict, compare=False, repr=False)
+    renders: dict[tuple, list[PageNode] | str] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def rows(self, collection: str) -> tuple[dict, ...]:
         return self.entities[collection]
@@ -496,6 +500,19 @@ def _listing_rows(fixture: SiteFixture, listing: ListingSpec, view: _ViewState,
     return rows
 
 
+_Shared = TypeVar("_Shared", list[PageNode], str)
+
+
+def _axtree_text(nodes: list[PageNode], scroll: int, window_nodes: int) -> str:
+    """The node lines of one window of a render, plus a marker for the rest."""
+    window = nodes[scroll : scroll + window_nodes]
+    lines = [f"{'  ' * n.depth}[{n.node_id}] {n.role} '{n.label}'" for n in window]
+    below = len(nodes) - (scroll + len(window))
+    if below > 0:
+        lines.append(f"... {below} more nodes below (scroll down to reveal)")
+    return "\n".join(lines)
+
+
 class WebEnv:
     """Mutable session over an immutable SiteFixture."""
 
@@ -527,7 +544,26 @@ class WebEnv:
     # -- rendering ------------------------------------------------------
 
     def _view(self, url: str) -> _ViewState:
-        return self._views.setdefault(url, _ViewState())
+        view = self._views.get(url)
+        if view is None:
+            view = self._views[url] = _ViewState()
+        return view
+
+    def _shared(self, key: tuple, make: Callable[[], _Shared]) -> _Shared:
+        """The fixture's shared entry for `key`, made and stored on a miss.
+
+        Only single dict operations touch the shared cache, so envs on
+        other threads at worst make the same entry twice, or hold a few
+        entries past the cap until the next insert clears it.
+        """
+        renders = self.fixture.renders
+        value = renders.get(key)
+        if value is None:
+            value = make()
+            if len(renders) >= SHARED_RENDERS_CAP:
+                renders.clear()
+            renders[key] = value
+        return value
 
     def render_nodes(self) -> list[PageNode]:
         """The full rendered tree for the current page, before windowing.
@@ -535,20 +571,10 @@ class WebEnv:
         Renders are shared by every env over the fixture, keyed on all a
         render reads besides the immutable fixture: the url and that url's
         sort and filter.  Callers share the returned list and must not
-        mutate it.  Only single dict operations touch the shared cache, so
-        envs on other threads at worst render the same page twice, or hold
-        a few entries past the cap until the next insert clears it.
+        mutate it.
         """
         view = self._view(self.current_url)
-        key = (self.current_url, view.sort, view.filter)
-        renders = self.fixture.renders
-        nodes = renders.get(key)
-        if nodes is None:
-            nodes = self._render_nodes()
-            if len(renders) >= SHARED_RENDERS_CAP:
-                renders.clear()
-            renders[key] = nodes
-        return nodes
+        return self._shared((self.current_url, view.sort, view.filter), self._render_nodes)
 
     def _render_nodes(self) -> list[PageNode]:
         url = self.current_url
@@ -596,14 +622,17 @@ class WebEnv:
         return nodes
 
     def render_axtree(self) -> str:
-        """Window of node lines plus a trailing marker when nodes remain."""
-        nodes = self.render_nodes()
-        window = nodes[self._scroll : self._scroll + self.window_nodes]
-        lines = [f"{'  ' * n.depth}[{n.node_id}] {n.role} '{n.label}'" for n in window]
-        below = len(nodes) - (self._scroll + len(window))
-        if below > 0:
-            lines.append(f"... {below} more nodes below (scroll down to reveal)")
-        return "\n".join(lines)
+        """Window of node lines plus a trailing marker when nodes remain.
+
+        The text is shared like the renders, keyed on the render's key
+        plus the scroll offset and window size.
+        """
+        url, scroll, size = self.current_url, self._scroll, self.window_nodes
+        view = self._view(url)
+        return self._shared(
+            (url, view.sort, view.filter, scroll, size),
+            lambda: _axtree_text(self.render_nodes(), scroll, size),
+        )
 
     def observe(self) -> Observation:
         return Observation(

@@ -195,6 +195,13 @@ REPLAN_RECORDING = REPO / "tests" / "recorded" / "scn-replan.transcript.jsonl"
             "--parallel: parallel must be >= 1",
         ),
         ([*RUN_HAPPY, "--prompt-dir", "{tmp}/missing"], "{tmp}/missing: not a directory"),
+        *(
+            (
+                [*RUN_HAPPY, "--temperature", value],
+                f"--temperature: must be a finite number >= 0, got {shown}",
+            )
+            for value, shown in (("nan", "nan"), ("inf", "inf"), ("-1", "-1.0"))
+        ),
     ],
     ids=[
         "max-exchanges-0",
@@ -202,6 +209,9 @@ REPLAN_RECORDING = REPO / "tests" / "recorded" / "scn-replan.transcript.jsonl"
         "max-exchanges-below-0",
         "parallel-0",
         "prompt-dir-missing",
+        "temperature-nan",
+        "temperature-inf",
+        "temperature-below-0",
     ],
 )
 def test_a_bad_run_flag_fails_before_any_task_runs(tmp_path, monkeypatch, capsys, argv, error):

@@ -7,6 +7,7 @@ from decimal import Decimal
 import pytest
 
 from tandem import harness
+from tandem.cli import main
 from tandem.harness import (
     SuiteReport,
     TaskRun,
@@ -395,6 +396,57 @@ def test_run_single_survives_crashing_backend(tmp_path, crash_on, plan_versions)
     }
     from_transcript = TaskOutcome.from_events("scn-happy", events).to_dict()
     assert {key: row[key] for key in from_transcript} == from_transcript
+
+
+def test_replay_reports_a_recorded_crash(tmp_path, capsys):
+    tasks = [scenario_task("scn-happy")]
+    run_suite(tasks, lambda task: CrashOnCall(3), Budgets(), out_dir=tmp_path)
+    path = tmp_path / "scn-happy.transcript.jsonl"
+    assert main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "recorded run crashed: harness: RuntimeError: wild failure",
+        "scn-happy: success=False termination=protocol_error exchanges=2",
+    ]
+
+    # A replay that strays before the crash still reports its divergence.
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("kind") == "EnvStep":
+            record["payload"]["action"] = "go_back"
+            lines[i] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = replay_transcript(path)
+    assert not result.ok
+    assert result.message.startswith("prompt diverged from recording: ")
+    assert result.divergence_seq is not None
+
+
+class AnswerWith:
+    """scn-happy's scripted backend, whose final answer holds `text`."""
+
+    def __init__(self, text: str) -> None:
+        self.inner, self.answer = scenario_backend("scn-happy"), f"The kettle{text}costs $34.50."
+
+    def complete(self, request):
+        response = self.inner.complete(request)
+        return self.answer if "Produce the final answer" in request.rendered() else response
+
+
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"]
+)
+def test_a_unicode_line_separator_round_trips_through_a_transcript(tmp_path, separator):
+    backend = AnswerWith(separator)
+    run = run_single(scenario_task("scn-happy"), backend, Budgets(), out_dir=tmp_path)
+    assert separator in (tmp_path / "scn-happy.transcript.jsonl").read_text(encoding="utf-8")
+    _, events, warnings = read_transcript(run.transcript_path)
+    assert warnings == []
+    assert [e.kind.value for e in events[-2:]] == ["LlmCall", "TaskResult"]
+    assert events[-2].payload["response"] == events[-1].payload["answer"] == backend.answer
+    result = replay_transcript(run.transcript_path)
+    assert result.ok, result.message
+    assert result.outcome == run.outcome
 
 
 def demo_tasks_and_factory():

@@ -105,6 +105,11 @@ def test_determinism_across_instances():
     assert seen[0] == seen[1]
 
 
+def fresh_axtree(env: WebEnv) -> str:
+    """The env's observation text formatted from a fresh render, bypassing both caches."""
+    return webenv._axtree_text(env._render_nodes(), env._scroll, env.window_nodes)
+
+
 MEMO_WALKS = {
     "shop": (
         action("type", target=2, text="mug"),  # search type
@@ -134,6 +139,7 @@ def test_memoized_render_matches_a_fresh_render(site):
     for act in MEMO_WALKS[site]:
         assert env.apply(act).ok, act
         assert env.render_nodes() == env._render_nodes(), act
+        assert env.render_axtree() == fresh_axtree(env), act
 
 
 KITCHEN = "http://shop.local/category/kitchen"
@@ -168,6 +174,7 @@ def test_shared_renders_stay_within_their_cap(shop_copy):
         env.reset()
         assert env.apply(action("type", target=2, text=f"query {i}")).ok
         assert env.render_nodes() == env._render_nodes()
+        assert env.render_axtree() == fresh_axtree(env)
         assert len(fixture.renders) <= webenv.SHARED_RENDERS_CAP
 
 
@@ -190,6 +197,8 @@ def test_shared_renders_hold_under_threads(shop_copy, monkeypatch):
                 env.apply(act)
                 if env.render_nodes() != env._render_nodes():
                     failures.append(f"{seed}: {act}")
+                if env.render_axtree() != fresh_axtree(env):
+                    failures.append(f"{seed}: {act} text")
 
     threads = [threading.Thread(target=walk, args=(seed,)) for seed in range(6)]
     interval = sys.getswitchinterval()
