@@ -98,7 +98,7 @@ def test_criterion_2_adversarial_invariants():
     with criterion(2, "adversarial-invariants"):
         assert FUZZ_RUNS >= 1000
         started = time.monotonic()
-        terminations = run_adversarial(FUZZ_RUNS, FUZZ_SEED)
+        terminations, _ = run_adversarial(FUZZ_RUNS, FUZZ_SEED)
         elapsed = time.monotonic() - started
         assert sum(terminations.values()) == FUZZ_RUNS
         assert elapsed < 60.0, f"{FUZZ_RUNS} runs took {elapsed:.1f}s"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from collections import Counter
@@ -10,11 +12,15 @@ from tandem.backend import ScriptedBackend, ScriptedExchange
 from tandem.executor import LocalExecutor
 from tandem.orchestrator import (
     BudgetTripped,
+    DecisionReady,
     Executed,
+    Finalized,
     IllegalTransition,
     Mode,
     OrchestratorState,
     PlanReady,
+    ProtocolFailed,
+    RequestReady,
     TaskOutcome,
     Termination,
     VerdictReady,
@@ -28,12 +34,14 @@ from tandem.protocol import (
     Budgets,
     ExecutionReport,
     ExecutionStep,
+    GlobalDecision,
     GlobalPlan,
     LocalVerdict,
+    ReplanRequest,
     StepOutcome,
     VerdictDecision,
 )
-from tandem.transcript import RunRecorder
+from tandem.transcript import RunRecorder, strip_volatile
 from tandem.webenv import WebEnv, load_fixture
 
 from conftest import (
@@ -51,6 +59,10 @@ from conftest import (
 
 FUZZ_RUNS = 1000
 FUZZ_SEED = 977
+# sha256 over every fuzz run's events (minus ts and latency) and outcome.
+# A change that is meant to alter what runs record must recompute it: print
+# run_adversarial(FUZZ_RUNS, FUZZ_SEED)[1] and paste the value here.
+FUZZ_DIGEST = "57ab90951ed927971f7cb8446ef0c068daf964313a82e509fc38505cd098708d"
 
 
 # ---------------------------------------------------------------------
@@ -77,6 +89,56 @@ def ok_report() -> ExecutionReport:
         final_observation=make_obs(),
         raised_exception=False,
     )
+
+
+# Every step input by name, built fresh for each case.
+STEP_INPUTS = {
+    "plan": lambda: PlanReady(make_plan(version=2)),
+    "report": lambda: Executed(ok_report()),
+    "move": lambda: VerdictReady(LocalVerdict(decision=VerdictDecision.MOVE, reasons="done")),
+    "revise": lambda: VerdictReady(LocalVerdict(decision=VerdictDecision.REVISE, reasons="again")),
+    "request": lambda: RequestReady(
+        ReplanRequest(phase_index=1, reasons="dead page", report=ok_report())
+    ),
+    "ruling": lambda: DecisionReady(GlobalDecision.overrule("look again")),
+    "budget": lambda: BudgetTripped("max_exchanges", 3),
+    "failure": lambda: ProtocolFailed("GrammarError: no plan"),
+    "finalized": lambda: Finalized(success=True, answer="42"),
+    "unknown": lambda: object(),
+}
+
+ACTIVE_MODES = [m for m in Mode if m not in (Mode.DONE, Mode.FORCE_STOPPED)]
+
+# The modes each input is legal in, and the mode it moves to from each.
+LEGAL = {
+    "plan": {Mode.PLANNING: Mode.PHASE_EXECUTION},
+    "report": {Mode.PHASE_EXECUTION: Mode.PASS_CHECK, Mode.LOCAL_REVISION: Mode.PASS_CHECK},
+    "move": {Mode.PASS_CHECK: Mode.PHASE_EXECUTION},
+    "revise": {Mode.PASS_CHECK: Mode.LOCAL_REVISION, Mode.FAIL_CHECK: Mode.LOCAL_REVISION},
+    "request": {Mode.REPLAN_PENDING: Mode.AWAITING_DECISION},
+    "ruling": {Mode.AWAITING_DECISION: Mode.LOCAL_REVISION},
+    "budget": dict.fromkeys(ACTIVE_MODES, Mode.FORCE_STOPPED),
+    "failure": dict.fromkeys(ACTIVE_MODES, Mode.DONE),
+    "finalized": {Mode.COLLATION: Mode.DONE, Mode.FORCE_STOPPED: Mode.FORCE_STOPPED},
+    "unknown": {},
+}
+
+
+@pytest.mark.parametrize("name", STEP_INPUTS)
+@pytest.mark.parametrize("mode", Mode, ids=lambda m: m.value)
+def test_step_legality_table(mode, name):
+    state = fresh_state(mode, plan=make_plan())
+    state.phase_index, state.last_report = 1, ok_report()
+    inp = STEP_INPUTS[name]()
+    if mode in LEGAL[name]:
+        step(state, inp)
+        assert state.recorder.events
+        assert state.mode is LEGAL[name][mode]
+    else:
+        with pytest.raises(IllegalTransition):
+            step(state, inp)
+        assert state.recorder.events == []
+        assert state.mode is mode
 
 
 def test_plan_only_accepted_while_planning():
@@ -497,9 +559,11 @@ def check_invariants(outcome: TaskOutcome, recorder: RunRecorder, budgets: Budge
     assert outcome.plan_versions == len(versions)
 
 
-def run_adversarial(n_runs: int, seed: int) -> Counter:
+def run_adversarial(n_runs: int, seed: int) -> tuple[Counter, str]:
+    """Termination counts over `n_runs` seeded runs, and FUZZ_DIGEST's value for them."""
     fixtures = {name: load_fixture(name) for name in ("shop", "cms", "gitlab")}
     terminations: Counter = Counter()
+    digest = hashlib.sha256()
     for i in range(n_runs):
         rng = random.Random(seed * 100003 + i)
         fixture_name = rng.choice(("shop", "cms", "gitlab"))
@@ -519,15 +583,21 @@ def run_adversarial(n_runs: int, seed: int) -> Counter:
         )
         check_invariants(outcome, recorder, budgets)
         terminations[outcome.termination.value] += 1
-    return terminations
+        run = [*map(strip_volatile, recorder.events), outcome.to_dict()]
+        digest.update(json.dumps(run, sort_keys=True).encode())
+    return terminations, digest.hexdigest()
 
 
 def test_adversarial_runs_stay_sane_and_fast():
     started = time.monotonic()
-    terminations = run_adversarial(FUZZ_RUNS, FUZZ_SEED)
+    terminations, digest = run_adversarial(FUZZ_RUNS, FUZZ_SEED)
     elapsed = time.monotonic() - started
     assert sum(terminations.values()) == FUZZ_RUNS
     assert elapsed < 60.0, f"fuzz took {elapsed:.1f}s"
+    assert digest == FUZZ_DIGEST, (
+        "the fuzz runs recorded different events or outcomes; if that is intended, "
+        f"set FUZZ_DIGEST = {digest!r}"
+    )
     # the pools are adversarial enough to exercise every termination kind
     assert set(terminations) == {
         "completed",
