@@ -66,7 +66,7 @@ from .orchestrator import (
     run_task,
     step,
 )
-from .planner import GlobalPlanner, MissingContextField, PlannerContext
+from .planner import GlobalPlanner, MissingContextField
 from .prompts import PromptLibrary, context_block
 from .protocol import (
     ActionKind,

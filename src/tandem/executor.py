@@ -133,24 +133,22 @@ class LocalExecutor:
         )
 
     def check_pass(
-        self, report: ExecutionReport, phase: PhaseSpec, obs: Observation,
-        recorder: RunRecorder,
+        self, report: ExecutionReport, phase: PhaseSpec, recorder: RunRecorder
     ) -> LocalVerdict:
-        """Self-check after a clean run; move/revise/request all allowed."""
+        """Self-check on a clean run's final page; move/revise/request all allowed."""
         return self._verdict_via(
-            self._request(self.render_prompt("pass_check", phase, obs)),
+            self._request(self.render_prompt("pass_check", phase, report.final_observation)),
             recorder,
             allow_move=True,
         )
 
     def check_fail(
-        self, report: ExecutionReport, phase: PhaseSpec, obs: Observation,
-        recorder: RunRecorder,
+        self, report: ExecutionReport, phase: PhaseSpec, recorder: RunRecorder
     ) -> LocalVerdict:
         """Self-check after an environment error; move is rejected."""
         chat = self._request(
             self.render_prompt(
-                "false_check", phase, obs, feedback=_error_feedback(report)
+                "false_check", phase, report.final_observation, feedback=_error_feedback(report)
             )
         )
         return self._verdict_via(chat, recorder, allow_move=False)

@@ -2,22 +2,25 @@
 
 The dialogue between planner, executor and environment is driven as an
 explicit state machine.  ``step`` is the transition function: it takes
-the current state plus one typed input, appends the transcript events
-that transition represents, and moves the mode.  ``run_task`` is the
-driver that produces those inputs by calling the agents and the
-environment in the right order.
+the current state plus one input, either a protocol message (a
+GlobalPlan, ExecutionReport, LocalVerdict, ReplanRequest or
+GlobalDecision) or one of the run's own events (BudgetTripped,
+ProtocolFailed, Finalized), appends the transcript events that
+transition represents, and moves the mode.  ``run_task`` is the driver
+that produces those inputs by calling the agents and the environment in
+the right order.
 
 Mode graph (inputs in parentheses):
 
-    Planning --(PlanReady)--> PhaseExecution(k=1)
-    PhaseExecution | LocalRevision --(Executed)--> PassCheck | FailCheck
-    PassCheck --(move)--> PhaseExecution(k+1) | Collation (last phase)
-    PassCheck | FailCheck --(revise)--> LocalRevision
-    PassCheck | FailCheck --(request)--> ReplanPending
+    Planning --(GlobalPlan)--> PhaseExecution(k=1)
+    PhaseExecution | LocalRevision --(ExecutionReport)--> PassCheck | FailCheck
+    PassCheck --(LocalVerdict move)--> PhaseExecution(k+1) | Collation (last phase)
+    PassCheck | FailCheck --(LocalVerdict revise)--> LocalRevision
+    PassCheck | FailCheck --(LocalVerdict request)--> ReplanPending
     PassCheck | FailCheck --(revise | request past its limit, force stop off)--> ForceStopped
-    ReplanPending --(RequestReady)--> AwaitingDecision
-    AwaitingDecision --(revise ruling)--> PhaseExecution(k=1, new plan)
-    AwaitingDecision --(overrule ruling)--> LocalRevision
+    ReplanPending --(ReplanRequest)--> AwaitingDecision
+    AwaitingDecision --(GlobalDecision revise)--> PhaseExecution(k=1, new plan)
+    AwaitingDecision --(GlobalDecision overrule)--> LocalRevision
     Collation --(Finalized)--> Done
     any active --(BudgetTripped)--> ForceStopped
     any active --(ProtocolFailed)--> Done
@@ -38,7 +41,7 @@ from enum import Enum
 from .backend import BackendExhausted, ResponseEmpty, TransportError
 from .executor import LocalExecutor
 from .grammar import GrammarError, render_action
-from .planner import GlobalPlanner, MissingContextField, PlannerContext
+from .planner import GlobalPlanner, MissingContextField
 from .protocol import (
     Budgets,
     DictCodec,
@@ -57,18 +60,13 @@ from .webenv import WebEnv, evaluate
 
 __all__ = [
     "BudgetTripped",
-    "Executed",
     "Finalized",
     "IllegalTransition",
     "Mode",
     "OrchestratorState",
-    "PlanReady",
     "ProtocolFailed",
-    "RequestReady",
-    "DecisionReady",
     "TaskOutcome",
     "Termination",
-    "VerdictReady",
     "finalize",
     "record_result",
     "run_task",
@@ -104,38 +102,12 @@ class IllegalTransition(Exception):
 
 
 # =====================================================================
-# Step inputs
+# Step inputs besides the protocol messages
 # =====================================================================
 
 
 @dataclass(frozen=True)
-class PlanReady:
-    plan: GlobalPlan
-
-
-@dataclass(frozen=True)
-class Executed:
-    report: ExecutionReport
-
-
-@dataclass(frozen=True)
-class VerdictReady:
-    verdict: LocalVerdict
-
-
-@dataclass(frozen=True)
-class RequestReady:
-    request: ReplanRequest
-
-
-@dataclass(frozen=True)
-class DecisionReady:
-    decision: GlobalDecision
-
-
-@dataclass(frozen=True)
 class BudgetTripped:
-    reason: str  # "max_exchanges"
     exchange_count: int
 
 
@@ -152,14 +124,8 @@ class Finalized:
 
 
 StepInput = (
-    PlanReady
-    | Executed
-    | VerdictReady
-    | RequestReady
-    | DecisionReady
-    | BudgetTripped
-    | ProtocolFailed
-    | Finalized
+    GlobalPlan | ExecutionReport | LocalVerdict | ReplanRequest | GlobalDecision
+    | BudgetTripped | ProtocolFailed | Finalized
 )
 
 
@@ -230,7 +196,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
     if isinstance(inp, BudgetTripped):
         if mode in TERMINAL_MODES:
             raise IllegalTransition(f"{mode.value} cannot trip a budget")
-        _force_stop(state, inp.reason, inp.exchange_count)
+        _force_stop(state, "max_exchanges", inp.exchange_count)
         return state
 
     if isinstance(inp, ProtocolFailed):
@@ -242,16 +208,16 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
         state.mode = Mode.DONE
         return state
 
-    if isinstance(inp, PlanReady):
+    if isinstance(inp, GlobalPlan):
         if mode is not Mode.PLANNING:
             raise IllegalTransition(f"{mode.value} cannot accept a fresh plan")
-        _issue_plan(state, inp.plan)
+        _issue_plan(state, inp)
         return state
 
-    if isinstance(inp, Executed):
+    if isinstance(inp, ExecutionReport):
         if mode not in (Mode.PHASE_EXECUTION, Mode.LOCAL_REVISION):
             raise IllegalTransition(f"{mode.value} cannot accept an execution report")
-        for s in inp.report.steps:
+        for s in inp.steps:
             rec.append(
                 EventKind.ENV_STEP,
                 {
@@ -260,20 +226,17 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
                     "error": s.outcome.error,
                 },
             )
-        state.last_report = inp.report
-        state.mode = Mode.FAIL_CHECK if inp.report.raised_exception else Mode.PASS_CHECK
+        state.last_report = inp
+        state.mode = Mode.FAIL_CHECK if inp.raised_exception else Mode.PASS_CHECK
         return state
 
-    if isinstance(inp, VerdictReady):
+    if isinstance(inp, LocalVerdict):
         if mode not in (Mode.PASS_CHECK, Mode.FAIL_CHECK):
             raise IllegalTransition(f"{mode.value} cannot accept a verdict")
-        decision = inp.verdict.decision
+        decision = inp.decision
         if decision is VerdictDecision.MOVE and mode is Mode.FAIL_CHECK:
             raise IllegalTransition("move verdict is not allowed after an execution error")
-        rec.append(
-            EventKind.VERDICT_ISSUED,
-            {"decision": decision.value, "reasons": inp.verdict.reasons},
-        )
+        rec.append(EventKind.VERDICT_ISSUED, {"decision": decision.value, "reasons": inp.reasons})
         if decision is VerdictDecision.MOVE:
             assert state.plan is not None
             if state.phase_index < len(state.plan.phases):
@@ -294,21 +257,20 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
                 state.mode = Mode.REPLAN_PENDING
         return state
 
-    if isinstance(inp, RequestReady):
+    if isinstance(inp, ReplanRequest):
         if mode is not Mode.REPLAN_PENDING:
             raise IllegalTransition(f"{mode.value} cannot file a replan request")
-        rec.append(EventKind.REPLAN_REQUESTED, {"request": inp.request.to_dict()})
+        rec.append(EventKind.REPLAN_REQUESTED, {"request": inp.to_dict()})
         state.mode = Mode.AWAITING_DECISION
         return state
 
-    if isinstance(inp, DecisionReady):
+    if isinstance(inp, GlobalDecision):
         if mode is not Mode.AWAITING_DECISION:
             raise IllegalTransition(f"{mode.value} cannot accept a ruling")
-        decision = inp.decision
-        rec.append(EventKind.DECISION_ISSUED, decision.to_dict())
-        if decision.ruling == "revise":
-            assert decision.new_plan is not None
-            _issue_plan(state, decision.new_plan)
+        rec.append(EventKind.DECISION_ISSUED, inp.to_dict())
+        if inp.ruling == "revise":
+            assert inp.new_plan is not None
+            _issue_plan(state, inp.new_plan)
         else:
             state.mode = Mode.LOCAL_REVISION
         return state
@@ -393,11 +355,7 @@ def run_task(
     pending_guidance: str | None = None
 
     try:
-        ctx = PlannerContext(
-            task=task, observation=obs, passages=planner.fetch_passages(task.objective)
-        )
-        plan = planner.make_global_plan(ctx, recorder)
-        step(state, PlanReady(plan))
+        step(state, planner.make_global_plan(task, obs, recorder))
 
         while state.mode not in (Mode.COLLATION, *TERMINAL_MODES):
             assert state.plan is not None
@@ -411,19 +369,18 @@ def run_task(
                     pending_guidance = None
                 else:
                     seq = executor.revise_local(pending_reasons, phase, obs, recorder)
-                step(state, Executed(executor.execute_actions(seq, env)))
+                step(state, executor.execute_actions(seq, env))
 
             elif state.mode in (Mode.PASS_CHECK, Mode.FAIL_CHECK):
                 assert state.last_report is not None
-                report = state.last_report
                 check = (
                     executor.check_pass
                     if state.mode is Mode.PASS_CHECK
                     else executor.check_fail
                 )
-                verdict = check(report, phase, report.final_observation, recorder)
+                verdict = check(state.last_report, phase, recorder)
                 pending_reasons = verdict.reasons
-                step(state, VerdictReady(verdict))
+                step(state, verdict)
 
             elif state.mode is Mode.REPLAN_PENDING:
                 request = ReplanRequest(
@@ -431,15 +388,11 @@ def run_task(
                     reasons=pending_reasons,
                     report=state.last_report,
                 )
-                replan_ctx = PlannerContext(
-                    task=task,
-                    observation=env.observe(),
-                    previous_plan=state.plan,
-                    passages=planner.fetch_passages(task.objective),
+                decision = planner.decide_replan(
+                    request, task, env.observe(), state.plan, recorder
                 )
-                decision = planner.decide_replan(request, state.plan, replan_ctx, recorder)
-                step(state, RequestReady(request))
-                step(state, DecisionReady(decision))
+                step(state, request)
+                step(state, decision)
                 if decision.ruling == "overrule":
                     pending_guidance = decision.guidance
 
@@ -447,7 +400,7 @@ def run_task(
                 raise IllegalTransition(f"driver stuck in mode {state.mode.value}")
 
     except ForceStopInterrupt as fs:
-        step(state, BudgetTripped("max_exchanges", fs.exchange_count))
+        step(state, BudgetTripped(fs.exchange_count))
     except (
         GrammarError, MissingContextField, TransportError, BackendExhausted, ResponseEmpty
     ) as exc:
@@ -471,13 +424,13 @@ def finalize(state: OrchestratorState, planner: GlobalPlanner, env: WebEnv) -> N
     """
     answer = (env.stop_answer or "").strip()
     if state.mode is Mode.COLLATION:
-        ctx = PlannerContext(task=state.task, observation=env.observe(), previous_plan=state.plan)
         try:
             answer = planner.collate(
-                state.last_report, ctx, state.recorder, stop_answer=env.stop_answer
+                state.last_report, state.task, env.observe(), state.recorder,
+                stop_answer=env.stop_answer,
             )
         except ForceStopInterrupt as fs:  # answer keeps the stop answer
-            step(state, BudgetTripped("max_exchanges", fs.exchange_count))
+            step(state, BudgetTripped(fs.exchange_count))
 
     passed = evaluate(answer, env, state.task.evaluator)
     success = passed and state.mode is Mode.COLLATION

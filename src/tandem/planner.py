@@ -8,14 +8,16 @@ answer.  Ruling and rebuilding are two separate LLM calls; an overrule
 costs only the ruling call because its guidance rides in the same
 response.
 
-Each parse failure earns exactly one repair round (a follow-up message
-restating the output format) before the typed error propagates.
+Every operation takes the task, the current observation and, where its
+prompt quotes it, the plan in force as arguments; the planning calls
+(plan and revise) fetch their own background passages.  Each parse
+failure earns exactly one repair round (a follow-up message restating
+the output format) before the typed error propagates.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
@@ -57,7 +59,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "GlobalPlanner",
     "MissingContextField",
-    "PlannerContext",
     "render_report_text",
 ]
 
@@ -65,20 +66,7 @@ ROLE = "global"
 
 
 class MissingContextField(ValueError):
-    """A planner operation was invoked without a field its prompt needs."""
-
-
-@dataclass(frozen=True)
-class PlannerContext:
-    """Everything the planner may interpolate into a prompt."""
-
-    task: Task
-    observation: Observation
-    previous_plan: GlobalPlan | None = None
-    passages: tuple[RetrievedPassage, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "passages", tuple(self.passages))
+    """A planner prompt was rendered without a field it needs."""
 
 
 def render_report_text(report: ExecutionReport) -> str:
@@ -119,7 +107,10 @@ class GlobalPlanner:
     def render_prompt(
         self,
         action: str,
-        ctx: PlannerContext,
+        task: Task,
+        observation: Observation,
+        plan: GlobalPlan | None = None,
+        passages: tuple[RetrievedPassage, ...] = (),
         reasons: str = "",
         phase_index: int = 0,
         report: ExecutionReport | None = None,
@@ -134,12 +125,10 @@ class GlobalPlanner:
         if action in ("decide", "revise"):
             if not reasons.strip():
                 raise MissingContextField(f"{action} prompt requires the proposed reasons")
-            if ctx.previous_plan is None:
+            if plan is None:
                 raise MissingContextField(f"{action} prompt requires the current plan")
             meta = meta.format(
-                reasons=reasons,
-                phase_index=phase_index,
-                previous_plan=render_plan_text(ctx.previous_plan),
+                reasons=reasons, phase_index=phase_index, previous_plan=render_plan_text(plan)
             )
         elif action == "collate":
             if report is None:
@@ -149,14 +138,14 @@ class GlobalPlanner:
             raise MissingContextField(f"unknown planner action {action!r}")
 
         parts = [meta]
-        if action in ("plan", "revise") and ctx.passages:
+        if action in ("plan", "revise") and passages:
             passage_lines = ["Background passages gathered for this objective:"]
             passage_lines += [
                 f"- {p.passage}" + (f" (source: {p.source})" if p.source else "")
-                for p in ctx.passages
+                for p in passages
             ]
             parts.append("\n".join(passage_lines))
-        parts.append(context_block(ctx.observation, ctx.task.objective))
+        parts.append(context_block(observation, task.objective))
         return "\n\n".join(parts)
 
     def _request(self, user_text: str) -> ChatRequest:
@@ -176,16 +165,17 @@ class GlobalPlanner:
 
     # -- operations ------------------------------------------------------
 
-    def make_global_plan(self, ctx: PlannerContext, recorder: RunRecorder) -> GlobalPlan:
+    def make_global_plan(
+        self, task: Task, observation: Observation, recorder: RunRecorder
+    ) -> GlobalPlan:
         """Issue plan version 1. One repair round, then PlanParseError."""
-        if ctx.previous_plan is not None:
-            raise MissingContextField("make_global_plan must not receive a previous plan")
-        chat = self._request(self.render_prompt("plan", ctx))
+        passages = self.fetch_passages(task.objective)
+        chat = self._request(self.render_prompt("plan", task, observation, passages=passages))
         parse = partial(parse_global_plan, plan_version=1)
         return self._ask(chat, recorder, parse, prompt_texts.REPAIR_PLAN)
 
     def decide_replan(
-        self, request: ReplanRequest, current_plan: GlobalPlan, ctx: PlannerContext,
+        self, request: ReplanRequest, task: Task, observation: Observation, plan: GlobalPlan,
         recorder: RunRecorder,
     ) -> GlobalDecision:
         """Rule on a replan request.
@@ -195,18 +185,16 @@ class GlobalPlanner:
         overrule reuses the ruling response's remaining text as guidance
         and never touches the plan.
         """
-        if ctx.previous_plan is None:
-            raise MissingContextField("decide_replan requires the current plan in context")
         chat = self._request(
             self.render_prompt(
-                "decide", ctx, reasons=request.reasons, phase_index=request.phase_index
+                "decide", task, observation, plan,
+                reasons=request.reasons, phase_index=request.phase_index,
             )
         )
         token, guidance = self._ask(chat, recorder, self._parse_ruling, prompt_texts.REPAIR_DECISION)
         if token == "overrule":
             return GlobalDecision.overrule(guidance)
-        new_plan = self.revise_plan(request, current_plan, ctx, recorder)
-        return GlobalDecision.revise(new_plan)
+        return GlobalDecision.revise(self.revise_plan(request, task, observation, plan, recorder))
 
     @staticmethod
     def _parse_ruling(response: str) -> tuple[str, str]:
@@ -216,28 +204,32 @@ class GlobalPlanner:
         return token, guidance
 
     def revise_plan(
-        self, request: ReplanRequest, old_plan: GlobalPlan, ctx: PlannerContext,
+        self, request: ReplanRequest, task: Task, observation: Observation, plan: GlobalPlan,
         recorder: RunRecorder,
     ) -> GlobalPlan:
         """Build the replacement plan; version bumps by exactly one."""
         chat = self._request(
             self.render_prompt(
-                "revise", ctx, reasons=request.reasons, phase_index=request.phase_index
+                "revise", task, observation, plan,
+                passages=self.fetch_passages(task.objective),
+                reasons=request.reasons, phase_index=request.phase_index,
             )
         )
-        parse = partial(parse_global_plan, plan_version=old_plan.plan_version + 1)
+        parse = partial(parse_global_plan, plan_version=plan.plan_version + 1)
         return self._ask(chat, recorder, parse, prompt_texts.REPAIR_PLAN)
 
     def collate(
-        self, final_report: ExecutionReport, ctx: PlannerContext, recorder: RunRecorder,
-        stop_answer: str | None = None,
+        self, final_report: ExecutionReport, task: Task, observation: Observation,
+        recorder: RunRecorder, stop_answer: str | None = None,
     ) -> str:
         """Assemble the final answer from the last execution report.
 
         Falls back to the execution agent's stop answer (or "") when the
         planner's response is empty; never fatal.
         """
-        chat = self._request(self.render_prompt("collate", ctx, report=final_report))
+        chat = self._request(
+            self.render_prompt("collate", task, observation, report=final_report)
+        )
         try:
             response = call_llm(self.backend, chat, ROLE, recorder)
         except (TransportError, BackendExhausted, ResponseEmpty) as exc:

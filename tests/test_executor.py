@@ -180,7 +180,7 @@ def bad_report(env):
 
 def test_check_pass_allows_move(env):
     executor = executor_with([("ran without errors", "Action: ```move```\nReasons: page matches")])
-    verdict = executor.check_pass(good_report(env), make_phase(1), env.observe(), RunRecorder())
+    verdict = executor.check_pass(good_report(env), make_phase(1), RunRecorder())
     assert verdict.decision is VerdictDecision.MOVE
 
 
@@ -191,7 +191,7 @@ def test_check_fail_rejects_move(env):
             ("An action in this phase failed", "Action: ```revise```\nReasons: wrong node id"),
         ]
     )
-    verdict = executor.check_fail(bad_report(env), make_phase(1), env.observe(), RunRecorder())
+    verdict = executor.check_fail(bad_report(env), make_phase(1), RunRecorder())
     assert verdict.decision is VerdictDecision.REVISE
     assert "wrong node id" in verdict.reasons
 
@@ -215,12 +215,12 @@ def test_check_fail_double_garbage_raises(env):
         ]
     )
     with pytest.raises(VerdictParseError):
-        executor.check_fail(bad_report(env), make_phase(1), env.observe(), RunRecorder())
+        executor.check_fail(bad_report(env), make_phase(1), RunRecorder())
 
 
 def test_check_pass_request_verdict(env):
     executor = executor_with(
         [("ran without errors", "Action: ```request```\nReasons: plan assumes a page that is missing")]
     )
-    verdict = executor.check_pass(good_report(env), make_phase(1), env.observe(), RunRecorder())
+    verdict = executor.check_pass(good_report(env), make_phase(1), RunRecorder())
     assert verdict.decision is VerdictDecision.REQUEST

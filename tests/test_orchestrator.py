@@ -12,18 +12,13 @@ from tandem.backend import ScriptedBackend, ScriptedExchange
 from tandem.executor import LocalExecutor
 from tandem.orchestrator import (
     BudgetTripped,
-    DecisionReady,
-    Executed,
     Finalized,
     IllegalTransition,
     Mode,
     OrchestratorState,
-    PlanReady,
     ProtocolFailed,
-    RequestReady,
     TaskOutcome,
     Termination,
-    VerdictReady,
     finalize,
     run_task,
     step,
@@ -93,15 +88,13 @@ def ok_report() -> ExecutionReport:
 
 # Every step input by name, built fresh for each case.
 STEP_INPUTS = {
-    "plan": lambda: PlanReady(make_plan(version=2)),
-    "report": lambda: Executed(ok_report()),
-    "move": lambda: VerdictReady(LocalVerdict(decision=VerdictDecision.MOVE, reasons="done")),
-    "revise": lambda: VerdictReady(LocalVerdict(decision=VerdictDecision.REVISE, reasons="again")),
-    "request": lambda: RequestReady(
-        ReplanRequest(phase_index=1, reasons="dead page", report=ok_report())
-    ),
-    "ruling": lambda: DecisionReady(GlobalDecision.overrule("look again")),
-    "budget": lambda: BudgetTripped("max_exchanges", 3),
+    "plan": lambda: make_plan(version=2),
+    "report": ok_report,
+    "move": lambda: LocalVerdict(decision=VerdictDecision.MOVE, reasons="done"),
+    "revise": lambda: LocalVerdict(decision=VerdictDecision.REVISE, reasons="again"),
+    "request": lambda: ReplanRequest(phase_index=1, reasons="dead page", report=ok_report()),
+    "ruling": lambda: GlobalDecision.overrule("look again"),
+    "budget": lambda: BudgetTripped(3),
     "failure": lambda: ProtocolFailed("GrammarError: no plan"),
     "finalized": lambda: Finalized(success=True, answer="42"),
     "unknown": lambda: object(),
@@ -144,16 +137,16 @@ def test_step_legality_table(mode, name):
 def test_plan_only_accepted_while_planning():
     state = fresh_state(Mode.PHASE_EXECUTION, plan=make_plan())
     with pytest.raises(IllegalTransition):
-        step(state, PlanReady(make_plan(version=2)))
+        step(state, make_plan(version=2))
 
 
 def test_report_only_accepted_in_execution_modes():
     state = fresh_state(Mode.PLANNING)
     with pytest.raises(IllegalTransition):
-        step(state, Executed(ok_report()))
+        step(state, ok_report())
     state = fresh_state(Mode.COLLATION, plan=make_plan())
     with pytest.raises(IllegalTransition):
-        step(state, Executed(ok_report()))
+        step(state, ok_report())
 
 
 def test_move_verdict_rejected_after_error():
@@ -161,7 +154,7 @@ def test_move_verdict_rejected_after_error():
     state.phase_index = 1
     before = len(state.recorder.events)
     with pytest.raises(IllegalTransition):
-        step(state, VerdictReady(LocalVerdict(decision=VerdictDecision.MOVE, reasons="fine")))
+        step(state, LocalVerdict(decision=VerdictDecision.MOVE, reasons="fine"))
     # nothing was recorded and the mode did not change
     assert len(state.recorder.events) == before
     assert state.mode is Mode.FAIL_CHECK
@@ -170,45 +163,38 @@ def test_move_verdict_rejected_after_error():
 def test_verdict_needs_a_check_mode():
     state = fresh_state(Mode.PHASE_EXECUTION, plan=make_plan())
     with pytest.raises(IllegalTransition):
-        step(state, VerdictReady(LocalVerdict(decision=VerdictDecision.REVISE, reasons="x")))
+        step(state, LocalVerdict(decision=VerdictDecision.REVISE, reasons="x"))
 
 
 def test_move_advances_phase_then_collates():
     state = fresh_state(Mode.PLANNING)
-    step(state, PlanReady(make_plan(n_phases=2)))
+    step(state, make_plan(n_phases=2))
     assert (state.mode, state.phase_index) == (Mode.PHASE_EXECUTION, 1)
-    step(state, Executed(ok_report()))
+    step(state, ok_report())
     assert state.mode is Mode.PASS_CHECK
-    step(state, VerdictReady(LocalVerdict(decision=VerdictDecision.MOVE, reasons="done")))
+    step(state, LocalVerdict(decision=VerdictDecision.MOVE, reasons="done"))
     assert (state.mode, state.phase_index) == (Mode.PHASE_EXECUTION, 2)
-    step(state, Executed(ok_report()))
-    step(state, VerdictReady(LocalVerdict(decision=VerdictDecision.MOVE, reasons="done")))
+    step(state, ok_report())
+    step(state, LocalVerdict(decision=VerdictDecision.MOVE, reasons="done"))
     assert state.mode is Mode.COLLATION
 
 
 def test_revision_counter_resets_on_phase_advance():
     state = fresh_state(Mode.PLANNING)
-    step(state, PlanReady(make_plan(n_phases=2)))
+    step(state, make_plan(n_phases=2))
     state.revisions_this_phase = 2
-    step(state, Executed(ok_report()))
-    step(state, VerdictReady(LocalVerdict(decision=VerdictDecision.MOVE, reasons="done")))
+    step(state, ok_report())
+    step(state, LocalVerdict(decision=VerdictDecision.MOVE, reasons="done"))
     assert state.revisions_this_phase == 0
 
 
 def test_budget_trip_cannot_happen_twice():
     state = fresh_state(Mode.PHASE_EXECUTION, plan=make_plan())
-    step(state, BudgetTripped("max_exchanges", 30))
+    step(state, BudgetTripped(30))
     assert state.mode is Mode.FORCE_STOPPED
     assert state.termination is Termination.FORCE_STOPPED
     with pytest.raises(IllegalTransition):
-        step(state, BudgetTripped("max_exchanges", 30))
-
-
-def test_budget_trip_reason_selects_termination():
-    state = fresh_state(Mode.PASS_CHECK, plan=make_plan())
-    step(state, BudgetTripped("local_revisions", 7))
-    assert state.termination is Termination.BUDGET_EXHAUSTED
-    assert state.termination_detail == "local_revisions"
+        step(state, BudgetTripped(30))
 
 
 # Each limit: the verdict it counts, the counter, the Budgets field, the
@@ -246,7 +232,7 @@ def verdict_state(counter: str, used: int, limit_field: str, force_stop: bool) -
 @pytest.mark.parametrize("decision,counter,limit_field,reason,next_mode", LIMITS)
 def test_verdict_at_its_limit_force_stops(decision, counter, limit_field, reason, next_mode):
     state = verdict_state(counter, 2, limit_field, force_stop=False)
-    step(state, VerdictReady(LocalVerdict(decision=decision, reasons="again")))
+    step(state, LocalVerdict(decision=decision, reasons="again"))
     tail = state.recorder.events[-2:]
     assert [e.kind.value for e in tail] == ["VerdictIssued", "ForceStop"]
     assert tail[1].payload == {"exchange_count": 3, "reason": reason}
@@ -259,7 +245,7 @@ def test_verdict_at_its_limit_force_stops(decision, counter, limit_field, reason
 @pytest.mark.parametrize("decision,counter,limit_field,reason,next_mode", LIMITS)
 def test_verdict_below_its_limit_is_counted(decision, counter, limit_field, reason, next_mode):
     state = verdict_state(counter, 1, limit_field, force_stop=False)
-    step(state, VerdictReady(LocalVerdict(decision=decision, reasons="again")))
+    step(state, LocalVerdict(decision=decision, reasons="again"))
     assert state.recorder.events[-1].kind.value == "VerdictIssued"
     assert state.mode is next_mode
     assert getattr(state, counter) == 2
@@ -268,7 +254,7 @@ def test_verdict_below_its_limit_is_counted(decision, counter, limit_field, reas
 @pytest.mark.parametrize("decision,counter,limit_field,reason,next_mode", LIMITS)
 def test_limits_do_not_bind_with_force_stop(decision, counter, limit_field, reason, next_mode):
     state = verdict_state(counter, 2, limit_field, force_stop=True)
-    step(state, VerdictReady(LocalVerdict(decision=decision, reasons="again")))
+    step(state, LocalVerdict(decision=decision, reasons="again"))
     assert state.recorder.events[-1].kind.value == "VerdictIssued"
     assert state.mode is next_mode
     assert state.termination is Termination.COMPLETED
@@ -298,7 +284,7 @@ def test_terminal_state_rejects_everything_after_close():
     state = OrchestratorState(task=make_task(), recorder=recorder)
     state.mode = Mode.DONE
     with pytest.raises(IllegalTransition):
-        step(state, PlanReady(make_plan()))
+        step(state, make_plan())
 
 
 # ---------------------------------------------------------------------

@@ -14,7 +14,7 @@ from tandem.backend import (
     TransportError,
 )
 from tandem.grammar import DecisionParseError, PlanParseError
-from tandem.planner import GlobalPlanner, MissingContextField, PlannerContext
+from tandem.planner import GlobalPlanner, MissingContextField
 from tandem.protocol import (
     ExecutionReport,
     ExecutionStep,
@@ -34,12 +34,6 @@ NEW_PLAN_TEXT = (
     "Phase 1: Search for the kettle directly | Expected: search results visible\n"
     "Phase 2: Open the kettle page and stop | Expected: price reported"
 )
-
-
-def make_ctx(**overrides) -> PlannerContext:
-    base = dict(task=make_task(), observation=make_obs(), previous_plan=None, passages=())
-    base.update(overrides)
-    return PlannerContext(**base)
 
 
 def make_plan(version: int = 1) -> GlobalPlan:
@@ -63,10 +57,10 @@ def planner_with(script: list[tuple[str, str]], **kwargs) -> GlobalPlanner:
 
 def test_plan_prompt_carries_objective_and_observation():
     planner = planner_with([])
-    ctx = make_ctx()
-    text = planner.render_prompt("plan", ctx)
+    task = make_task()
+    text = planner.render_prompt("plan", task, make_obs())
     assert "Construct the global plan" in text
-    assert "OBJECTIVE: " + ctx.task.objective in text
+    assert "OBJECTIVE: " + task.objective in text
     assert "[1] heading 'Shop Home'" in text
     assert "Background passages" not in text
 
@@ -75,7 +69,7 @@ def test_plan_prompt_inserts_passages_between_meta_and_context():
     provider = StaticSearchProvider([("kettle", "kettles pour water", "guide")])
     planner = planner_with([], search_provider=provider)
     passages = planner.fetch_passages("where is the kettle")
-    text = planner.render_prompt("plan", make_ctx(passages=passages))
+    text = planner.render_prompt("plan", make_task(), make_obs(), passages=passages)
     meta_at = text.index("Construct the global plan")
     passages_at = text.index("Background passages gathered")
     context_at = text.index("OBSERVATION:")
@@ -86,11 +80,11 @@ def test_plan_prompt_inserts_passages_between_meta_and_context():
 def test_decide_prompt_requires_reasons_and_plan():
     planner = planner_with([])
     with pytest.raises(MissingContextField):
-        planner.render_prompt("decide", make_ctx(previous_plan=make_plan()), reasons="  ")
+        planner.render_prompt("decide", make_task(), make_obs(), make_plan(), reasons="  ")
     with pytest.raises(MissingContextField):
-        planner.render_prompt("decide", make_ctx(), reasons="page is wrong")
+        planner.render_prompt("decide", make_task(), make_obs(), reasons="page is wrong")
     text = planner.render_prompt(
-        "decide", make_ctx(previous_plan=make_plan()), reasons="page is wrong", phase_index=2
+        "decide", make_task(), make_obs(), make_plan(), reasons="page is wrong", phase_index=2
     )
     assert "Judge whether the fault lies" in text
     assert "page is wrong" in text
@@ -101,7 +95,7 @@ def test_decide_prompt_requires_reasons_and_plan():
 def test_revise_prompt_quotes_the_previous_plan():
     planner = planner_with([])
     text = planner.render_prompt(
-        "revise", make_ctx(previous_plan=make_plan()), reasons="dead link", phase_index=1
+        "revise", make_task(), make_obs(), make_plan(), reasons="dead link", phase_index=1
     )
     assert "You accepted the replan request" in text
     assert "Open the kitchen category" in text  # old plan is quoted verbatim
@@ -109,11 +103,10 @@ def test_revise_prompt_quotes_the_previous_plan():
 
 def test_revise_prompt_can_carry_passages():
     planner = planner_with([])
-    passages_ctx = make_ctx(
-        previous_plan=make_plan(),
-        passages=(RetrievedPassage(query="q", passage="useful fact", source="doc"),),
+    passages = (RetrievedPassage(query="q", passage="useful fact", source="doc"),)
+    text = planner.render_prompt(
+        "revise", make_task(), make_obs(), make_plan(), passages, reasons="stuck", phase_index=1
     )
-    text = planner.render_prompt("revise", passages_ctx, reasons="stuck", phase_index=1)
     assert "You accepted the replan request" in text
     assert "useful fact" in text
 
@@ -121,8 +114,8 @@ def test_revise_prompt_can_carry_passages():
 def test_collate_prompt_requires_report():
     planner = planner_with([])
     with pytest.raises(MissingContextField):
-        planner.render_prompt("collate", make_ctx())
-    text = planner.render_prompt("collate", make_ctx(), report=make_report())
+        planner.render_prompt("collate", make_task(), make_obs())
+    text = planner.render_prompt("collate", make_task(), make_obs(), report=make_report())
     assert "Produce the final answer" in text
     assert "click [3]" in text  # the report's steps are quoted
 
@@ -131,10 +124,10 @@ def test_unknown_prompt_action_rejected():
     planner = planner_with([])
     # an action with no prompt file at all
     with pytest.raises(KeyError):
-        planner.render_prompt("negotiate", make_ctx())
+        planner.render_prompt("negotiate", make_task(), make_obs())
     # a prompt key that exists but is not a planner operation
     with pytest.raises(MissingContextField):
-        planner.render_prompt("intro", make_ctx())
+        planner.render_prompt("intro", make_task(), make_obs())
 
 
 # ---------------------------------------------------------------------
@@ -165,7 +158,7 @@ def test_fetch_passages_swallows_provider_errors():
 def test_make_global_plan_happy_path():
     planner = planner_with([("Construct the global plan", PLAN_TEXT)])
     recorder = RunRecorder()
-    plan = planner.make_global_plan(make_ctx(), recorder)
+    plan = planner.make_global_plan(make_task(), make_obs(), recorder)
     assert plan.plan_version == 1
     assert [p.index for p in plan.phases] == [1, 2]
     assert plan.phases[0].subtask == "Open the kitchen category"
@@ -180,7 +173,7 @@ def test_make_global_plan_repairs_once():
         ]
     )
     recorder = RunRecorder()
-    plan = planner.make_global_plan(make_ctx(), recorder)
+    plan = planner.make_global_plan(make_task(), make_obs(), recorder)
     assert plan.plan_version == 1
     assert recorder.exchanges == 2
 
@@ -194,14 +187,8 @@ def test_make_global_plan_fails_after_one_repair():
     )
     recorder = RunRecorder()
     with pytest.raises(PlanParseError):
-        planner.make_global_plan(make_ctx(), recorder)
+        planner.make_global_plan(make_task(), make_obs(), recorder)
     assert recorder.exchanges == 2
-
-
-def test_make_global_plan_rejects_existing_plan():
-    planner = planner_with([])
-    with pytest.raises(MissingContextField):
-        planner.make_global_plan(make_ctx(previous_plan=make_plan()), RunRecorder())
 
 
 # ---------------------------------------------------------------------
@@ -219,7 +206,7 @@ def test_decide_overrule_single_call():
     )
     recorder = RunRecorder()
     decision = planner.decide_replan(
-        make_request_obj(), make_plan(), make_ctx(previous_plan=make_plan()), recorder
+        make_request_obj(), make_task(), make_obs(), make_plan(), recorder
     )
     assert decision.ruling == "overrule"
     assert "Scroll down" in decision.guidance
@@ -236,9 +223,7 @@ def test_decide_revise_costs_a_second_call():
     )
     recorder = RunRecorder()
     old = make_plan(version=1)
-    decision = planner.decide_replan(
-        make_request_obj(), old, make_ctx(previous_plan=old), recorder
-    )
+    decision = planner.decide_replan(make_request_obj(), make_task(), make_obs(), old, recorder)
     assert decision.ruling == "revise"
     assert decision.new_plan is not None
     assert decision.new_plan.plan_version == 2
@@ -255,7 +240,7 @@ def test_decide_repairs_unparseable_ruling():
     )
     recorder = RunRecorder()
     decision = planner.decide_replan(
-        make_request_obj(), make_plan(), make_ctx(previous_plan=make_plan()), recorder
+        make_request_obj(), make_task(), make_obs(), make_plan(), recorder
     )
     assert decision.ruling == "overrule"
     assert recorder.exchanges == 2
@@ -270,14 +255,25 @@ def test_overrule_without_guidance_is_a_parse_error():
     )
     with pytest.raises(DecisionParseError):
         planner.decide_replan(
-            make_request_obj(), make_plan(), make_ctx(previous_plan=make_plan()), RunRecorder()
+            make_request_obj(), make_task(), make_obs(), make_plan(), RunRecorder()
         )
 
 
-def test_decide_requires_plan_in_context():
-    planner = planner_with([])
-    with pytest.raises(MissingContextField):
-        planner.decide_replan(make_request_obj(), make_plan(), make_ctx(), RunRecorder())
+def test_planning_calls_fetch_their_own_passages():
+    provider = StaticSearchProvider([("kettle", "kettles pour water", "guide")])
+    planner = planner_with(
+        [
+            ("Construct the global plan", PLAN_TEXT),
+            ("Judge whether the fault lies", "```revise```\nThe plan assumed a dead link."),
+            ("You accepted the replan request", NEW_PLAN_TEXT),
+        ],
+        search_provider=provider,
+    )
+    recorder = RunRecorder()
+    plan = planner.make_global_plan(make_task(), make_obs(), recorder)
+    planner.decide_replan(make_request_obj(), make_task(), make_obs(), plan, recorder)
+    prompts = [e.payload["prompt"] for e in recorder.events]
+    assert ["kettles pour water" in p for p in prompts] == [True, False, True]
 
 
 def test_revise_plan_repairs_once():
@@ -289,7 +285,7 @@ def test_revise_plan_repairs_once():
     )
     recorder = RunRecorder()
     plan = planner.revise_plan(
-        make_request_obj(), make_plan(version=3), make_ctx(previous_plan=make_plan(3)), recorder
+        make_request_obj(), make_task(), make_obs(), make_plan(version=3), recorder
     )
     assert plan.plan_version == 4
     assert recorder.exchanges == 2
@@ -302,14 +298,14 @@ def test_revise_plan_repairs_once():
 
 def test_collate_returns_stripped_answer():
     planner = planner_with([("Produce the final answer", "  $34.50  ")])
-    answer = planner.collate(make_report(), make_ctx(), RunRecorder())
+    answer = planner.collate(make_report(), make_task(), make_obs(), RunRecorder())
     assert answer == "$34.50"
 
 
 def test_collate_blank_answer_falls_back_to_stop_answer():
     planner = planner_with([("Produce the final answer", "   ")])
     answer = planner.collate(
-        make_report(), make_ctx(), RunRecorder(), stop_answer="kettle is $34.50"
+        make_report(), make_task(), make_obs(), RunRecorder(), stop_answer="kettle is $34.50"
     )
     assert answer == "kettle is $34.50"
 
@@ -322,7 +318,7 @@ class _DeadBackend:
 def test_collate_survives_transport_failure():
     planner = GlobalPlanner(_DeadBackend())
     answer = planner.collate(
-        make_report(), make_ctx(), RunRecorder(), stop_answer="fallback"
+        make_report(), make_task(), make_obs(), RunRecorder(), stop_answer="fallback"
     )
     assert answer == "fallback"
 
@@ -332,5 +328,5 @@ def test_collate_survives_backend_exhaustion():
     probe = ChatRequest(system_prompt="s", messages=(ChatMessage("user", "x"),))
     with pytest.raises(BackendExhausted):
         planner.backend.complete(probe)
-    answer = planner.collate(make_report(), make_ctx(), RunRecorder())
+    answer = planner.collate(make_report(), make_task(), make_obs(), RunRecorder())
     assert answer == ""
