@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -106,13 +105,6 @@ def _budgets(args: argparse.Namespace) -> Budgets:
         raise InputError("budget flags", str(exc)) from exc
 
 
-def _temperature(args: argparse.Namespace) -> float:
-    # The header records it as JSON, which has no NaN or infinity.
-    if not math.isfinite(args.temperature) or args.temperature < 0:
-        raise InputError("--temperature", f"must be a finite number >= 0, got {args.temperature}")
-    return args.temperature
-
-
 def _backend_unreachable(report: SuiteReport) -> bool:
     return all(
         run.outcome.termination.value == "protocol_error"
@@ -154,7 +146,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def _execute(args: argparse.Namespace, tasks: list[Task], parallel: int) -> int:
     library = _common_setup(args)
-    temperature = _temperature(args)
     provider = _search_provider(args)
     factory, label = make_backend_factory(args.backend, args, tasks)
     report = run_suite(
@@ -162,7 +153,7 @@ def _execute(args: argparse.Namespace, tasks: list[Task], parallel: int) -> int:
         factory,
         _budgets(args),
         library=library,
-        temperature=temperature,
+        temperature=args.temperature,
         search_provider=provider,
         out_dir=args.out,
         parallel=parallel,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
-from importlib.resources import as_file, files
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -32,6 +32,7 @@ from .protocol import (
     Task,
     TranscriptEvent,
     load_yaml,
+    packaged,
     read_data,
 )
 from .transcript import (
@@ -151,9 +152,7 @@ _BUNDLED_SUITES = {"bundled": "bundled.yaml", "demo": "demo.yaml"}
 def load_suite(name_or_path: str | Path) -> list[Task]:
     name = str(name_or_path)
     if name in _BUNDLED_SUITES:
-        resource = files("tandem") / "data" / "suites" / _BUNDLED_SUITES[name]
-        with as_file(resource) as concrete:
-            return load_manifest(concrete)
+        return load_manifest(packaged("suites", _BUNDLED_SUITES[name]))
     path = Path(name_or_path)
     if not path.exists():
         raise InputError(name, "no bundled suite or manifest file of this name")
@@ -166,11 +165,9 @@ def resolve_search_provider(spec: str) -> StaticSearchProvider:
     "bundled" loads the packaged passage file; anything else is a
     filesystem path to a passage file.
     """
-    if spec == "bundled":
-        resource = files("tandem") / "data" / "search" / "passages.yaml"
-        with as_file(resource) as concrete:
-            return StaticSearchProvider.from_file(concrete)
-    return StaticSearchProvider.from_file(spec)
+    return StaticSearchProvider.from_file(
+        packaged("search", "passages.yaml") if spec == "bundled" else spec
+    )
 
 
 # =====================================================================
@@ -296,6 +293,12 @@ def _wire(
     return recorder, partial(run_task, task, planner, executor, env, budgets, recorder)
 
 
+def _check_temperature(temperature: float) -> None:
+    # The transcript header records it as JSON, which has no NaN or infinity.
+    if not math.isfinite(temperature) or temperature < 0:
+        raise InputError("--temperature", f"must be a finite number >= 0, got {temperature}")
+
+
 def run_single(
     task: Task,
     backend: ChatBackend,
@@ -308,6 +311,7 @@ def run_single(
     backend_label: str = "",
 ) -> TaskRun:
     """Run one task with its own environment and recorder; `out_dir`, if given, must exist."""
+    _check_temperature(temperature)
     recorder, run = _wire(
         task, backend, budgets, library=library, temperature=temperature,
         search_provider=search_provider,
@@ -351,6 +355,7 @@ def run_suite(
         raise ValueError("run_suite needs at least one task")
     if parallel < 1:
         raise InputError("--parallel", "parallel must be >= 1")
+    _check_temperature(temperature)
     if out_dir is not None:
         try:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -429,49 +434,57 @@ def replay_transcript(
         return ReplayResult(ok=False, message=f"bad transcript header: {exc}")
 
     augment = bool(header.get("augment_search", False))
-    backend = ReplayBackend(events)
     recorder, run = _wire(
-        task, backend, budgets, library=library, temperature=temperature,
+        task, ReplayBackend(events), budgets, library=library, temperature=temperature,
         search_provider=resolve_search_provider("bundled") if augment else None,
     )
     try:
         outcome = run()
+        where = first_divergence(events, recorder.events)
+        if where is None:
+            return ReplayResult(ok=True, message="replay reproduced the recording", outcome=outcome)
+        strayed = ReplayResult(
+            ok=False,
+            message=f"event stream diverged at seq {where}",
+            divergence_seq=where,
+            outcome=outcome,
+        )
     except ReplayDivergence as exc:
-        crash = _recorded_crash(events)
-        # Out of calls with every event before the recorded crash reproduced.
-        if crash and not backend.remaining and (
-            first_divergence(events[:-1], recorder.events) is None
-        ):
-            return ReplayResult(
-                ok=False,
-                message=f"recorded run crashed: {crash}",
-                outcome=TaskOutcome.from_events(task.id, events),
-            )
-        return ReplayResult(
+        strayed = ReplayResult(
             ok=False,
             message=f"prompt diverged from recording: {exc}",
             divergence_seq=exc.seq,
         )
+    return _ended_early(task.id, events, recorder.events) or strayed
 
-    where = first_divergence(events, recorder.events)
-    if where is None:
-        return ReplayResult(ok=True, message="replay reproduced the recording", outcome=outcome)
-    return ReplayResult(
-        ok=False,
-        message=f"event stream diverged at seq {where}",
-        divergence_seq=where,
-        outcome=outcome,
+
+def _ended_early(
+    task_id: str, events: list[TranscriptEvent], replayed: list[TranscriptEvent]
+) -> ReplayResult | None:
+    """The result for a recording that ends where its run stopped early, or None.
+
+    A run that crashed outside the protocol ends in a TaskResult whose detail
+    starts with CRASH_PREFIX; a run whose writer was killed has no TaskResult.
+    Either way the replay must have reproduced every event before that end.
+    """
+    closed = bool(events) and events[-1].kind is EventKind.TASK_RESULT
+    result = events[-1].payload if closed else {}
+    detail = str(result.get("detail"))
+    crashed = (
+        result.get("termination") == Termination.PROTOCOL_ERROR.value
+        and detail.startswith(CRASH_PREFIX)
     )
-
-
-def _recorded_crash(events: list[TranscriptEvent]) -> str:
-    """The detail of the crash that closed a recorded run, or "" for none."""
-    if not events or events[-1].kind is not EventKind.TASK_RESULT:
-        return ""
-    result = events[-1].payload
-    detail = result.get("detail")
-    crashed = result["termination"] == Termination.PROTOCOL_ERROR.value
-    return detail if crashed and str(detail).startswith(CRASH_PREFIX) else ""
+    kept = events[:-1] if crashed else events
+    if (closed and not crashed) or first_divergence(kept, replayed[: len(kept)]) is not None:
+        return None
+    if crashed:
+        return ReplayResult(
+            ok=False,
+            message=f"recorded run crashed: {detail}",
+            outcome=TaskOutcome.from_events(task_id, events),
+        )
+    after = f"seq {events[-1].seq}" if events else "the header"
+    return ReplayResult(ok=False, message=f"recording is incomplete: no TaskResult after {after}")
 
 
 # =====================================================================

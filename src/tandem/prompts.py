@@ -16,10 +16,9 @@ prompt expects.
 
 from __future__ import annotations
 
-from importlib.resources import files
 from pathlib import Path
 
-from .protocol import InputError, Observation, read_text
+from .protocol import InputError, Observation, packaged, read_text
 
 __all__ = [
     "PACKAGED_PROMPTS",
@@ -86,12 +85,11 @@ class PromptLibrary:
     def __init__(self, override_dir: str | Path | None = None) -> None:
         if override_dir and not Path(override_dir).is_dir():
             raise InputError(override_dir, "not a directory")
-        packaged = files("tandem") / "data" / "prompts"
         self._texts: dict[str, str] = {}
         for key in PROMPT_KEYS:
             path = Path(override_dir, f"{key}.txt") if override_dir else None
             if path is None or not path.exists():
-                path = packaged / f"{key}.txt"
+                path = packaged("prompts", f"{key}.txt")
             self._texts[key] = read_text(path)
 
     def get(self, key: str) -> str:

@@ -48,6 +48,7 @@ __all__ = [
     "TranscriptEvent",
     "VerdictDecision",
     "load_yaml",
+    "packaged",
     "parse_data",
     "read_data",
     "read_text",
@@ -234,6 +235,11 @@ class InputError(ValueError):
         self.path = str(path)
         self.reason = " ".join(reason.split())  # YAML errors span several lines
         super().__init__(f"{path}: {self.reason}")
+
+
+def packaged(*parts: str) -> Path:
+    """The path of a file under the package's data directory, which ships as plain files."""
+    return Path(__file__).resolve().parent.joinpath("data", *parts)
 
 
 def read_text(path: str | Path) -> str:

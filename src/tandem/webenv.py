@@ -32,6 +32,7 @@ from .protocol import (
     PageAction,
     StepOutcome,
     load_yaml,
+    packaged,
     parse_data,
     read_text,
 )
@@ -441,14 +442,11 @@ _BUNDLED = {"shop": "shop.yaml", "cms": "cms.yaml", "gitlab": "gitlab.yaml"}
 def _fixture_path(name: str) -> Path:
     """The resolved path of a bundled fixture or a fixture file.
 
-    Each name is located once per process.  The package ships its data as
-    plain files, so a path stays valid for the life of the process.  A
-    name that is neither raises InputError, and the cache keeps no failure.
+    Each name is located once per process.  A name that is neither raises
+    InputError, and the cache keeps no failure.
     """
     if name in _BUNDLED:
-        from importlib.resources import files
-
-        return Path(files("tandem").joinpath("data", "fixtures", _BUNDLED[name])).resolve()
+        return packaged("fixtures", _BUNDLED[name])
     if Path(name).exists():
         return Path(name).resolve()
     raise InputError(name, "unknown fixture (not bundled, not a file)")

@@ -409,16 +409,49 @@ def test_replay_reports_a_recorded_crash(tmp_path, capsys):
     ]
 
     # A replay that strays before the crash still reports its divergence.
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines):
-        record = json.loads(line)
-        if record.get("kind") == "EnvStep":
-            record["payload"]["action"] = "go_back"
-            lines[i] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stray_env_steps(path)
     result = replay_transcript(path)
     assert not result.ok
     assert result.message.startswith("prompt diverged from recording: ")
+    assert result.divergence_seq is not None
+
+
+def stray_env_steps(path):
+    """Edit every recorded EnvStep action, so a replay strays from the recording."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        record = json.loads(line) if line.endswith("\n") else {}
+        if record.get("kind") == "EnvStep":
+            record["payload"]["action"] = "go_back"
+            lines[i] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+# Two shapes a run killed mid-write leaves: a torn last line, which
+# read_transcript drops, and a file that stops at a line end.
+INCOMPLETE = {
+    "cut-200-bytes": (lambda data: data[:-200], 15),
+    "no-last-line": (lambda data: data[: data.rindex(b"\n", 0, -1) + 1], 16),
+}
+
+
+@pytest.mark.parametrize("cut", INCOMPLETE)
+def test_replay_reports_an_incomplete_recording(tmp_path, capsys, cut):
+    shorten, last_seq = INCOMPLETE[cut]
+    path = tmp_path / "scn-replan.transcript.jsonl"
+    run_single(scenario_task("scn-replan"), scenario_backend("scn-replan"), Budgets(), out_dir=tmp_path)
+    path.write_bytes(shorten(path.read_bytes()))
+    assert read_transcript(path)[1][-1].seq == last_seq
+    assert main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"recording is incomplete: no TaskResult after seq {last_seq}"
+    ]
+
+    # A replay that strays before the end still reports its divergence.
+    stray_env_steps(path)
+    result = replay_transcript(path)
+    assert not result.ok
+    assert "diverge" in result.message
     assert result.divergence_seq is not None
 
 
@@ -447,6 +480,21 @@ def test_a_unicode_line_separator_round_trips_through_a_transcript(tmp_path, sep
     result = replay_transcript(run.transcript_path)
     assert result.ok, result.message
     assert result.outcome == run.outcome
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0], ids=str)
+def test_a_bad_temperature_is_an_input_error_before_any_file(tmp_path, temperature):
+    task, backend = scenario_task("scn-happy"), scenario_backend("scn-happy")
+    error = f"--temperature: must be a finite number >= 0, got {temperature}"
+    with pytest.raises(InputError) as raised:
+        run_single(task, backend, Budgets(), temperature=temperature, out_dir=tmp_path)
+    assert str(raised.value) == error
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "out"
+    with pytest.raises(InputError) as raised:
+        run_suite([task], lambda t: backend, Budgets(), temperature=temperature, out_dir=out)
+    assert str(raised.value) == error
+    assert not out.exists()
 
 
 def demo_tasks_and_factory():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.resources
 import operator
 import random
 import sys
@@ -554,7 +553,7 @@ def test_bundled_fixture_is_located_once(monkeypatch):
     def no_lookup(*args):
         raise AssertionError("bundled fixture located again")
 
-    monkeypatch.setattr(importlib.resources, "files", no_lookup)
+    monkeypatch.setattr(webenv, "packaged", no_lookup)
     assert load_fixture("shop") is first
 
 
