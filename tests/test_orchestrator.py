@@ -134,38 +134,6 @@ def test_step_legality_table(mode, name):
         assert state.mode is mode
 
 
-def test_plan_only_accepted_while_planning():
-    state = fresh_state(Mode.PHASE_EXECUTION, plan=make_plan())
-    with pytest.raises(IllegalTransition):
-        step(state, make_plan(version=2))
-
-
-def test_report_only_accepted_in_execution_modes():
-    state = fresh_state(Mode.PLANNING)
-    with pytest.raises(IllegalTransition):
-        step(state, ok_report())
-    state = fresh_state(Mode.COLLATION, plan=make_plan())
-    with pytest.raises(IllegalTransition):
-        step(state, ok_report())
-
-
-def test_move_verdict_rejected_after_error():
-    state = fresh_state(Mode.FAIL_CHECK, plan=make_plan())
-    state.phase_index = 1
-    before = len(state.recorder.events)
-    with pytest.raises(IllegalTransition):
-        step(state, LocalVerdict(decision=VerdictDecision.MOVE, reasons="fine"))
-    # nothing was recorded and the mode did not change
-    assert len(state.recorder.events) == before
-    assert state.mode is Mode.FAIL_CHECK
-
-
-def test_verdict_needs_a_check_mode():
-    state = fresh_state(Mode.PHASE_EXECUTION, plan=make_plan())
-    with pytest.raises(IllegalTransition):
-        step(state, LocalVerdict(decision=VerdictDecision.REVISE, reasons="x"))
-
-
 def test_move_advances_phase_then_collates():
     state = fresh_state(Mode.PLANNING)
     step(state, make_plan(n_phases=2))
