@@ -265,6 +265,11 @@ def _exchanges(doc: dict) -> list[ScriptedExchange]:
         exchange = ScriptedExchange(entry["match"], entry["response"], regex)
         if not isinstance(exchange.matcher, str) or not isinstance(exchange.response, str):
             raise TypeError(f"exchange {i}: match and response must be strings")
+        if regex:
+            try:
+                re.compile(exchange.matcher)
+            except re.error as exc:
+                raise ValueError(f"exchange {i}: match is not a valid regex: {exc}") from None
         exchanges.append(exchange)
     return exchanges
 

@@ -106,9 +106,10 @@ def _budgets(args: argparse.Namespace) -> Budgets:
 
 
 def _backend_unreachable(report: SuiteReport) -> bool:
+    # run_task writes a protocol error's detail as "<exception class>: <message>".
     return all(
         run.outcome.termination.value == "protocol_error"
-        and "TransportError" in run.outcome.detail
+        and run.outcome.detail.startswith("TransportError: ")
         for run in report.runs
     )
 

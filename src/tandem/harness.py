@@ -30,7 +30,6 @@ from .protocol import (
     EventKind,
     InputError,
     Task,
-    TranscriptEvent,
     load_yaml,
     packaged,
     read_data,
@@ -419,9 +418,11 @@ def replay_transcript(
     """Re-run a recorded task against its own transcript.
 
     The recorded responses are served back in order while every prompt
-    is byte-compared against the recording; afterwards the regenerated
-    event stream is compared to the recorded one (timestamps and
-    latencies excluded).
+    is byte-compared against the recording; the verdict rests on the seq
+    of the first event where the regenerated stream differs from the
+    recorded one (timestamps and latencies excluded).  A recording that
+    ends there, with no TaskResult or with a crash TaskResult, ended
+    before its run did.
     """
     header, events, warnings = read_transcript(path)
     for w in warnings:
@@ -438,53 +439,34 @@ def replay_transcript(
         task, ReplayBackend(events), budgets, library=library, temperature=temperature,
         search_provider=resolve_search_provider("bundled") if augment else None,
     )
+    outcome = stopped = None
     try:
         outcome = run()
-        where = first_divergence(events, recorder.events)
-        if where is None:
-            return ReplayResult(ok=True, message="replay reproduced the recording", outcome=outcome)
-        strayed = ReplayResult(
-            ok=False,
-            message=f"event stream diverged at seq {where}",
-            divergence_seq=where,
-            outcome=outcome,
-        )
     except ReplayDivergence as exc:
-        strayed = ReplayResult(
-            ok=False,
-            message=f"prompt diverged from recording: {exc}",
-            divergence_seq=exc.seq,
-        )
-    return _ended_early(task.id, events, recorder.events) or strayed
+        stopped = exc
+    where = first_divergence(events, recorder.events)
+    if where is None and stopped is not None:  # every recorded event, then one call more
+        where = len(events)
+    if where is None:
+        return ReplayResult(ok=True, message="replay reproduced the recording", outcome=outcome)
 
-
-def _ended_early(
-    task_id: str, events: list[TranscriptEvent], replayed: list[TranscriptEvent]
-) -> ReplayResult | None:
-    """The result for a recording that ends where its run stopped early, or None.
-
-    A run that crashed outside the protocol ends in a TaskResult whose detail
-    starts with CRASH_PREFIX; a run whose writer was killed has no TaskResult.
-    Either way the replay must have reproduced every event before that end.
-    """
     closed = bool(events) and events[-1].kind is EventKind.TASK_RESULT
-    result = events[-1].payload if closed else {}
-    detail = str(result.get("detail"))
-    crashed = (
-        result.get("termination") == Termination.PROTOCOL_ERROR.value
+    if not closed and where == len(events):
+        after = f"seq {events[-1].seq}" if events else "the header"
+        return ReplayResult(ok=False, message=f"recording is incomplete: no TaskResult after {after}")
+    detail = str(events[-1].payload.get("detail")) if closed else ""
+    if (
+        where == len(events) - 1
         and detail.startswith(CRASH_PREFIX)
-    )
-    kept = events[:-1] if crashed else events
-    if (closed and not crashed) or first_divergence(kept, replayed[: len(kept)]) is not None:
-        return None
-    if crashed:
-        return ReplayResult(
-            ok=False,
-            message=f"recorded run crashed: {detail}",
-            outcome=TaskOutcome.from_events(task_id, events),
-        )
-    after = f"seq {events[-1].seq}" if events else "the header"
-    return ReplayResult(ok=False, message=f"recording is incomplete: no TaskResult after {after}")
+        and events[-1].payload["termination"] == Termination.PROTOCOL_ERROR.value
+    ):
+        outcome = TaskOutcome.from_events(task.id, events)
+        return ReplayResult(ok=False, message=f"recorded run crashed: {detail}", outcome=outcome)
+    if stopped is not None:
+        message = f"prompt diverged from recording: divergence at seq {where}: {stopped}"
+    else:
+        message = f"event stream diverged at seq {where}"
+    return ReplayResult(ok=False, message=message, divergence_seq=where, outcome=outcome)
 
 
 # =====================================================================

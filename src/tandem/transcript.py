@@ -8,7 +8,9 @@ the number of LlmCall events.
 
 ReplayBackend turns a recorded transcript back into a backend: it serves
 the recorded responses in order and raises ReplayDivergence the moment a
-rendered prompt stops matching the recording.
+rendered prompt stops matching the recording or the run asks for a call
+past its end.  The exception says only why the run stopped; the replay
+check finds where by comparing the event streams.
 """
 
 from __future__ import annotations
@@ -64,11 +66,7 @@ class ForceStopInterrupt(Exception):
 
 
 class ReplayDivergence(Exception):
-    """A replayed run stopped matching its recording at event `seq`."""
-
-    def __init__(self, seq: int, message: str) -> None:
-        super().__init__(f"divergence at seq {seq}: {message}")
-        self.seq = seq
+    """A replayed run asked for a call its recording cannot serve."""
 
 
 class RunRecorder:
@@ -231,31 +229,19 @@ def first_divergence(a: list[TranscriptEvent], b: list[TranscriptEvent]) -> int 
 class ReplayBackend:
     """Feeds a new run from the LlmCall events of a recorded one.
 
-    Each complete() compares the incoming rendered prompt against the
-    recorded prompt; any difference (an edited fixture, changed prompt
-    resources, different budgets) raises ReplayDivergence at the
-    recorded event's seq.
+    Each complete() serves the next recorded call when the incoming
+    rendered prompt matches the recorded one.  A different prompt (an
+    edited fixture, changed prompt resources, different budgets) or a
+    call past the last recorded one raises ReplayDivergence.
     """
 
     def __init__(self, events: list[TranscriptEvent]) -> None:
-        self._calls = [e for e in events if e.kind is EventKind.LLM_CALL]
-        self._cursor = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self._calls) - self._cursor
+        self._calls = enumerate([e for e in events if e.kind is EventKind.LLM_CALL], start=1)
 
     def complete(self, request: ChatRequest) -> str:
-        if self._cursor >= len(self._calls):
-            last_seq = self._calls[-1].seq if self._calls else 0
-            raise ReplayDivergence(last_seq + 1, "run needs more LLM calls than were recorded")
-        recorded = self._calls[self._cursor]
-        self._cursor += 1
-        prompt = request.rendered()
-        if prompt != recorded.payload["prompt"]:
-            raise ReplayDivergence(
-                recorded.seq,
-                "rendered prompt differs from recording "
-                f"(recorded call #{self._cursor})",
-            )
+        n, recorded = next(self._calls, (0, None))
+        if recorded is None:
+            raise ReplayDivergence("run needs more LLM calls than were recorded")
+        if request.rendered() != recorded.payload["prompt"]:
+            raise ReplayDivergence(f"rendered prompt differs from recording (recorded call #{n})")
         return recorded.payload["response"]

@@ -99,6 +99,10 @@ BAD_SCRIPTS = {
     "bad-yaml": "format: tandem-script\nexchanges: [\n",
     "no-response": "format: tandem-script\nexchanges:\n  - match: plan\n",
     "exchanges-not-a-list": "format: tandem-script\nexchanges: 3\n",
+    "bad-regex": (
+        "format: tandem-script\nexchanges:\n"
+        "  - match: Construct the (global plan\n    regex: true\n    response: x\n"
+    ),
 }
 
 
@@ -387,6 +391,32 @@ def test_run_against_unreachable_http_backend(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "backend unreachable" in captured.err
     assert "termination=protocol_error" in captured.out
+
+
+# The script answers the plan, then names TransportError in an action
+# reply and in its repair, so the run fails on a GrammarError.
+NAMES_TRANSPORT_ERROR = """\
+format: tandem-script
+exchanges:
+  - match: Construct the global plan
+    response: "Phase 1: Open the kitchen category | Expected: The kitchen listing is visible"
+  - match: Work out the action sequence
+    response: "**Action 1:** TransportError"
+  - match: Work out the action sequence
+    response: "**Action 1:** TransportError"
+"""
+
+
+def test_a_reply_naming_transport_error_is_not_an_unreachable_backend(tmp_path, capsys):
+    script = tmp_path / "scn-happy.yaml"
+    script.write_text(NAMES_TRANSPORT_ERROR, encoding="utf-8")
+    code = run_cli(
+        "run", str(HAPPY_TASK), "--backend", f"scripted:{script}", "--out", str(tmp_path)
+    )
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert "backend unreachable" not in captured.err
+    assert "termination=protocol_error exchanges=3" in captured.out
 
 
 # =====================================================================

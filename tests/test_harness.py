@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -413,7 +414,7 @@ def test_replay_reports_a_recorded_crash(tmp_path, capsys):
     result = replay_transcript(path)
     assert not result.ok
     assert result.message.startswith("prompt diverged from recording: ")
-    assert result.divergence_seq is not None
+    assert result.divergence_seq == 3  # the first EnvStep
 
 
 def stray_env_steps(path):
@@ -452,7 +453,94 @@ def test_replay_reports_an_incomplete_recording(tmp_path, capsys, cut):
     result = replay_transcript(path)
     assert not result.ok
     assert "diverge" in result.message
-    assert result.divergence_seq is not None
+    assert result.divergence_seq == 3  # the first EnvStep
+
+
+def first_payload(records, kind, where=lambda payload: True):
+    return next(r["payload"] for r in records if r["kind"] == kind and where(r["payload"]))
+
+
+def edit_first_env_step(records):
+    first_payload(records, "EnvStep")["action"] = "go_back"
+
+
+def tamper_an_action_response(records):
+    is_actions = lambda payload: payload["response"].startswith("**Action 1:**")
+    first_payload(records, "LlmCall", is_actions)["response"] = "**Action 1:** go_back"
+
+
+def edit_the_first_prompt(records):
+    first_payload(records, "LlmCall")["prompt"] += "x"
+
+
+def drop_the_last_llm_call(records):
+    del records[max(i for i, r in enumerate(records) if r["kind"] == "LlmCall")]
+    for seq, record in enumerate(records):
+        record["seq"] = seq
+
+
+NEEDS_MORE = "run needs more LLM calls than were recorded"
+
+# (recorded run, edit to its events, bytes cut off the end, message, divergence_seq).
+# scn-replan records 18 events: EnvSteps at 3, 12 and 13, LlmCalls at 0, 2,
+# 4, 6, 7, 11, 14 and 16, its TaskResult at 17.
+REPLAY_VERDICTS = {
+    "intact": ("scn-replan", None, 0, "replay reproduced the recording", None),
+    "cut-200-bytes": (
+        "scn-replan", None, 200, "recording is incomplete: no TaskResult after seq 15", None
+    ),
+    "first-env-step-edited": (
+        "scn-replan", edit_first_env_step, 0, "event stream diverged at seq 3", 3
+    ),
+    "action-response-tampered": (
+        "scn-replan", tamper_an_action_response, 0,
+        "prompt diverged from recording: divergence at seq 3: "
+        "rendered prompt differs from recording (recorded call #3)",
+        3,
+    ),
+    "last-llm-call-dropped": (
+        "scn-replan", drop_the_last_llm_call, 0,
+        f"prompt diverged from recording: divergence at seq 16: {NEEDS_MORE}",
+        16,
+    ),
+    "first-prompt-edited": (
+        "scn-replan", edit_the_first_prompt, 0,
+        "prompt diverged from recording: divergence at seq 0: "
+        "rendered prompt differs from recording (recorded call #1)",
+        0,
+    ),
+    # The edited EnvStep is the first differing event, not the event after
+    # the last recorded LlmCall.
+    "first-env-step-edited-then-cut": (
+        "scn-replan", edit_first_env_step, 200,
+        f"prompt diverged from recording: divergence at seq 3: {NEEDS_MORE}",
+        3,
+    ),
+    "recorded-crash": (
+        "crash", None, 0, "recorded run crashed: harness: RuntimeError: wild failure", None
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", REPLAY_VERDICTS)
+def test_replay_verdicts(tmp_path, shape):
+    recorded, edit, cut, message, seq = REPLAY_VERDICTS[shape]
+    if recorded == "crash":
+        run = run_single(scenario_task("scn-happy"), CrashOnCall(3), Budgets(), out_dir=tmp_path)
+    else:
+        run = run_single(
+            scenario_task(recorded), scenario_backend(recorded), Budgets(), out_dir=tmp_path
+        )
+    path = Path(run.transcript_path)
+    data = path.read_bytes()
+    if edit is not None:
+        header, *lines = data.decode("utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        edit(records)
+        data = "".join(line + "\n" for line in [header, *map(json.dumps, records)]).encode()
+    path.write_bytes(data[: len(data) - cut])
+    result = replay_transcript(path)
+    assert (result.ok, result.message, result.divergence_seq) == (shape == "intact", message, seq)
 
 
 class AnswerWith:
