@@ -10,6 +10,8 @@ testing and an HTTP backend for live runs.
 from __future__ import annotations
 
 from .backend import (
+    Agent,
+    BackendError,
     BackendExhausted,
     ChatBackend,
     ChatMessage,
@@ -66,7 +68,7 @@ from .orchestrator import (
     run_task,
     step,
 )
-from .planner import GlobalPlanner, MissingContextField
+from .planner import GlobalPlanner
 from .prompts import PromptLibrary, context_block
 from .protocol import (
     ActionKind,

@@ -8,10 +8,10 @@ Three interchangeable backends implement ``complete(request) -> str``:
   (ReplayBackend lives in ``transcript`` since it feeds on recorded
   transcripts)
 
-All agent traffic goes through ``call_llm`` which times the call,
-records an LlmCall transcript event on the caller-supplied recorder and
-counts the exchange.  ``ask_with_repair`` adds the agents' one repair
-round on top of it.
+Every failed model call is a ``BackendError``.  The agents (``Agent``)
+make every call through ``call_llm``, which rejects a blank reply and
+records an LlmCall event (one exchange) or an LlmFailed event;
+``ask_with_repair`` adds their one repair round.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
 
 from .grammar import GrammarError
-from .protocol import load_yaml, read_data
+from .prompts import PACKAGED_PROMPTS, PromptLibrary
+from .protocol import EventKind, load_yaml, read_data
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .transcript import RunRecorder
@@ -32,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "Agent",
+    "BackendError",
     "BackendExhausted",
     "ChatBackend",
     "ChatMessage",
@@ -55,15 +58,19 @@ PASSAGE_WORD_LIMIT = 100
 PASSAGES_FORMAT = "tandem-passages"
 
 
-class TransportError(Exception):
+class BackendError(Exception):
+    """A model call failed; call_llm records it as an LlmFailed event."""
+
+
+class TransportError(BackendError):
     """The backend endpoint could not be reached or answered garbage."""
 
 
-class BackendExhausted(Exception):
+class BackendExhausted(BackendError):
     """A scripted backend had no unconsumed exchange matching the prompt."""
 
 
-class ResponseEmpty(Exception):
+class ResponseEmpty(BackendError):
     """The backend returned an empty or whitespace-only response."""
 
 
@@ -125,12 +132,19 @@ class ChatBackend(Protocol):
 # =====================================================================
 
 
+# Client-side statuses worth a retry: 408 Request Timeout and 429 Too Many Requests.
+_RETRIED_STATUSES = (408, 429)
+
+
 class HttpChatBackend:
     """OpenAI-style chat-completions client.
 
-    Retries transient transport failures up to ``retries`` times with
-    exponential backoff; a retried call only counts as one exchange
-    because counting happens in call_llm after a response arrives.
+    Retries transient failures (a connection error, a 5xx, 408 Request
+    Timeout or 429 Too Many Requests) up to ``retries`` times with
+    exponential backoff, waiting at least a numeric ``Retry-After``
+    (RFC 6585 §4, RFC 9110 §10.2.3); a retried call only counts as one
+    exchange because counting happens in call_llm after a response
+    arrives.
 
     ``requests`` is imported when the backend is built rather than with
     this module, so offline runs never load the HTTP stack and no
@@ -174,9 +188,10 @@ class HttpChatBackend:
 
     def complete(self, request: ChatRequest) -> str:
         last_error: Exception | None = None
+        retry_after = 0
         for attempt in range(self.retries + 1):
             if attempt:
-                delay = self.backoff * (2 ** (attempt - 1))
+                delay = max(self.backoff * (2 ** (attempt - 1)), retry_after)
                 logger.warning("retrying backend call in %.1fs: %s", delay, last_error)
                 time.sleep(delay)
             try:
@@ -189,8 +204,10 @@ class HttpChatBackend:
             except self._requests.RequestException as exc:
                 last_error = exc
                 continue
-            if resp.status_code >= 500:
-                last_error = TransportError(f"server error {resp.status_code}")
+            if resp.status_code >= 500 or resp.status_code in _RETRIED_STATUSES:
+                last_error = TransportError(f"backend returned {resp.status_code}")
+                seconds = resp.headers.get("Retry-After", "")
+                retry_after = int(seconds) if seconds.isascii() and seconds.isdigit() else 0
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"backend returned {resp.status_code}: {resp.text[:200]}")
@@ -198,7 +215,7 @@ class HttpChatBackend:
                 content = resp.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(f"malformed backend response: {exc}") from exc
-            if not isinstance(content, str) or not content.strip():
+            if not isinstance(content, str):
                 raise ResponseEmpty("backend returned an empty completion")
             return content
         raise TransportError(f"backend unreachable after {self.retries + 1} attempts: {last_error}")
@@ -244,10 +261,7 @@ class ScriptedBackend:
                 continue
             if exchange.matches(prompt):
                 self._consumed[i] = True
-                response = exchange.response
-                if not response.strip():
-                    raise ResponseEmpty(f"scripted exchange {i} has an empty response")
-                return response
+                return exchange.response
         head = "\n".join(prompt.splitlines()[:5])
         raise BackendExhausted(
             f"no unconsumed scripted exchange matches the prompt "
@@ -288,16 +302,47 @@ def call_llm(backend: ChatBackend, request: ChatRequest, role: str, recorder: "R
     """Run one exchange: budget gate, backend call, transcript record.
 
     The recorder's force-stop gate raises before the call when the
-    exchange budget is spent, so a run can never exceed it.
+    exchange budget is spent, so a run can never exceed it.  A blank
+    reply is a ResponseEmpty.  A failed call is recorded as an LlmFailed
+    event, which is not an exchange, and its BackendError propagates.
     """
     recorder.check_exchange_budget()
     started = time.perf_counter()
-    response = backend.complete(request)
+    try:
+        response = backend.complete(request)
+        if not response.strip():
+            raise ResponseEmpty("backend returned an empty completion")
+    except BackendError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        recorder.append(
+            EventKind.LLM_FAILED,
+            {"role": role, "prompt": request.rendered(), "error": error,
+             "latency": time.perf_counter() - started},
+        )
+        raise
     latency = time.perf_counter() - started
-    if not response.strip():
-        raise ResponseEmpty("backend returned an empty completion")
     recorder.record_llm_call(role=role, prompt=request.rendered(), response=response, latency=latency)
     return response
+
+
+class Agent:
+    """What both agents share; ``role`` prefixes their prompt keys and names their calls."""
+
+    role: str  # "global" or "local"
+
+    def __init__(
+        self, backend: ChatBackend, library: PromptLibrary | None = None, temperature: float = 1.0
+    ) -> None:
+        self.backend = backend
+        self.library = library or PACKAGED_PROMPTS
+        self.temperature = temperature
+
+    def _request(self, user_text: str) -> ChatRequest:
+        return ChatRequest(
+            system_prompt=self.library.get(f"{self.role}/intro"),
+            messages=(ChatMessage("user", user_text),),
+            temperature=self.temperature,
+        )
 
 
 T = TypeVar("T")

@@ -13,13 +13,13 @@ from functools import partial
 from typing import Any, Callable
 
 from . import prompts as prompt_texts
-from .backend import ChatBackend, ChatMessage, ChatRequest, ask_with_repair, call_llm
+from .backend import Agent, ChatRequest, ask_with_repair, call_llm
 from .grammar import (
     parse_action_sequence,
     parse_verdict,
     render_action,
 )
-from .prompts import PromptLibrary, context_block
+from .prompts import context_block
 from .protocol import (
     ActionKind,
     ActionSequence,
@@ -34,8 +34,6 @@ from .webenv import WebEnv
 
 __all__ = ["LocalExecutor"]
 
-ROLE = "local"
-
 
 def _phase_objective(phase: PhaseSpec) -> str:
     return f"{phase.subtask} (expected state: {phase.expected_state})"
@@ -48,16 +46,8 @@ def _error_feedback(report: ExecutionReport) -> str:
     return "no error recorded"
 
 
-class LocalExecutor:
-    def __init__(
-        self,
-        backend: ChatBackend,
-        library: PromptLibrary | None = None,
-        temperature: float = 1.0,
-    ) -> None:
-        self.backend = backend
-        self.library = library or prompt_texts.PACKAGED_PROMPTS
-        self.temperature = temperature
+class LocalExecutor(Agent):
+    role = "local"
 
     # -- prompt construction -------------------------------------------
 
@@ -79,19 +69,12 @@ class LocalExecutor:
             meta = meta.format(feedback=feedback)
         return "\n\n".join([meta, context_block(obs, _phase_objective(phase))])
 
-    def _request(self, user_text: str) -> ChatRequest:
-        return ChatRequest(
-            system_prompt=self.library.get("local/intro"),
-            messages=(ChatMessage("user", user_text),),
-            temperature=self.temperature,
-        )
-
     def _ask(
         self, chat: ChatRequest, recorder: RunRecorder, parse: Callable[[str], Any],
         repair_text: str,
     ) -> Any:
         return ask_with_repair(
-            lambda c: call_llm(self.backend, c, ROLE, recorder), chat, parse, repair_text
+            lambda c: call_llm(self.backend, c, self.role, recorder), chat, parse, repair_text
         )
 
     def _actions_via(

@@ -38,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .backend import BackendExhausted, ResponseEmpty, TransportError
+from .backend import BackendError
 from .executor import LocalExecutor
 from .grammar import GrammarError, render_action
-from .planner import GlobalPlanner, MissingContextField
+from .planner import GlobalPlanner
 from .protocol import (
     Budgets,
     DictCodec,
@@ -401,9 +401,7 @@ def run_task(
 
     except ForceStopInterrupt as fs:
         step(state, BudgetTripped(fs.exchange_count))
-    except (
-        GrammarError, MissingContextField, TransportError, BackendExhausted, ResponseEmpty
-    ) as exc:
+    except (GrammarError, BackendError) as exc:
         detail = f"{type(exc).__name__}: {exc}"
         step(state, ProtocolFailed(detail=detail, answer=env.stop_answer or ""))
 

@@ -23,15 +23,13 @@ from typing import Any, Callable
 
 from . import prompts as prompt_texts
 from .backend import (
-    BackendExhausted,
+    Agent,
+    BackendError,
     ChatBackend,
-    ChatMessage,
     ChatRequest,
     ProviderError,
-    ResponseEmpty,
     RetrievedPassage,
     SearchProvider,
-    TransportError,
     ask_with_repair,
     augment_with_search,
     call_llm,
@@ -58,15 +56,8 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "GlobalPlanner",
-    "MissingContextField",
     "render_report_text",
 ]
-
-ROLE = "global"
-
-
-class MissingContextField(ValueError):
-    """A planner prompt was rendered without a field it needs."""
 
 
 def render_report_text(report: ExecutionReport) -> str:
@@ -79,17 +70,14 @@ def render_report_text(report: ExecutionReport) -> str:
     return "\n".join(lines)
 
 
-class GlobalPlanner:
+class GlobalPlanner(Agent):
+    role = "global"
+
     def __init__(
-        self,
-        backend: ChatBackend,
-        library: PromptLibrary | None = None,
-        temperature: float = 1.0,
-        search_provider: SearchProvider | None = None,
+        self, backend: ChatBackend, library: PromptLibrary | None = None,
+        temperature: float = 1.0, search_provider: SearchProvider | None = None,
     ) -> None:
-        self.backend = backend
-        self.library = library or prompt_texts.PACKAGED_PROMPTS
-        self.temperature = temperature
+        super().__init__(backend, library, temperature)
         self.search_provider = search_provider
 
     # -- prompt construction -------------------------------------------
@@ -123,19 +111,11 @@ class GlobalPlanner:
         """
         meta = self.library.get(f"global/{action}")
         if action in ("decide", "revise"):
-            if not reasons.strip():
-                raise MissingContextField(f"{action} prompt requires the proposed reasons")
-            if plan is None:
-                raise MissingContextField(f"{action} prompt requires the current plan")
             meta = meta.format(
                 reasons=reasons, phase_index=phase_index, previous_plan=render_plan_text(plan)
             )
         elif action == "collate":
-            if report is None:
-                raise MissingContextField("collate prompt requires the final report")
             meta = meta.format(report=render_report_text(report))
-        elif action != "plan":
-            raise MissingContextField(f"unknown planner action {action!r}")
 
         parts = [meta]
         if action in ("plan", "revise") and passages:
@@ -148,19 +128,12 @@ class GlobalPlanner:
         parts.append(context_block(observation, task.objective))
         return "\n\n".join(parts)
 
-    def _request(self, user_text: str) -> ChatRequest:
-        return ChatRequest(
-            system_prompt=self.library.get("global/intro"),
-            messages=(ChatMessage("user", user_text),),
-            temperature=self.temperature,
-        )
-
     def _ask(
         self, chat: ChatRequest, recorder: RunRecorder, parse: Callable[[str], Any],
         repair_text: str,
     ) -> Any:
         return ask_with_repair(
-            lambda c: call_llm(self.backend, c, ROLE, recorder), chat, parse, repair_text
+            lambda c: call_llm(self.backend, c, self.role, recorder), chat, parse, repair_text
         )
 
     # -- operations ------------------------------------------------------
@@ -225,18 +198,14 @@ class GlobalPlanner:
         """Assemble the final answer from the last execution report.
 
         Falls back to the execution agent's stop answer (or "") when the
-        planner's response is empty; never fatal.
+        planner's call fails, a blank reply included; never fatal.
         """
         chat = self._request(
             self.render_prompt("collate", task, observation, report=final_report)
         )
         try:
-            response = call_llm(self.backend, chat, ROLE, recorder)
-        except (TransportError, BackendExhausted, ResponseEmpty) as exc:
+            return call_llm(self.backend, chat, self.role, recorder).strip()
+        except BackendError as exc:
             # Collation must not sink an otherwise finished run.
             logger.warning("collation call failed (%s); using fallback answer", exc)
-            response = ""
-        answer = response.strip()
-        if not answer:
-            answer = (stop_answer or "").strip()
-        return answer
+            return (stop_answer or "").strip()

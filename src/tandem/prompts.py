@@ -3,7 +3,9 @@
 Prompt text lives in editable files under ``data/prompts/<agent>/<action>.txt``
 inside the package; a PromptLibrary can overlay a user directory with the
 same layout, so deployments can tune wording without touching code.
-A library reads every prompt when it is built, so a bad override, or an
+A library reads every prompt when it is built, and formats each prompt
+that an agent formats with placeholder values, so a bad override (one
+that cannot be read, or names a field its renderer does not pass), or an
 override path that is not a directory, fails before any task runs.
 PACKAGED_PROMPTS is the one library without an overlay, shared by all
 agents.  The shared tail block every prompt ends with (OBSERVATION /
@@ -56,6 +58,18 @@ PROMPT_MARKERS = {
     "local/overruled": "kept the global plan",
 }
 
+# The fields each formatted prompt's renderer passes, with placeholder
+# values of their types.  Every other prompt is used as written, braces
+# and all.
+_FORMAT_FIELDS = {
+    "global/decide": {"reasons": "", "phase_index": 0, "previous_plan": ""},
+    "global/revise": {"reasons": "", "phase_index": 0, "previous_plan": ""},
+    "global/collate": {"report": ""},
+    "local/revise": {"reasons": ""},
+    "local/overruled": {"guidance": ""},
+    "local/false_check": {"feedback": ""},
+}
+
 # Repair follow-ups appended when a response does not parse.
 REPAIR_PLAN = (
     "Your reply could not be parsed. Reply again using exactly one line per "
@@ -90,7 +104,13 @@ class PromptLibrary:
             path = Path(override_dir, f"{key}.txt") if override_dir else None
             if path is None or not path.exists():
                 path = packaged("prompts", f"{key}.txt")
-            self._texts[key] = read_text(path)
+            self._texts[key] = text = read_text(path)
+            if key not in _FORMAT_FIELDS:
+                continue
+            try:
+                text.format(**_FORMAT_FIELDS[key])
+            except (LookupError, ValueError, AttributeError, TypeError) as exc:
+                raise InputError(path, f"does not format: {type(exc).__name__}: {exc}") from None
 
     def get(self, key: str) -> str:
         return self._texts[key]

@@ -84,6 +84,7 @@ class VerdictDecision(str, Enum):
 
 class EventKind(str, Enum):
     LLM_CALL = "LlmCall"
+    LLM_FAILED = "LlmFailed"
     ENV_STEP = "EnvStep"
     PLAN_ISSUED = "PlanIssued"
     VERDICT_ISSUED = "VerdictIssued"
@@ -329,6 +330,11 @@ class Task(DictCodec):
         _check_rules(
             self,
             (not self.id.strip(), "id", "task id must be nonempty"),
+            (
+                "/" in self.id or "\\" in self.id or self.id in (".", ".."),
+                "id",
+                "task id must be one path component: no '/' or '\\', and not '.' or '..'",
+            ),
             (not self.objective.strip(), "objective", "objective must be nonempty"),
             (not self.env_fixture.strip(), "env_fixture", "env_fixture must be nonempty"),
             (kind not in EVALUATOR_KINDS, "evaluator.kind", f"unknown evaluator kind {kind!r}"),
@@ -541,6 +547,7 @@ class TranscriptEvent(NamedTuple):
 
     Payload schema by kind:
       LlmCall          {role, prompt, response, latency}
+      LlmFailed        {role, prompt, error, latency}
       EnvStep          {action, ok, error}
       PlanIssued       {plan}
       VerdictIssued    {decision, reasons}

@@ -2,15 +2,16 @@
 
 A transcript is one header line followed by line-delimited JSON events
 with gap-free seq numbers from 0.  RunRecorder is the live sink: every
-LLM call, environment step, verdict, decision and budget event lands
-here, and the exchange counter it maintains is by construction equal to
-the number of LlmCall events.
+LLM call (LlmCall) and failed LLM call (LlmFailed), environment step,
+verdict, decision and budget event lands here, and the exchange counter
+it maintains is by construction equal to the number of LlmCall events.
 
 ReplayBackend turns a recorded transcript back into a backend: it serves
-the recorded responses in order and raises ReplayDivergence the moment a
-rendered prompt stops matching the recording or the run asks for a call
-past its end.  The exception says only why the run stopped; the replay
-check finds where by comparing the event streams.
+the recorded responses in order, raises each recorded failure again, and
+raises ReplayDivergence the moment a rendered prompt stops matching the
+recording or the run asks for a call past its end.  The exception says
+only why the run stopped; the replay check finds where by comparing the
+event streams.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import time
 from pathlib import Path
 
-from .backend import ChatRequest
+from .backend import BackendError, ChatRequest
 from .protocol import EventKind, InputError, TranscriptEvent, parse_data, read_text
 
 __all__ = [
@@ -39,6 +40,7 @@ TRANSCRIPT_VERSION = 1
 # Payload keys every event of a kind carries; replay and reports read them.
 _PAYLOAD_REQUIRED_KEYS: dict[EventKind, tuple[str, ...]] = {
     EventKind.LLM_CALL: ("role", "prompt", "response", "latency"),
+    EventKind.LLM_FAILED: ("role", "prompt", "error", "latency"),
     EventKind.ENV_STEP: ("action", "ok"),
     EventKind.PLAN_ISSUED: ("plan",),
     EventKind.VERDICT_ISSUED: ("decision",),
@@ -226,17 +228,24 @@ def first_divergence(a: list[TranscriptEvent], b: list[TranscriptEvent]) -> int 
 # =====================================================================
 
 
-class ReplayBackend:
-    """Feeds a new run from the LlmCall events of a recorded one.
+# The BackendError an LlmFailed event's "<Type>: <message>" names.
+_FAILURES = {cls.__name__: cls for cls in BackendError.__subclasses__()}
+_CALL_KINDS = (EventKind.LLM_CALL, EventKind.LLM_FAILED)
 
-    Each complete() serves the next recorded call when the incoming
-    rendered prompt matches the recorded one.  A different prompt (an
-    edited fixture, changed prompt resources, different budgets) or a
-    call past the last recorded one raises ReplayDivergence.
+
+class ReplayBackend:
+    """Feeds a new run from the LlmCall and LlmFailed events of a recorded one.
+
+    Each complete() takes the next recorded call when the incoming
+    rendered prompt matches the recorded one: it returns an LlmCall's
+    response, and raises an LlmFailed's error as the BackendError
+    subclass it names, with its message.  A different prompt (an edited
+    fixture, changed prompt resources, different budgets) or a call past
+    the last recorded one raises ReplayDivergence.
     """
 
     def __init__(self, events: list[TranscriptEvent]) -> None:
-        self._calls = enumerate([e for e in events if e.kind is EventKind.LLM_CALL], start=1)
+        self._calls = enumerate([e for e in events if e.kind in _CALL_KINDS], start=1)
 
     def complete(self, request: ChatRequest) -> str:
         n, recorded = next(self._calls, (0, None))
@@ -244,4 +253,7 @@ class ReplayBackend:
             raise ReplayDivergence("run needs more LLM calls than were recorded")
         if request.rendered() != recorded.payload["prompt"]:
             raise ReplayDivergence(f"rendered prompt differs from recording (recorded call #{n})")
+        if recorded.kind is EventKind.LLM_FAILED:
+            name, _, message = str(recorded.payload["error"]).partition(": ")
+            raise _FAILURES.get(name, BackendError)(message)
         return recorded.payload["response"]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import tandem.backend as backend_mod
 from tandem.backend import (
+    BackendError,
     BackendExhausted,
     ChatMessage,
     ChatRequest,
@@ -133,6 +134,27 @@ def test_call_llm_records_exchange_and_latency():
     assert event.payload["latency"] >= 0
 
 
+@pytest.mark.parametrize(
+    "backend, error",
+    [
+        (ScriptedBackend([]), "BackendExhausted: no unconsumed scripted exchange"),
+        (ScriptedBackend([ScriptedExchange("hi", " \n")]), "ResponseEmpty: backend returned"),
+    ],
+    ids=["exhausted", "blank-reply"],
+)
+def test_call_llm_records_a_failed_call_and_reraises(backend, error):
+    recorder = RunRecorder()
+    with pytest.raises(BackendError):
+        call_llm(backend, make_request("hi"), role="local", recorder=recorder)
+    [event] = recorder.events
+    assert event.kind.value == "LlmFailed"
+    assert event.payload["role"] == "local"
+    assert event.payload["prompt"] == make_request("hi").rendered()
+    assert event.payload["error"].startswith(error)
+    assert event.payload["latency"] >= 0
+    assert recorder.exchanges == 0  # a failed call is not an exchange
+
+
 def test_call_llm_gates_before_the_call():
     recorder = RunRecorder(exchange_cap=0)
     backend = ScriptedBackend([ScriptedExchange("hi", "hello")])
@@ -186,6 +208,7 @@ def test_http_retries_then_succeeds(monkeypatch):
             self.status_code = status
             self._payload = payload or {}
             self.text = json.dumps(self._payload)
+            self.headers = {}
 
         def json(self):
             return self._payload
@@ -235,6 +258,27 @@ def test_http_4xx_is_fatal_without_retry(monkeypatch):
     assert len(calls) == 1
 
 
+def test_http_retries_rate_limits_honouring_retry_after(monkeypatch):
+    statuses = [429, 429, 200]
+    sleeps = []
+
+    class FakeResponse:
+        def __init__(self, status):
+            self.status_code = status
+            self.text = ""
+            self.headers = {"Retry-After": "3"} if status == 429 else {}
+
+        def json(self):
+            return {"choices": [{"message": {"content": "finally"}}]}
+
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(statuses.pop(0)))
+    monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=2, backoff=0.5)
+    assert backend.complete(make_request("hi")) == "finally"
+    assert statuses == []
+    assert sleeps == [3, 3]  # Retry-After outlasts the 0.5 s and 1 s backoff
+
+
 def test_http_empty_completion_raises(monkeypatch):
     class FakeResponse:
         status_code = 200
@@ -245,8 +289,10 @@ def test_http_empty_completion_raises(monkeypatch):
 
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
     backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
-    with pytest.raises(ResponseEmpty):
-        backend.complete(make_request("hi"))
+    recorder = RunRecorder()
+    with pytest.raises(ResponseEmpty, match="backend returned an empty completion"):
+        call_llm(backend, make_request("hi"), role="global", recorder=recorder)
+    assert recorder.exchanges == 0
 
 
 class _Recorder(BaseHTTPRequestHandler):

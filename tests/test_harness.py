@@ -9,6 +9,7 @@ import pytest
 
 from tandem import harness
 from tandem.cli import main
+from tandem.backend import ScriptedBackend, ScriptedExchange, load_script_file
 from tandem.harness import (
     SuiteReport,
     TaskRun,
@@ -479,13 +480,35 @@ def drop_the_last_llm_call(records):
         record["seq"] = seq
 
 
+def happy_script(edit):
+    """scn-happy's scripted backend, its exchanges edited by `edit`."""
+    return ScriptedBackend(edit(load_script_file(DATA / "scripts" / "scn-happy.yaml")))
+
+
+# The recorded runs: their task and a fresh backend for them.  The last
+# two each meet a failed model call, which the transcript records.
+RECORDINGS = {
+    "scn-replan": ("scn-replan", lambda: scenario_backend("scn-replan")),
+    "crash": ("scn-happy", lambda: CrashOnCall(3)),
+    # Collation gets a blank reply, and the run completes on the stop answer.
+    "blank-collation": (
+        "scn-happy",
+        lambda: happy_script(
+            lambda exchanges: [*exchanges[:-1], ScriptedExchange("Produce the final answer", "   ")]
+        ),
+    ),
+    # Only the plan is scripted: the first phase's call finds no exchange.
+    "plan-only": ("scn-happy", lambda: happy_script(lambda exchanges: exchanges[:1])),
+}
+
+REPRODUCED = "replay reproduced the recording"
 NEEDS_MORE = "run needs more LLM calls than were recorded"
 
 # (recorded run, edit to its events, bytes cut off the end, message, divergence_seq).
 # scn-replan records 18 events: EnvSteps at 3, 12 and 13, LlmCalls at 0, 2,
 # 4, 6, 7, 11, 14 and 16, its TaskResult at 17.
 REPLAY_VERDICTS = {
-    "intact": ("scn-replan", None, 0, "replay reproduced the recording", None),
+    "intact": ("scn-replan", None, 0, REPRODUCED, None),
     "cut-200-bytes": (
         "scn-replan", None, 200, "recording is incomplete: no TaskResult after seq 15", None
     ),
@@ -519,18 +542,16 @@ REPLAY_VERDICTS = {
     "recorded-crash": (
         "crash", None, 0, "recorded run crashed: harness: RuntimeError: wild failure", None
     ),
+    "blank-collation": ("blank-collation", None, 0, REPRODUCED, None),
+    "plan-only": ("plan-only", None, 0, REPRODUCED, None),
 }
 
 
 @pytest.mark.parametrize("shape", REPLAY_VERDICTS)
 def test_replay_verdicts(tmp_path, shape):
     recorded, edit, cut, message, seq = REPLAY_VERDICTS[shape]
-    if recorded == "crash":
-        run = run_single(scenario_task("scn-happy"), CrashOnCall(3), Budgets(), out_dir=tmp_path)
-    else:
-        run = run_single(
-            scenario_task(recorded), scenario_backend(recorded), Budgets(), out_dir=tmp_path
-        )
+    task_id, backend = RECORDINGS[recorded]
+    run = run_single(scenario_task(task_id), backend(), Budgets(), out_dir=tmp_path)
     path = Path(run.transcript_path)
     data = path.read_bytes()
     if edit is not None:
@@ -540,7 +561,23 @@ def test_replay_verdicts(tmp_path, shape):
         data = "".join(line + "\n" for line in [header, *map(json.dumps, records)]).encode()
     path.write_bytes(data[: len(data) - cut])
     result = replay_transcript(path)
-    assert (result.ok, result.message, result.divergence_seq) == (shape == "intact", message, seq)
+    assert (result.ok, result.message, result.divergence_seq) == (message == REPRODUCED, message, seq)
+    if result.ok:
+        assert result.outcome == run.outcome
+
+
+def test_a_failed_model_call_is_recorded(tmp_path):
+    blank = run_single(scenario_task("scn-happy"), RECORDINGS["blank-collation"][1](), Budgets())
+    assert (blank.outcome.success, blank.outcome.exchanges_used) == (True, 5)
+
+    run = run_single(
+        scenario_task("scn-happy"), RECORDINGS["plan-only"][1](), Budgets(), out_dir=tmp_path
+    )
+    assert run.outcome.detail.startswith("BackendExhausted: no unconsumed scripted exchange")
+    _, events, _ = read_transcript(run.transcript_path)
+    assert [e.kind.value for e in events] == ["LlmCall", "PlanIssued", "LlmFailed", "TaskResult"]
+    assert events[2].payload["role"] == "local"
+    assert events[2].payload["error"] == run.outcome.detail
 
 
 class AnswerWith:

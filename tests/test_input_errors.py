@@ -66,6 +66,7 @@ class Kind:
     truncated: Callable[[str], str]  # a prefix of `base` that no longer decodes
     wrong_scalars: tuple  # of str -> str: `base` with one value of the wrong type
     syntax: str = "yaml"  # yaml, json or jsonl
+    bad_values: tuple = ()  # of str -> str: `base` with one value a field rule rejects
 
 
 def _run(tmp_path, *extra, task=HAPPY_TASK, script=HAPPY_SCRIPT):
@@ -86,6 +87,8 @@ KINDS = [
         lambda p, t: _run(t, task=p),
         lambda s: s[: s.index("evaluator:")],
         (lambda s: s.replace("id: scn-happy", "id: 7"),),
+        # The id names the transcript file, which must stay inside --out.
+        bad_values=(lambda s: s.replace("id: scn-happy", "id: ../escaped"),),
     ),
     Kind(
         "suite",
@@ -178,7 +181,8 @@ def damaged(kind: Kind, case: str) -> bytes:
     elif case == "missing-key":
         text = _without_format(kind)
     else:
-        text = kind.wrong_scalars[int(case.rsplit("-", 1)[1])](kind.base)
+        edits, i = case.rsplit("-", 1)
+        text = (kind.bad_values if edits == "bad-value" else kind.wrong_scalars)[int(i)](kind.base)
     return text.encode("utf-8")
 
 
@@ -192,6 +196,7 @@ CASES = [
         "wrong-top-level-type",
         "missing-key",
         *(f"wrong-scalar-type-{i}" for i in range(len(kind.wrong_scalars))),
+        *(f"bad-value-{i}" for i in range(len(kind.bad_values))),
     ]
 ]
 
@@ -229,20 +234,22 @@ def test_damaged_input_is_one_input_error(tmp_path, capsys, caplog, kind, case):
 
 
 @pytest.mark.parametrize(
-    "damage",
+    "key, damage",
     [
-        lambda plan: plan.write_bytes(b"\xff\xfe plan\n"),
-        lambda plan: plan.mkdir(),
+        ("global/plan", lambda path: path.write_bytes(b"\xff\xfe plan\n")),
+        ("global/plan", lambda path: path.mkdir()),
+        ("local/revise", lambda path: path.write_text("Revise: {oops}\n", encoding="utf-8")),
+        ("global/collate", lambda path: path.write_text("{report} }\n", encoding="utf-8")),
     ],
-    ids=["not-utf8", "a-directory"],
+    ids=["not-utf8", "a-directory", "unknown-field", "stray-brace"],
 )
-def test_bad_prompt_override_fails_before_any_task_runs(tmp_path, capsys, caplog, damage):
-    plan = tmp_path / "prompts" / "global" / "plan.txt"
-    plan.parent.mkdir(parents=True)
-    damage(plan)
+def test_bad_prompt_override_fails_before_any_task_runs(tmp_path, capsys, caplog, key, damage):
+    path = tmp_path / "prompts" / f"{key}.txt"
+    path.parent.mkdir(parents=True)
+    damage(path)
     argv = _run(tmp_path, "--prompt-dir", str(tmp_path / "prompts"))
     code, err = run_main(argv, capsys, caplog)
-    assert_one_input_error(code, err, plan, tmp_path)
+    assert_one_input_error(code, err, path, tmp_path)
     assert not (tmp_path / "out").exists()
 
 

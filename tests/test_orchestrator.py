@@ -3,13 +3,16 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from tandem.backend import ScriptedBackend, ScriptedExchange
 from tandem.executor import LocalExecutor
+from tandem.harness import replay_transcript
 from tandem.orchestrator import (
     BudgetTripped,
     Finalized,
@@ -36,7 +39,7 @@ from tandem.protocol import (
     StepOutcome,
     VerdictDecision,
 )
-from tandem.transcript import RunRecorder, strip_volatile
+from tandem.transcript import RunRecorder, strip_volatile, write_transcript
 from tandem.webenv import WebEnv, load_fixture
 
 from conftest import (
@@ -57,7 +60,7 @@ FUZZ_SEED = 977
 # sha256 over every fuzz run's events (minus ts and latency) and outcome.
 # A change that is meant to alter what runs record must recompute it: print
 # run_adversarial(FUZZ_RUNS, FUZZ_SEED)[1] and paste the value here.
-FUZZ_DIGEST = "57ab90951ed927971f7cb8446ef0c068daf964313a82e509fc38505cd098708d"
+FUZZ_DIGEST = "b9cceaaa6e2cdc71fa00c0a78930f5693b7a85b50ee990770643c5ec86cdd2a6"
 
 
 # ---------------------------------------------------------------------
@@ -514,31 +517,41 @@ def check_invariants(outcome: TaskOutcome, recorder: RunRecorder, budgets: Budge
 
 
 def run_adversarial(n_runs: int, seed: int) -> tuple[Counter, str]:
-    """Termination counts over `n_runs` seeded runs, and FUZZ_DIGEST's value for them."""
+    """Termination counts over `n_runs` seeded runs, and FUZZ_DIGEST's value for them.
+
+    Each run is written out as a transcript and must replay with its own outcome.
+    """
     fixtures = {name: load_fixture(name) for name in ("shop", "cms", "gitlab")}
     terminations: Counter = Counter()
     digest = hashlib.sha256()
-    for i in range(n_runs):
-        rng = random.Random(seed * 100003 + i)
-        fixture_name = rng.choice(("shop", "cms", "gitlab"))
-        budgets = Budgets(
-            max_exchanges=rng.randint(4, 12),
-            max_local_revisions_per_phase=rng.randint(0, 3),
-            max_replan_requests_per_task=rng.randint(0, 2),
-            force_stop_enabled=rng.random() < 0.7,
-        )
-        task = make_task(id=f"fuzz-{i}", env_fixture=fixture_name)
-        env = WebEnv(fixtures[fixture_name])
-        cap = budgets.max_exchanges if budgets.force_stop_enabled else None
-        recorder = RunRecorder(exchange_cap=cap)
-        backend = AdversarialBackend(rng)
-        outcome = run_task(
-            task, GlobalPlanner(backend), LocalExecutor(backend), env, budgets, recorder
-        )
-        check_invariants(outcome, recorder, budgets)
-        terminations[outcome.termination.value] += 1
-        run = [*map(strip_volatile, recorder.events), outcome.to_dict()]
-        digest.update(json.dumps(run, sort_keys=True).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(n_runs):
+            rng = random.Random(seed * 100003 + i)
+            fixture_name = rng.choice(("shop", "cms", "gitlab"))
+            budgets = Budgets(
+                max_exchanges=rng.randint(4, 12),
+                max_local_revisions_per_phase=rng.randint(0, 3),
+                max_replan_requests_per_task=rng.randint(0, 2),
+                force_stop_enabled=rng.random() < 0.7,
+            )
+            task = make_task(id=f"fuzz-{i}", env_fixture=fixture_name)
+            env = WebEnv(fixtures[fixture_name])
+            cap = budgets.max_exchanges if budgets.force_stop_enabled else None
+            recorder = RunRecorder(exchange_cap=cap)
+            backend = AdversarialBackend(rng)
+            outcome = run_task(
+                task, GlobalPlanner(backend), LocalExecutor(backend), env, budgets, recorder
+            )
+            check_invariants(outcome, recorder, budgets)
+            terminations[outcome.termination.value] += 1
+            run = [*map(strip_volatile, recorder.events), outcome.to_dict()]
+            digest.update(json.dumps(run, sort_keys=True).encode())
+
+            path = Path(tmp, f"{task.id}.transcript.jsonl")
+            header = {"task": task.to_dict(), "budgets": budgets.to_dict()}
+            write_transcript(path, header, recorder.events)
+            replayed = replay_transcript(path)
+            assert (replayed.ok, replayed.outcome) == (True, outcome), (i, replayed.message)
     return terminations, digest.hexdigest()
 
 

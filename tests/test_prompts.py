@@ -54,6 +54,15 @@ def test_override_dir_takes_precedence(tmp_path):
     assert "Judge whether the fault lies" in library.get("global/decide")
 
 
+def test_only_formatted_prompts_are_checked_as_templates(tmp_path):
+    (tmp_path / "global").mkdir()
+    (tmp_path / "global" / "plan.txt").write_text("Plan {literally}\n", encoding="utf-8")
+    assert PromptLibrary(override_dir=tmp_path).get("global/plan") == "Plan {literally}\n"
+    (tmp_path / "global" / "decide.txt").write_text("Rule on {reasons:d}\n", encoding="utf-8")
+    with pytest.raises(InputError, match="decide.txt: does not format: ValueError"):
+        PromptLibrary(override_dir=tmp_path)
+
+
 def test_an_override_path_that_is_not_a_directory_is_an_input_error(tmp_path):
     (tmp_path / "file").write_text("", encoding="utf-8")
     for path in (tmp_path / "missing", tmp_path / "file"):
