@@ -141,10 +141,10 @@ class HttpChatBackend:
 
     Retries transient failures (a connection error, a 5xx, 408 Request
     Timeout or 429 Too Many Requests) up to ``retries`` times with
-    exponential backoff, waiting at least a numeric ``Retry-After``
-    (RFC 6585 §4, RFC 9110 §10.2.3); a retried call only counts as one
-    exchange because counting happens in call_llm after a response
-    arrives.
+    exponential backoff, waiting at least the ``Retry-After`` delay or
+    until its HTTP-date (RFC 6585 §4, RFC 9110 §10.2.3); a retried call
+    only counts as one exchange because counting happens in call_llm
+    after a response arrives.
 
     ``requests`` is imported when the backend is built rather than with
     this module, so offline runs never load the HTTP stack and no
@@ -206,8 +206,7 @@ class HttpChatBackend:
                 continue
             if resp.status_code >= 500 or resp.status_code in _RETRIED_STATUSES:
                 last_error = TransportError(f"backend returned {resp.status_code}")
-                seconds = resp.headers.get("Retry-After", "")
-                retry_after = int(seconds) if seconds.isascii() and seconds.isdigit() else 0
+                retry_after = _retry_after(resp.headers.get("Retry-After", ""))
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"backend returned {resp.status_code}: {resp.text[:200]}")
@@ -219,6 +218,22 @@ class HttpChatBackend:
                 raise ResponseEmpty("backend returned an empty completion")
             return content
         raise TransportError(f"backend unreachable after {self.retries + 1} attempts: {last_error}")
+
+
+def _retry_after(value: str) -> float:
+    """The seconds a Retry-After value asks to wait: delay-seconds, or the
+    time until an HTTP-date (RFC 9110 §10.2.3); 0 for a past date or garbage."""
+    if value.isascii() and value.isdigit():
+        return int(value)
+    from datetime import timezone
+    from email.utils import parsedate_to_datetime  # imported by rate-limited calls only
+
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return 0
+    # An HTTP-date is in GMT; parsedate_to_datetime leaves a "-0000" zone naive.
+    return max(0.0, when.replace(tzinfo=when.tzinfo or timezone.utc).timestamp() - time.time())
 
 
 # =====================================================================
@@ -321,7 +336,8 @@ def call_llm(backend: ChatBackend, request: ChatRequest, role: str, recorder: "R
         )
         raise
     latency = time.perf_counter() - started
-    recorder.record_llm_call(role=role, prompt=request.rendered(), response=response, latency=latency)
+    payload = {"role": role, "prompt": request.rendered(), "response": response, "latency": latency}
+    recorder.append(EventKind.LLM_CALL, payload)
     return response
 
 

@@ -25,6 +25,8 @@ from .orchestrator import TaskOutcome, Termination, record_result, run_task
 from .planner import GlobalPlanner
 from .prompts import PromptLibrary
 from .protocol import (
+    BOOLEAN,
+    NUMBER,
     Budgets,
     Difficulty,
     EventKind,
@@ -430,11 +432,11 @@ def replay_transcript(
     try:
         task = Task.from_dict(header["task"])
         budgets = Budgets.from_dict(header["budgets"])
-        temperature = float(header.get("temperature", 1.0))
+        temperature = float(NUMBER.check(header.get("temperature", 1.0), "temperature"))
+        augment = BOOLEAN.check(header.get("augment_search", False), "augment_search")
     except (KeyError, TypeError, ValueError) as exc:
         return ReplayResult(ok=False, message=f"bad transcript header: {exc}")
 
-    augment = bool(header.get("augment_search", False))
     recorder, run = _wire(
         task, ReplayBackend(events), budgets, library=library, temperature=temperature,
         search_provider=resolve_search_provider("bundled") if augment else None,
@@ -454,7 +456,7 @@ def replay_transcript(
     if not closed and where == len(events):
         after = f"seq {events[-1].seq}" if events else "the header"
         return ReplayResult(ok=False, message=f"recording is incomplete: no TaskResult after {after}")
-    detail = str(events[-1].payload.get("detail")) if closed else ""
+    detail = events[-1].payload.get("detail", "") if closed else ""
     if (
         where == len(events) - 1
         and detail.startswith(CRASH_PREFIX)

@@ -30,7 +30,7 @@ interrupts the run the moment a call would exceed max_exchanges; with it
 disabled, ``step`` applies the per-phase revision and per-task replan
 limits to each revise or request verdict.  Either way the budget event
 recorded is a ForceStop event whose ``reason`` field says which limit
-tripped.
+tripped, and the run's TaskResult takes its termination and detail from it.
 """
 
 from __future__ import annotations
@@ -144,8 +144,6 @@ class OrchestratorState:
     plan: GlobalPlan | None = None
     replan_requests: int = 0
     revisions_this_phase: int = 0
-    termination: Termination = Termination.COMPLETED
-    termination_detail: str = ""
     last_report: ExecutionReport | None = None
 
 
@@ -202,9 +200,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
     if isinstance(inp, ProtocolFailed):
         if mode in TERMINAL_MODES:
             raise IllegalTransition(f"{mode.value} cannot fail")
-        state.termination = Termination.PROTOCOL_ERROR
-        state.termination_detail = inp.detail
-        record_result(rec, False, inp.answer, state.termination, inp.detail)
+        record_result(rec, False, inp.answer, Termination.PROTOCOL_ERROR, inp.detail)
         state.mode = Mode.DONE
         return state
 
@@ -276,11 +272,17 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
         return state
 
     if isinstance(inp, Finalized):
-        if mode not in (Mode.COLLATION, Mode.FORCE_STOPPED):
-            raise IllegalTransition(f"{mode.value} cannot finalize")
-        record_result(rec, inp.success, inp.answer, state.termination, state.termination_detail)
         if mode is Mode.COLLATION:
+            termination, detail = Termination.COMPLETED, ""
             state.mode = Mode.DONE
+        elif mode is Mode.FORCE_STOPPED:  # the ForceStop that stopped the run says why
+            stop = next(e for e in reversed(rec.events) if e.kind is EventKind.FORCE_STOP)
+            detail = stop.payload["reason"]
+            exhausted = detail != "max_exchanges"  # a revision or replan limit
+            termination = Termination.BUDGET_EXHAUSTED if exhausted else Termination.FORCE_STOPPED
+        else:
+            raise IllegalTransition(f"{mode.value} cannot finalize")
+        record_result(rec, inp.success, inp.answer, termination, detail)
         return state
 
     raise IllegalTransition(f"unknown input {type(inp).__name__}")
@@ -302,10 +304,6 @@ def _force_stop(state: OrchestratorState, reason: str, exchange_count: int) -> N
     state.recorder.append(
         EventKind.FORCE_STOP, {"exchange_count": exchange_count, "reason": reason}
     )
-    state.termination = (
-        Termination.FORCE_STOPPED if reason == "max_exchanges" else Termination.BUDGET_EXHAUSTED
-    )
-    state.termination_detail = reason
     state.mode = Mode.FORCE_STOPPED
 
 

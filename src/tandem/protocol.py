@@ -9,8 +9,8 @@ record Python builds.  Every file
 tandem reads (tasks, suites, fixtures, scripts, passages, reports,
 transcripts and prompt overrides) is read by `read_text` and decoded by
 `read_data`/`parse_data`, which turn any way a file can be bad into one
-`InputError`.  Beyond (de)serialization the module holds only the field
-rules Task and Budgets check when built; the rest builds on top.
+`InputError`.  Beyond (de)serialization the module holds the field rules
+Task and Budgets check when built, and EVENT_FIELDS; the rest builds on top.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from types import UnionType
 from typing import IO, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -32,12 +32,14 @@ __all__ = [
     "DictCodec",
     "Difficulty",
     "EvaluatorSpec",
+    "EVENT_FIELDS",
     "EventKind",
     "ExecutionReport",
     "ExecutionStep",
     "GlobalDecision",
     "GlobalPlan",
     "InputError",
+    "JsonType",
     "LocalVerdict",
     "Observation",
     "PageAction",
@@ -107,9 +109,10 @@ class DictCodec:
 
     to_dict writes the fields in declaration order: enums as their value,
     tuples as lists, nested values through their own to_dict, and None
-    values left out.  from_dict decodes each field by its type hint and
-    checks that str fields hold strings.  A missing key takes the field's
-    default; a field without one, or any field of a class that sets
+    values left out.  from_dict decodes each field by its type hint; a str,
+    int or bool field that holds no JSON string, integer or boolean raises
+    a TypeError naming it.  A missing key takes the field's default; a
+    field without one, or any field of a class that sets
     `_all_keys_required`, raises KeyError.  Tuple fields given any other
     sequence store it as a tuple, so values stay hashable and comparable.
     """
@@ -161,7 +164,7 @@ def _fields_of(cls: type) -> tuple[_Field, ...]:
     return tuple(
         _Field(
             f.name,
-            _decoder(hints[f.name]),
+            _decoder(hints[f.name], f.name),
             f.default is MISSING and f.default_factory is MISSING,
             get_origin(hints[f.name]) is tuple,
         )
@@ -189,24 +192,43 @@ def _as_is(value: Any) -> Any:
     return value
 
 
-def _string(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__} {value!r}")
-    return value
+class JsonType(NamedTuple):
+    """A JSON value type as the exact Python types a decoder makes of it (a bool is no number)."""
+
+    name: str
+    types: tuple[type, ...]
+    required: bool = True  # False: an event payload may leave the key out
+
+    def check(self, value: Any, key: str) -> Any:
+        """`value`, if its type is one of `types`; else a TypeError naming `key`."""
+        if type(value) not in self.types:
+            raise TypeError(f"{key}: expected {self.name}, got {type(value).__name__} {value!r}")
+        return value
+
+    def optional(self) -> "JsonType":
+        return self._replace(required=False)
 
 
-def _decoder(hint: Any) -> Callable[[Any], Any]:
-    """The function that turns a JSON value into a field of type `hint`."""
+STRING = JsonType("a string", (str,))
+NUMBER = JsonType("a number", (int, float))
+INTEGER = JsonType("an integer", (int,))
+BOOLEAN = JsonType("a boolean", (bool,))
+OBJECT = JsonType("an object", (dict,))
+_SCALARS = {str: STRING, int: INTEGER, bool: BOOLEAN}
+
+
+def _decoder(hint: Any, name: str) -> Callable[[Any], Any]:
+    """The function that turns a JSON value into field `name` of type `hint`."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is tuple:
-        item = _decoder(args[0])
+        item = _decoder(args[0], name)
         return lambda value: tuple(item(v) for v in value)
     if origin is UnionType:
         inner = [a for a in args if a is not type(None)]
-        item = _decoder(inner[0]) if len(inner) == 1 else _as_is
+        item = _decoder(inner[0], name) if len(inner) == 1 else _as_is
         return lambda value: None if value is None else item(value)
-    if hint is str:
-        return _string
+    if hint in _SCALARS:
+        return partial(_SCALARS[hint].check, key=name)
     if isinstance(hint, type) and issubclass(hint, DictCodec):
         return hint.from_dict
     if isinstance(hint, type) and issubclass(hint, Enum):
@@ -542,20 +564,27 @@ class Budgets(DictCodec):
 _EVENT_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
-class TranscriptEvent(NamedTuple):
-    """One record in a task's append-only event log.
+# The transcript format: each event kind's payload keys in the order the
+# writers emit them, with their JSON types.  read_transcript checks it.
+EVENT_FIELDS: dict[EventKind, dict[str, JsonType]] = {
+    EventKind.LLM_CALL: {"role": STRING, "prompt": STRING, "response": STRING, "latency": NUMBER},
+    EventKind.LLM_FAILED: {"role": STRING, "prompt": STRING, "error": STRING, "latency": NUMBER},
+    EventKind.ENV_STEP: {"action": STRING, "ok": BOOLEAN, "error": STRING.optional()},
+    EventKind.PLAN_ISSUED: {"plan": OBJECT},
+    EventKind.VERDICT_ISSUED: {"decision": STRING, "reasons": STRING.optional()},
+    EventKind.REPLAN_REQUESTED: {"request": OBJECT},
+    EventKind.DECISION_ISSUED: {  # new_plan for a revise ruling, guidance for an overrule
+        "ruling": STRING, "new_plan": OBJECT.optional(), "guidance": STRING.optional()
+    },
+    EventKind.FORCE_STOP: {"exchange_count": INTEGER, "reason": STRING},
+    EventKind.TASK_RESULT: {
+        "success": BOOLEAN, "answer": STRING, "termination": STRING, "detail": STRING.optional()
+    },
+}
 
-    Payload schema by kind:
-      LlmCall          {role, prompt, response, latency}
-      LlmFailed        {role, prompt, error, latency}
-      EnvStep          {action, ok, error}
-      PlanIssued       {plan}
-      VerdictIssued    {decision, reasons}
-      ReplanRequested  {request}
-      DecisionIssued   {ruling, new_plan?|guidance?}
-      ForceStop        {exchange_count, reason}
-      TaskResult       {success, answer, termination, detail}
-    """
+
+class TranscriptEvent(NamedTuple):
+    """One record in a task's append-only event log; EVENT_FIELDS gives its payload."""
 
     seq: int
     timestamp: float
@@ -572,7 +601,8 @@ class TranscriptEvent(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "TranscriptEvent":
-        return cls(d["seq"], d["ts"], EventKind(d["kind"]), d.get("payload", {}))
+        payload = OBJECT.check(d.get("payload", {}), "payload")
+        return cls(d["seq"], d["ts"], EventKind(d["kind"]), payload)
 
     def to_json(self) -> str:
         return _EVENT_ENCODER.encode(self.to_dict())

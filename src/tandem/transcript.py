@@ -1,10 +1,10 @@
 """Transcript recording, persistence and replay.
 
 A transcript is one header line followed by line-delimited JSON events
-with gap-free seq numbers from 0.  RunRecorder is the live sink: every
-LLM call (LlmCall) and failed LLM call (LlmFailed), environment step,
-verdict, decision and budget event lands here, and the exchange counter
-it maintains is by construction equal to the number of LlmCall events.
+with gap-free seq numbers from 0, each payload as `protocol.EVENT_FIELDS`
+declares it.  RunRecorder is the live sink: every LLM call (LlmCall),
+failed LLM call (LlmFailed), environment step, verdict, decision and
+budget event lands here, and `append` counts each LlmCall as one exchange.
 
 ReplayBackend turns a recorded transcript back into a backend: it serves
 the recorded responses in order, raises each recorded failure again, and
@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from .backend import BackendError, ChatRequest
-from .protocol import EventKind, InputError, TranscriptEvent, parse_data, read_text
+from .protocol import EVENT_FIELDS, EventKind, InputError, TranscriptEvent, parse_data, read_text
 
 __all__ = [
     "ForceStopInterrupt",
@@ -36,19 +36,6 @@ __all__ = [
 
 TRANSCRIPT_FORMAT = "tandem-transcript"
 TRANSCRIPT_VERSION = 1
-
-# Payload keys every event of a kind carries; replay and reports read them.
-_PAYLOAD_REQUIRED_KEYS: dict[EventKind, tuple[str, ...]] = {
-    EventKind.LLM_CALL: ("role", "prompt", "response", "latency"),
-    EventKind.LLM_FAILED: ("role", "prompt", "error", "latency"),
-    EventKind.ENV_STEP: ("action", "ok"),
-    EventKind.PLAN_ISSUED: ("plan",),
-    EventKind.VERDICT_ISSUED: ("decision",),
-    EventKind.REPLAN_REQUESTED: ("request",),
-    EventKind.DECISION_ISSUED: ("ruling",),
-    EventKind.FORCE_STOP: ("exchange_count", "reason"),
-    EventKind.TASK_RESULT: ("success", "answer", "termination"),
-}
 
 
 class TranscriptCorrupt(InputError):
@@ -98,14 +85,9 @@ class RunRecorder:
             raise RuntimeError("transcript already terminated by a TaskResult")
         event = TranscriptEvent(len(self.events), time.time(), kind, payload)
         self.events.append(event)
+        if kind is EventKind.LLM_CALL:
+            self.exchanges += 1
         return event
-
-    def record_llm_call(self, role: str, prompt: str, response: str, latency: float) -> None:
-        self.append(
-            EventKind.LLM_CALL,
-            {"role": role, "prompt": prompt, "response": response, "latency": latency},
-        )
-        self.exchanges += 1
 
     @property
     def closed(self) -> bool:
@@ -137,10 +119,10 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     Returns (header, events, warnings).  A file cut off mid-write yields
     every complete event plus a warning; structural damage before the
     last line raises TranscriptCorrupt with the offending line number, as
-    does an event payload that is not an object or lacks a key its kind
-    requires.  A file that cannot be read is an InputError.  Records end
-    at line feeds only, so a string value may hold U+2028 or any other
-    line break raw.
+    does an event payload that is not an object or breaks EVENT_FIELDS: a
+    required key missing, a value of another type.  A file that cannot be
+    read is an InputError.  Records end at line feeds only, so a string
+    value may hold U+2028 or any other line break raw.
     """
     lines = read_text(path).split("\n")
     if lines[-1] == "":
@@ -169,13 +151,15 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
             event = TranscriptEvent.from_dict(record)
         except (KeyError, ValueError, TypeError) as exc:
             raise TranscriptCorrupt(path, i, f"bad event record: {exc}") from None
-        if not isinstance(event.payload, dict):
-            raise TranscriptCorrupt(path, i, f"{event.kind.value} payload is not an object")
-        missing = [k for k in _PAYLOAD_REQUIRED_KEYS[event.kind] if k not in event.payload]
-        if missing:
-            raise TranscriptCorrupt(
-                path, i, f"payload missing keys {missing} for kind {event.kind.value}"
-            )
+        kind = event.kind.value
+        for key, json_type in EVENT_FIELDS[event.kind].items():
+            try:
+                json_type.check(event.payload[key], key)
+            except KeyError:
+                if json_type.required:
+                    raise TranscriptCorrupt(path, i, f"{kind} payload lacks {key}") from None
+            except TypeError as exc:
+                raise TranscriptCorrupt(path, i, f"{kind} payload {exc}") from None
         if event.seq != len(events):
             raise TranscriptCorrupt(path, i, f"seq {event.seq} breaks gap-free order")
         events.append(event)
@@ -254,6 +238,6 @@ class ReplayBackend:
         if request.rendered() != recorded.payload["prompt"]:
             raise ReplayDivergence(f"rendered prompt differs from recording (recorded call #{n})")
         if recorded.kind is EventKind.LLM_FAILED:
-            name, _, message = str(recorded.payload["error"]).partition(": ")
+            name, _, message = recorded.payload["error"].partition(": ")
             raise _FAILURES.get(name, BackendError)(message)
         return recorded.payload["response"]

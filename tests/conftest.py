@@ -11,9 +11,11 @@ from tandem.harness import load_task_file
 from tandem.orchestrator import run_task
 from tandem.planner import GlobalPlanner
 from tandem.protocol import (
+    EVENT_FIELDS,
     ActionKind,
     Budgets,
     EvaluatorSpec,
+    EventKind,
     Observation,
     PageAction,
     PhaseSpec,
@@ -148,3 +150,15 @@ def shop_env() -> WebEnv:
     env = WebEnv(load_fixture("shop"))
     env.reset()
     return env
+
+
+def assert_declared(kind: EventKind, payload: dict) -> None:
+    """`payload` has exactly the keys EVENT_FIELDS declares for `kind`, in the
+    declared order, each with its declared JSON type."""
+    fields = EVENT_FIELDS[kind]
+    assert list(payload) == [key for key in fields if key in payload], (kind, list(payload))
+    for key, json_type in fields.items():
+        if key in payload:
+            json_type.check(payload[key], key)
+        else:
+            assert not json_type.required, (kind, key)

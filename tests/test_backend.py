@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -277,6 +278,32 @@ def test_http_retries_rate_limits_honouring_retry_after(monkeypatch):
     assert backend.complete(make_request("hi")) == "finally"
     assert statuses == []
     assert sleeps == [3, 3]  # Retry-After outlasts the 0.5 s and 1 s backoff
+
+
+def test_http_retry_after_an_http_date_waits_until_then(monkeypatch):
+    now = 1_700_000_000.0
+    # An HTTP-date 7 s ahead, one a minute past, and one that does not parse.
+    waits = [formatdate(now + 7, usegmt=True), formatdate(now - 60, usegmt=True), "soon"]
+    statuses = [429, 503, 429, 200]
+    sleeps = []
+
+    class FakeResponse:
+        def __init__(self, status):
+            self.status_code = status
+            self.text = ""
+            self.headers = {"Retry-After": waits.pop(0)} if status != 200 else {}
+
+        def json(self):
+            return {"choices": [{"message": {"content": "finally"}}]}
+
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(statuses.pop(0)))
+    monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
+    monkeypatch.setattr(backend_mod.time, "time", lambda: now)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=3, backoff=0.5)
+    assert backend.complete(make_request("hi")) == "finally"
+    assert statuses == []
+    # The future date outlasts the 0.5 s backoff; the past and garbage ones wait the backoff.
+    assert sleeps == [7.0, 1.0, 2.0]
 
 
 def test_http_empty_completion_raises(monkeypatch):

@@ -27,10 +27,10 @@ from tandem.harness import (
     success_rate,
 )
 from tandem.orchestrator import TaskOutcome, Termination
-from tandem.protocol import Budgets, Difficulty, InputError, ReplanRequest
+from tandem.protocol import Budgets, Difficulty, EventKind, InputError, ReplanRequest
 from tandem.transcript import read_transcript
 
-from conftest import DATA, REPO, make_task, scenario_backend, scenario_task
+from conftest import DATA, REPO, assert_declared, make_task, scenario_backend, scenario_task
 
 # ---------------------------------------------------------------------
 # Metric arithmetic
@@ -461,20 +461,20 @@ def first_payload(records, kind, where=lambda payload: True):
     return next(r["payload"] for r in records if r["kind"] == kind and where(r["payload"]))
 
 
-def edit_first_env_step(records):
+def edit_first_env_step(header, records):
     first_payload(records, "EnvStep")["action"] = "go_back"
 
 
-def tamper_an_action_response(records):
+def tamper_an_action_response(header, records):
     is_actions = lambda payload: payload["response"].startswith("**Action 1:**")
     first_payload(records, "LlmCall", is_actions)["response"] = "**Action 1:** go_back"
 
 
-def edit_the_first_prompt(records):
+def edit_the_first_prompt(header, records):
     first_payload(records, "LlmCall")["prompt"] += "x"
 
 
-def drop_the_last_llm_call(records):
+def drop_the_last_llm_call(header, records):
     del records[max(i for i, r in enumerate(records) if r["kind"] == "LlmCall")]
     for seq, record in enumerate(records):
         record["seq"] = seq
@@ -504,7 +504,8 @@ RECORDINGS = {
 REPRODUCED = "replay reproduced the recording"
 NEEDS_MORE = "run needs more LLM calls than were recorded"
 
-# (recorded run, edit to its events, bytes cut off the end, message, divergence_seq).
+# (recorded run, edit to its header and events, bytes cut off the end, message,
+# divergence_seq).
 # scn-replan records 18 events: EnvSteps at 3, 12 and 13, LlmCalls at 0, 2,
 # 4, 6, 7, 11, 14 and 16, its TaskResult at 17.
 REPLAY_VERDICTS = {
@@ -544,6 +545,24 @@ REPLAY_VERDICTS = {
     ),
     "blank-collation": ("blank-collation", None, 0, REPRODUCED, None),
     "plan-only": ("plan-only", None, 0, REPRODUCED, None),
+    # A header setting of the wrong JSON type is a bad header, not a
+    # setting read some other way.
+    "augment-search-a-string": (
+        "scn-replan", lambda header, records: header.update(augment_search="false"), 0,
+        "bad transcript header: augment_search: expected a boolean, got str 'false'", None,
+    ),
+    "temperature-a-bool": (
+        "scn-replan", lambda header, records: header.update(temperature=True), 0,
+        "bad transcript header: temperature: expected a number, got bool True", None,
+    ),
+    "force-stop-a-string": (
+        "scn-replan", lambda header, records: header["budgets"].update(force_stop_enabled="no"), 0,
+        "bad transcript header: force_stop_enabled: expected a boolean, got str 'no'", None,
+    ),
+    "max-exchanges-a-bool": (
+        "scn-replan", lambda header, records: header["budgets"].update(max_exchanges=True), 0,
+        "bad transcript header: max_exchanges: expected an integer, got bool True", None,
+    ),
 }
 
 
@@ -555,10 +574,9 @@ def test_replay_verdicts(tmp_path, shape):
     path = Path(run.transcript_path)
     data = path.read_bytes()
     if edit is not None:
-        header, *lines = data.decode("utf-8").splitlines()
-        records = [json.loads(line) for line in lines]
-        edit(records)
-        data = "".join(line + "\n" for line in [header, *map(json.dumps, records)]).encode()
+        header, *records = map(json.loads, data.decode("utf-8").splitlines())
+        edit(header, records)
+        data = "".join(json.dumps(record) + "\n" for record in [header, *records]).encode()
     path.write_bytes(data[: len(data) - cut])
     result = replay_transcript(path)
     assert (result.ok, result.message, result.divergence_seq) == (message == REPRODUCED, message, seq)
@@ -625,6 +643,17 @@ def test_a_bad_temperature_is_an_input_error_before_any_file(tmp_path, temperatu
 def demo_tasks_and_factory():
     tasks = load_suite("demo")
     return tasks, lambda task: scenario_backend(task.id)
+
+
+def test_every_written_event_has_its_declared_fields(tmp_path):
+    tasks, factory = demo_tasks_and_factory()
+    run_suite(tasks, factory, Budgets(), out_dir=tmp_path)
+    paths = [*tmp_path.glob("*.transcript.jsonl"), *RECORDED.glob("*.transcript.jsonl")]
+    assert len(paths) == len(tasks) + 2
+    for path in paths:
+        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+            record = json.loads(line)
+            assert_declared(EventKind(record["kind"]), record["payload"])
 
 
 def test_run_suite_serial(tmp_path):

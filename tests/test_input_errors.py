@@ -134,7 +134,10 @@ KINDS = [
         _text(RECORDED),
         lambda p, t: ["replay", str(p)],
         lambda s: s[: s.index("\n") // 2],
-        (lambda s: s.replace('"kind": "LlmCall"', '"kind": 5', 1),),
+        (
+            lambda s: s.replace('"kind": "LlmCall"', '"kind": 5', 1),
+            lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
+        ),
         syntax="jsonl",
     ),
     Kind(
@@ -145,7 +148,10 @@ KINDS = [
             "--out", str(t / "out"),
         ],
         lambda s: s[: s.index("\n") // 2],
-        (lambda s: s.replace('"kind": "LlmCall"', '"kind": 5', 1),),
+        (
+            lambda s: s.replace('"kind": "LlmCall"', '"kind": 5', 1),
+            lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
+        ),
         syntax="jsonl",
     ),
 ]

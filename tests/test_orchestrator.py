@@ -30,6 +30,7 @@ from tandem.planner import GlobalPlanner
 from tandem.protocol import (
     ActionSequence,
     Budgets,
+    EventKind,
     ExecutionReport,
     ExecutionStep,
     GlobalDecision,
@@ -45,6 +46,7 @@ from tandem.webenv import WebEnv, load_fixture
 from conftest import (
     SCENARIOS,
     action,
+    assert_declared,
     golden_budgets,
     load_golden,
     make_obs,
@@ -125,15 +127,19 @@ LEGAL = {
 def test_step_legality_table(mode, name):
     state = fresh_state(mode, plan=make_plan())
     state.phase_index, state.last_report = 1, ok_report()
+    if mode is Mode.FORCE_STOPPED:  # entered as a run enters it, by a ForceStop event
+        state.mode = Mode.PHASE_EXECUTION
+        step(state, BudgetTripped(3))
+    before = list(state.recorder.events)
     inp = STEP_INPUTS[name]()
     if mode in LEGAL[name]:
         step(state, inp)
-        assert state.recorder.events
+        assert len(state.recorder.events) > len(before)
         assert state.mode is LEGAL[name][mode]
     else:
         with pytest.raises(IllegalTransition):
             step(state, inp)
-        assert state.recorder.events == []
+        assert state.recorder.events == before
         assert state.mode is mode
 
 
@@ -159,13 +165,19 @@ def test_revision_counter_resets_on_phase_advance():
     assert state.revisions_this_phase == 0
 
 
+def result_after_finalizing(state: OrchestratorState) -> dict:
+    step(state, Finalized(success=False, answer=""))
+    return state.recorder.events[-1].payload
+
+
 def test_budget_trip_cannot_happen_twice():
     state = fresh_state(Mode.PHASE_EXECUTION, plan=make_plan())
     step(state, BudgetTripped(30))
     assert state.mode is Mode.FORCE_STOPPED
-    assert state.termination is Termination.FORCE_STOPPED
     with pytest.raises(IllegalTransition):
         step(state, BudgetTripped(30))
+    result = result_after_finalizing(state)
+    assert (result["termination"], result["detail"]) == ("force_stopped", "max_exchanges")
 
 
 # Each limit: the verdict it counts, the counter, the Budgets field, the
@@ -196,7 +208,10 @@ def verdict_state(counter: str, used: int, limit_field: str, force_stop: bool) -
     state.mode, state.plan, state.phase_index = Mode.FAIL_CHECK, make_plan(), 1
     setattr(state, counter, used)
     for _ in range(3):
-        state.recorder.record_llm_call("local", "prompt", "response", 0.0)
+        state.recorder.append(
+            EventKind.LLM_CALL,
+            {"role": "local", "prompt": "prompt", "response": "response", "latency": 0.0},
+        )
     return state
 
 
@@ -208,9 +223,9 @@ def test_verdict_at_its_limit_force_stops(decision, counter, limit_field, reason
     assert [e.kind.value for e in tail] == ["VerdictIssued", "ForceStop"]
     assert tail[1].payload == {"exchange_count": 3, "reason": reason}
     assert state.mode is Mode.FORCE_STOPPED
-    assert state.termination is Termination.BUDGET_EXHAUSTED
-    assert state.termination_detail == reason
     assert getattr(state, counter) == 2
+    result = result_after_finalizing(state)
+    assert (result["termination"], result["detail"]) == ("budget_exhausted", reason)
 
 
 @pytest.mark.parametrize("decision,counter,limit_field,reason,next_mode", LIMITS)
@@ -228,7 +243,6 @@ def test_limits_do_not_bind_with_force_stop(decision, counter, limit_field, reas
     step(state, LocalVerdict(decision=decision, reasons="again"))
     assert state.recorder.events[-1].kind.value == "VerdictIssued"
     assert state.mode is next_mode
-    assert state.termination is Termination.COMPLETED
     assert getattr(state, counter) == 3
 
 
@@ -482,6 +496,8 @@ def check_invariants(outcome: TaskOutcome, recorder: RunRecorder, budgets: Budge
     assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
 
     assert kinds.count("LlmCall") == outcome.exchanges_used == recorder.exchanges
+    for e in events:
+        assert_declared(e.kind, e.payload)
 
     if budgets.force_stop_enabled:
         assert outcome.exchanges_used <= budgets.max_exchanges

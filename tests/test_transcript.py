@@ -21,7 +21,15 @@ from tandem.transcript import (
 
 def sample_events(n: int = 3) -> list[TranscriptEvent]:
     recorder = RunRecorder()
-    recorder.record_llm_call("global", "plan please", "Phase 1: x | Expected: y", 0.01)
+    recorder.append(
+        EventKind.LLM_CALL,
+        {
+            "role": "global",
+            "prompt": "plan please",
+            "response": "Phase 1: x | Expected: y",
+            "latency": 0.01,
+        },
+    )
     recorder.append(EventKind.ENV_STEP, {"action": "click [3]", "ok": True, "error": ""})
     recorder.append(
         EventKind.TASK_RESULT,
@@ -55,8 +63,14 @@ def test_recorder_closes_on_task_result():
 def test_exchange_counter_tracks_llm_calls():
     recorder = RunRecorder()
     assert recorder.exchanges == 0
-    recorder.record_llm_call("local", "p", "r", 0.0)
-    recorder.record_llm_call("global", "p2", "r2", 0.0)
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "local", "prompt": "p", "response": "r", "latency": 0.0},
+    )
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "global", "prompt": "p2", "response": "r2", "latency": 0.0},
+    )
     assert recorder.exchanges == 2
     llm_events = [e for e in recorder.events if e.kind is EventKind.LLM_CALL]
     assert len(llm_events) == 2
@@ -66,9 +80,15 @@ def test_exchange_counter_tracks_llm_calls():
 def test_budget_gate_trips_at_cap_before_the_call():
     recorder = RunRecorder(exchange_cap=2)
     recorder.check_exchange_budget()  # 0 < 2
-    recorder.record_llm_call("local", "p", "r", 0.0)
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "local", "prompt": "p", "response": "r", "latency": 0.0},
+    )
     recorder.check_exchange_budget()  # 1 < 2
-    recorder.record_llm_call("local", "p", "r", 0.0)
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "local", "prompt": "p", "response": "r", "latency": 0.0},
+    )
     with pytest.raises(ForceStopInterrupt) as err:
         recorder.check_exchange_budget()
     assert err.value.exchange_count == 2
@@ -77,7 +97,10 @@ def test_budget_gate_trips_at_cap_before_the_call():
 def test_budget_gate_disarmed_without_cap():
     recorder = RunRecorder()
     for _ in range(50):
-        recorder.record_llm_call("local", "p", "r", 0.0)
+        recorder.append(
+            EventKind.LLM_CALL,
+            {"role": "local", "prompt": "p", "response": "r", "latency": 0.0},
+        )
         recorder.check_exchange_budget()
     assert recorder.exchanges == 50
 
@@ -172,8 +195,14 @@ def test_strip_volatile_drops_ts_and_latency():
 def test_first_divergence_ignores_latency_and_time():
     a = RunRecorder()
     b = RunRecorder()
-    a.record_llm_call("local", "p", "r", 0.123)
-    b.record_llm_call("local", "p", "r", 9.876)
+    a.append(
+        EventKind.LLM_CALL,
+        {"role": "local", "prompt": "p", "response": "r", "latency": 0.123},
+    )
+    b.append(
+        EventKind.LLM_CALL,
+        {"role": "local", "prompt": "p", "response": "r", "latency": 9.876},
+    )
     assert first_divergence(a.events, b.events) is None
 
 
@@ -181,7 +210,10 @@ def test_first_divergence_points_at_the_difference():
     a = RunRecorder()
     b = RunRecorder()
     for rec in (a, b):
-        rec.record_llm_call("local", "same", "same", 0.0)
+        rec.append(
+            EventKind.LLM_CALL,
+            {"role": "local", "prompt": "same", "response": "same", "latency": 0.0},
+        )
     a.append(EventKind.ENV_STEP, {"action": "click [3]", "ok": True, "error": ""})
     b.append(EventKind.ENV_STEP, {"action": "click [4]", "ok": True, "error": ""})
     assert first_divergence(a.events, b.events) == 1
@@ -189,7 +221,7 @@ def test_first_divergence_points_at_the_difference():
 
 def test_first_divergence_flags_length_mismatch():
     a = RunRecorder()
-    a.record_llm_call("local", "p", "r", 0.0)
+    a.append(EventKind.LLM_CALL, {"role": "local", "prompt": "p", "response": "r", "latency": 0.0})
     b = RunRecorder()
     assert first_divergence(a.events, b.events) == 0
     assert first_divergence(b.events, a.events) == 0
@@ -247,8 +279,14 @@ def test_first_divergence_cases(case):
 
 def test_replay_serves_responses_in_order():
     recorder = RunRecorder()
-    recorder.record_llm_call("global", "prompt one", "response one", 0.0)
-    recorder.record_llm_call("local", "prompt two", "response two", 0.0)
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "global", "prompt": "prompt one", "response": "response one", "latency": 0.0},
+    )
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "local", "prompt": "prompt two", "response": "response two", "latency": 0.0},
+    )
     replay = ReplayBackend(recorder.events)
     assert replay.complete(request_for("prompt one")) == "response one"
     assert replay.complete(request_for("prompt two")) == "response two"
@@ -257,7 +295,10 @@ def test_replay_serves_responses_in_order():
 def test_replay_diverges_on_prompt_mismatch():
     recorder = RunRecorder()
     recorder.append(EventKind.ENV_STEP, {"action": "click [3]", "ok": True, "error": ""})
-    recorder.record_llm_call("global", "recorded prompt", "resp", 0.0)
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "global", "prompt": "recorded prompt", "response": "resp", "latency": 0.0},
+    )
     replay = ReplayBackend(recorder.events)
     with pytest.raises(ReplayDivergence) as err:
         replay.complete(request_for("different prompt"))
@@ -266,7 +307,10 @@ def test_replay_diverges_on_prompt_mismatch():
 
 def test_replay_diverges_on_exhaustion():
     recorder = RunRecorder()
-    recorder.record_llm_call("global", "p", "r", 0.0)
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "global", "prompt": "p", "response": "r", "latency": 0.0},
+    )
     replay = ReplayBackend(recorder.events)
     replay.complete(request_for("p"))
     with pytest.raises(ReplayDivergence):
@@ -275,7 +319,10 @@ def test_replay_diverges_on_exhaustion():
 
 def test_replay_from_file(tmp_path):
     recorder = RunRecorder()
-    recorder.record_llm_call("global", "p", "r", 0.0)
+    recorder.append(
+        EventKind.LLM_CALL,
+        {"role": "global", "prompt": "p", "response": "r", "latency": 0.0},
+    )
     path = tmp_path / "run.jsonl"
     write_transcript(path, {"task": "x"}, recorder.events)
     replay = ReplayBackend(read_transcript(path)[1])
