@@ -223,10 +223,12 @@ class HttpChatBackend:
 def _retry_after(value: str) -> float:
     """The seconds a Retry-After value asks to wait: delay-seconds, or the
     time until an HTTP-date (RFC 9110 §10.2.3); 0 for a past date or garbage."""
+    if not value:
+        return 0
     if value.isascii() and value.isdigit():
         return int(value)
     from datetime import timezone
-    from email.utils import parsedate_to_datetime  # imported by rate-limited calls only
+    from email.utils import parsedate_to_datetime  # imported only when a date arrives
 
     try:
         when = parsedate_to_datetime(value)

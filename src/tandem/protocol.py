@@ -28,6 +28,7 @@ import yaml
 __all__ = [
     "ActionKind",
     "ActionSequence",
+    "BOOLEAN",
     "Budgets",
     "DictCodec",
     "Difficulty",
@@ -38,14 +39,18 @@ __all__ = [
     "ExecutionStep",
     "GlobalDecision",
     "GlobalPlan",
+    "INTEGER",
     "InputError",
     "JsonType",
     "LocalVerdict",
+    "NUMBER",
+    "OBJECT",
     "Observation",
     "PageAction",
     "PhaseSpec",
     "ReplanRequest",
     "StepOutcome",
+    "STRING",
     "Task",
     "TranscriptEvent",
     "VerdictDecision",
@@ -197,16 +202,12 @@ class JsonType(NamedTuple):
 
     name: str
     types: tuple[type, ...]
-    required: bool = True  # False: an event payload may leave the key out
 
     def check(self, value: Any, key: str) -> Any:
         """`value`, if its type is one of `types`; else a TypeError naming `key`."""
         if type(value) not in self.types:
             raise TypeError(f"{key}: expected {self.name}, got {type(value).__name__} {value!r}")
         return value
-
-    def optional(self) -> "JsonType":
-        return self._replace(required=False)
 
 
 STRING = JsonType("a string", (str,))
@@ -564,22 +565,28 @@ class Budgets(DictCodec):
 _EVENT_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
-# The transcript format: each event kind's payload keys in the order the
-# writers emit them, with their JSON types.  read_transcript checks it.
-EVENT_FIELDS: dict[EventKind, dict[str, JsonType]] = {
-    EventKind.LLM_CALL: {"role": STRING, "prompt": STRING, "response": STRING, "latency": NUMBER},
-    EventKind.LLM_FAILED: {"role": STRING, "prompt": STRING, "error": STRING, "latency": NUMBER},
-    EventKind.ENV_STEP: {"action": STRING, "ok": BOOLEAN, "error": STRING.optional()},
-    EventKind.PLAN_ISSUED: {"plan": OBJECT},
-    EventKind.VERDICT_ISSUED: {"decision": STRING, "reasons": STRING.optional()},
-    EventKind.REPLAN_REQUESTED: {"request": OBJECT},
-    EventKind.DECISION_ISSUED: {  # new_plan for a revise ruling, guidance for an overrule
-        "ruling": STRING, "new_plan": OBJECT.optional(), "guidance": STRING.optional()
-    },
-    EventKind.FORCE_STOP: {"exchange_count": INTEGER, "reason": STRING},
-    EventKind.TASK_RESULT: {
-        "success": BOOLEAN, "answer": STRING, "termination": STRING, "detail": STRING.optional()
-    },
+# The transcript format: for each event kind, its payload keys in the order
+# the writers emit them with their JSON types, then the keys a writer may
+# leave out.  read_transcript checks it.
+EVENT_FIELDS: dict[EventKind, tuple[dict[str, JsonType], tuple[str, ...]]] = {
+    EventKind.LLM_CALL: (
+        {"role": STRING, "prompt": STRING, "response": STRING, "latency": NUMBER}, ()
+    ),
+    EventKind.LLM_FAILED: (
+        {"role": STRING, "prompt": STRING, "error": STRING, "latency": NUMBER}, ()
+    ),
+    EventKind.ENV_STEP: ({"action": STRING, "ok": BOOLEAN, "error": STRING}, ("error",)),
+    EventKind.PLAN_ISSUED: ({"plan": OBJECT}, ()),
+    EventKind.VERDICT_ISSUED: ({"decision": STRING, "reasons": STRING}, ("reasons",)),
+    EventKind.REPLAN_REQUESTED: ({"request": OBJECT}, ()),
+    EventKind.DECISION_ISSUED: (  # new_plan for a revise ruling, guidance for an overrule
+        {"ruling": STRING, "new_plan": OBJECT, "guidance": STRING}, ("new_plan", "guidance")
+    ),
+    EventKind.FORCE_STOP: ({"exchange_count": INTEGER, "reason": STRING}, ()),
+    EventKind.TASK_RESULT: (
+        {"success": BOOLEAN, "answer": STRING, "termination": STRING, "detail": STRING},
+        ("detail",),
+    ),
 }
 
 

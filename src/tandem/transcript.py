@@ -152,11 +152,12 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
         except (KeyError, ValueError, TypeError) as exc:
             raise TranscriptCorrupt(path, i, f"bad event record: {exc}") from None
         kind = event.kind.value
-        for key, json_type in EVENT_FIELDS[event.kind].items():
+        fields, optional = EVENT_FIELDS[event.kind]
+        for key, json_type in fields.items():
             try:
                 json_type.check(event.payload[key], key)
             except KeyError:
-                if json_type.required:
+                if key not in optional:
                     raise TranscriptCorrupt(path, i, f"{kind} payload lacks {key}") from None
             except TypeError as exc:
                 raise TranscriptCorrupt(path, i, f"{kind} payload {exc}") from None

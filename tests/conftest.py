@@ -155,10 +155,11 @@ def shop_env() -> WebEnv:
 def assert_declared(kind: EventKind, payload: dict) -> None:
     """`payload` has exactly the keys EVENT_FIELDS declares for `kind`, in the
     declared order, each with its declared JSON type."""
-    fields = EVENT_FIELDS[kind]
+    fields, optional = EVENT_FIELDS[kind]
+    assert set(optional) <= set(fields), kind
     assert list(payload) == [key for key in fields if key in payload], (kind, list(payload))
     for key, json_type in fields.items():
         if key in payload:
             json_type.check(payload[key], key)
         else:
-            assert not json_type.required, (kind, key)
+            assert key in optional, (kind, key)

@@ -31,7 +31,8 @@ def runs(ops_per_s, op_ms_p50, failed=0):
 def test_a_clear_gain_meets_the_claim_rule():
     parent = runs([100, 102, 98, 101, 99, 103, 97, 100, 102, 98], [10.0] * 10)
     # Nine of ten pairs won; the median moves by 20 against a parent IQR of 4.
-    change = runs([120, 122, 118, 121, 119, 123, 117, 120, 122, 95], [10.0] * 10)
+    change_ops = [120, 122, 118, 121, 119, 123, 117, 120, 122, 95]
+    change = runs(change_ops, [10.0] * 10)
     ops = bench_pairs.summarize(parent, change, METRICS)["metrics"]["ops_per_s"]
     assert ops["change_wins"] == 9
     assert ops["parent"]["median"] == 100.0
@@ -41,6 +42,10 @@ def test_a_clear_gain_meets_the_claim_rule():
     assert ops["median_better_by"] == 0.2
     assert ops["claim_met"] is True
     assert ops["regression"] == "within bound"
+    # The same wins do not count when the change fails an operation the parent did not.
+    failing = bench_pairs.summarize(parent, runs(change_ops, [10.0] * 10, failed=1), METRICS)
+    assert failing["metrics"]["ops_per_s"]["change_wins"] == 9
+    assert failing["metrics"]["ops_per_s"]["claim_met"] is False
 
 
 def test_eight_wins_or_a_small_move_do_not_meet_it():

@@ -1,23 +1,23 @@
 """Run the benchmark in alternating parent/change pairs and judge the result.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --workload replay-verify --workload scripted-suite --pairs 10 --seconds 40 \\
-        --first-seed 11 --out pairs.json
+        --workload replay-verify --workload scripted-suite --pairs 10 --out pairs.json
 
 Each side runs from its own `git worktree` of the given revision, made in
 a temporary directory and removed when the driver ends, however it ends.
-Pair i (from 0) runs `bench/run.py --workload W --seed first_seed+i
---seconds S --trace 0` once on each side, back to back; the parent runs
-first in even pairs and the change first in odd ones.  For every
-end-to-end metric that BENCHMARK.json lists, the summary gives each
-side's median and quartiles, how many pairs the change won (ties count
-for neither), the
-claim rule (the change wins at least nine tenths of the pairs and its
-median is better by more than the parent's interquartile range) and the
-regression rule (the change's median is no worse than the parent's by
-more than the metric's bound; "unresolved" when the parent's own spread
-is wider than the bound and not every change run beats every parent run).
-Standard library only.
+Pair i (from 0) runs `bench/run.py --workload W --seed i+1 --seconds S
+--trace 0` once on each side, back to back, with S BENCHMARK.json's
+`run_seconds`; the parent runs first in even pairs and the change first
+in odd ones.  For every end-to-end metric that BENCHMARK.json lists, the
+summary gives each side's median and quartiles, how many pairs the
+change won (ties count for neither), the claim rule (every change run is
+correct, the change fails no more operations than the parent, wins at
+least nine tenths of the pairs, and its median is better by more than
+the parent's interquartile range) and the regression rule (the change's
+median is no worse than the parent's by more than the metric's bound;
+"unresolved" when the parent's own spread is wider than the bound and
+not every change run beats every parent run).  Seeds 1 to 10 are the
+ones bench/baseline.py uses.  Standard library only.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
         },
         "metrics": {},
     }
+    # A gain does not count when the change is wrong or fails more operations.
+    sound = out["correct"]["change"] and out["failed"]["change"] <= out["failed"]["parent"]
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         p = [run["metrics"][name]["value"] for run in parent]
@@ -85,7 +87,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
             "change_wins": wins,
             "median_better_by": gain / scale,
             "parent_iqr": p_q3 - p_q1,
-            "claim_met": wins >= math.ceil(0.9 * pairs) and gain > p_q3 - p_q1,
+            "claim_met": sound and wins >= math.ceil(0.9 * pairs) and gain > p_q3 - p_q1,
             "regression": regression,
         }
     return out
@@ -113,16 +115,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, help="revision of the change side")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40)
-    parser.add_argument("--first-seed", type=int, default=11)
     parser.add_argument("--out", help="file for the JSON summary (default: stdout)")
     args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds, metrics = benchmark["run_seconds"], benchmark["end_to_end"]
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {side: scratch / side for side in ("parent", "change")}
-    summary = {"parent": args.parent, "change": args.change, "seconds": args.seconds,
-               "first_seed": args.first_seed, "workloads": {}}
+    summary = {"parent": args.parent, "change": args.change, "seconds": seconds, "workloads": {}}
     try:
         for side, tree in trees.items():
             _git("worktree", "add", "--detach", str(tree), getattr(args, side))
@@ -131,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.pairs):
                 order = ("change", "parent") if i % 2 else ("parent", "change")
                 for side in order:
-                    seed = args.first_seed + i
-                    runs[side].append(_bench(trees[side], workload, seed, args.seconds))
+                    runs[side].append(_bench(trees[side], workload, i + 1, seconds))
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"{runs[side][-1]['metrics']['ops_per_s']['value']:.1f} ops/s",
                           file=sys.stderr)
