@@ -206,8 +206,11 @@ class JsonType(NamedTuple):
     def check(self, value: Any, key: str) -> Any:
         """`value`, if its type is one of `types`; else a TypeError naming `key`."""
         if type(value) not in self.types:
-            raise TypeError(f"{key}: expected {self.name}, got {type(value).__name__} {value!r}")
+            raise TypeError(self.mismatch(value, key))
         return value
+
+    def mismatch(self, value: Any, key: str) -> str:
+        return f"{key}: expected {self.name}, got {type(value).__name__} {value!r}"
 
 
 STRING = JsonType("a string", (str,))

@@ -151,16 +151,15 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
             event = TranscriptEvent.from_dict(record)
         except (KeyError, ValueError, TypeError) as exc:
             raise TranscriptCorrupt(path, i, f"bad event record: {exc}") from None
-        kind = event.kind.value
+        payload = event.payload
         fields, optional = EVENT_FIELDS[event.kind]
-        for key, json_type in fields.items():
-            try:
-                json_type.check(event.payload[key], key)
-            except KeyError:
-                if key not in optional:
-                    raise TranscriptCorrupt(path, i, f"{kind} payload lacks {key}") from None
-            except TypeError as exc:
-                raise TranscriptCorrupt(path, i, f"{kind} payload {exc}") from None
+        for key, json_type in fields.items():  # inline checks: this loop is replay's hot path
+            if key in payload:
+                if type(payload[key]) not in json_type.types:
+                    error = json_type.mismatch(payload[key], key)
+                    raise TranscriptCorrupt(path, i, f"{event.kind.value} payload {error}")
+            elif key not in optional:
+                raise TranscriptCorrupt(path, i, f"{event.kind.value} payload lacks {key}")
         if event.seq != len(events):
             raise TranscriptCorrupt(path, i, f"seq {event.seq} breaks gap-free order")
         events.append(event)
