@@ -72,7 +72,6 @@ from .planner import GlobalPlanner
 from .prompts import PromptLibrary, context_block
 from .protocol import (
     ActionKind,
-    ActionSequence,
     Budgets,
     Difficulty,
     EvaluatorSpec,

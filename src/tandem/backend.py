@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 PASSAGE_WORD_LIMIT = 100
+# The completion length every chat request asks for.
+MAX_RESPONSE_TOKENS = 1024
 PASSAGES_FORMAT = "tandem-passages"
 
 
@@ -96,7 +98,6 @@ class ChatRequest:
     system_prompt: str
     messages: tuple[ChatMessage, ...]
     temperature: float = 1.0
-    max_response_tokens: int = 1024
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -119,7 +120,6 @@ class ChatRequest:
             messages=self.messages
             + (ChatMessage("assistant", assistant_text), ChatMessage("user", user_text)),
             temperature=self.temperature,
-            max_response_tokens=self.max_response_tokens,
         )
 
 
@@ -183,7 +183,7 @@ class HttpChatBackend:
             "model": self.model,
             "messages": messages,
             "temperature": request.temperature,
-            "max_tokens": request.max_response_tokens,
+            "max_tokens": MAX_RESPONSE_TOKENS,
         }
 
     def complete(self, request: ChatRequest) -> str:

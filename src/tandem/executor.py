@@ -22,11 +22,11 @@ from .grammar import (
 from .prompts import context_block
 from .protocol import (
     ActionKind,
-    ActionSequence,
     ExecutionReport,
     ExecutionStep,
     LocalVerdict,
     Observation,
+    PageAction,
     PhaseSpec,
 )
 from .transcript import RunRecorder
@@ -51,22 +51,9 @@ class LocalExecutor(Agent):
 
     # -- prompt construction -------------------------------------------
 
-    def render_prompt(
-        self,
-        action: str,
-        phase: PhaseSpec,
-        obs: Observation,
-        reasons: str = "",
-        guidance: str = "",
-        feedback: str = "",
-    ) -> str:
-        meta = self.library.get(f"local/{action}")
-        if action == "revise":
-            meta = meta.format(reasons=reasons)
-        elif action == "overruled":
-            meta = meta.format(guidance=guidance)
-        elif action == "false_check":
-            meta = meta.format(feedback=feedback)
+    def render_prompt(self, action: str, phase: PhaseSpec, obs: Observation, **values: str) -> str:
+        """Prompt text for an executor action; `values` fill its meta-prompt's fields."""
+        meta = self.library.render(f"local/{action}", **values)
         return "\n\n".join([meta, context_block(obs, _phase_objective(phase))])
 
     def _ask(
@@ -79,20 +66,20 @@ class LocalExecutor(Agent):
 
     def _actions_via(
         self, chat: ChatRequest, recorder: RunRecorder
-    ) -> ActionSequence:
+    ) -> tuple[PageAction, ...]:
         return self._ask(chat, recorder, parse_action_sequence, prompt_texts.REPAIR_ACTIONS)
 
     # -- operations ------------------------------------------------------
 
     def plan_phase(
         self, phase: PhaseSpec, obs: Observation, recorder: RunRecorder
-    ) -> ActionSequence:
+    ) -> tuple[PageAction, ...]:
         """Plan the action sequence for a phase from the current page."""
         return self._actions_via(
             self._request(self.render_prompt("plan", phase, obs)), recorder
         )
 
-    def execute_actions(self, seq: ActionSequence, env: WebEnv) -> ExecutionReport:
+    def execute_actions(self, actions: tuple[PageAction, ...], env: WebEnv) -> ExecutionReport:
         """Run actions in order, halting at the first error or at stop.
 
         No LLM involvement: this is pure environment work.  The final
@@ -101,7 +88,7 @@ class LocalExecutor(Agent):
         """
         steps: list[ExecutionStep] = []
         failed = False
-        for action in seq.actions:
+        for action in actions:
             outcome = env.apply(action)
             steps.append(ExecutionStep(action=action, outcome=outcome))
             if not outcome.ok:
@@ -144,7 +131,7 @@ class LocalExecutor(Agent):
 
     def revise_local(
         self, reasons: str, phase: PhaseSpec, obs: Observation, recorder: RunRecorder
-    ) -> ActionSequence:
+    ) -> tuple[PageAction, ...]:
         """Produce a corrected sequence for the same phase."""
         return self._actions_via(
             self._request(self.render_prompt("revise", phase, obs, reasons=reasons)),
@@ -153,7 +140,7 @@ class LocalExecutor(Agent):
 
     def handle_overrule(
         self, guidance: str, phase: PhaseSpec, obs: Observation, recorder: RunRecorder
-    ) -> ActionSequence:
+    ) -> tuple[PageAction, ...]:
         """Retry the phase under the planner's guidance, plan unchanged."""
         return self._actions_via(
             self._request(

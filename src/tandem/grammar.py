@@ -7,9 +7,11 @@ renderer:
              (a plain numbered-list variant is accepted and normalized)
   actions    ``click [id]``, ``type [id] [text]``, ``scroll [up|down]``,
              ``goto [url]``, ``go_back``, ``stop [answer]``; sequences
-             arrive as ``**Action k:** <action>`` lines
-  verdicts   an ``Action:`` token among move/revise/request plus a
-             ``Reasons:`` tail; fenced tokens (```move```) also accepted
+             arrive as ``**Action k:** <action>`` lines and parse to a
+             tuple of PageAction
+  verdicts   an ``Action:`` token, one per VerdictDecision value
+             (move/revise/request), plus a ``Reasons:`` tail; fenced
+             tokens (```move```) also accepted
   decisions  a token among revise/overrule, remaining text is guidance
 
 Parsers are tolerant of surrounding prose but never guess: anything that
@@ -24,7 +26,6 @@ from functools import cache
 
 from .protocol import (
     ActionKind,
-    ActionSequence,
     GlobalPlan,
     LocalVerdict,
     PageAction,
@@ -182,7 +183,7 @@ def render_action(action: PageAction) -> str:
 _ACTION_LINE = re.compile(r"^\s*\*\*Action\s+\d+\s*:\*\*\s*(.+?)\s*$", re.IGNORECASE)
 
 
-def parse_action_sequence(text: str) -> ActionSequence:
+def parse_action_sequence(text: str) -> tuple[PageAction, ...]:
     """Extract ``**Action k:**`` lines from a response and parse each.
 
     stop is terminal: anything listed after the first stop is dropped.
@@ -200,12 +201,12 @@ def parse_action_sequence(text: str) -> ActionSequence:
             break
     if not actions:
         raise EmptyPlan("no '**Action k:**' lines found in response")
-    return ActionSequence(actions=tuple(actions))
+    return tuple(actions)
 
 
-def render_action_sequence(seq: ActionSequence) -> str:
+def render_action_sequence(actions: tuple[PageAction, ...]) -> str:
     return "\n".join(
-        f"**Action {i}:** {render_action(a)}" for i, a in enumerate(seq.actions, start=1)
+        f"**Action {i}:** {render_action(a)}" for i, a in enumerate(actions, start=1)
     )
 
 
@@ -236,7 +237,7 @@ def _first_token(text: str, tokens: tuple[str, ...]) -> tuple[str, int, int] | N
 
 _REASONS = re.compile(r"reasons?\s*:\s*(.*)", re.IGNORECASE | re.DOTALL)
 
-VERDICT_TOKENS = ("move", "revise", "request")
+VERDICT_TOKENS = tuple(decision.value for decision in VerdictDecision)
 
 
 def parse_verdict(text: str, allow_move: bool = True) -> LocalVerdict:

@@ -294,10 +294,10 @@ def _wire(
     return recorder, partial(run_task, task, planner, executor, env, budgets, recorder)
 
 
-def _check_temperature(temperature: float) -> None:
+def _check_temperature(temperature: float, name: str = "--temperature") -> None:
     # The transcript header records it as JSON, which has no NaN or infinity.
     if not math.isfinite(temperature) or temperature < 0:
-        raise InputError("--temperature", f"must be a finite number >= 0, got {temperature}")
+        raise InputError(name, f"must be a finite number >= 0, got {temperature}")
 
 
 def run_single(
@@ -432,13 +432,14 @@ def replay_transcript(
     try:
         task = Task.from_dict(header["task"])
         budgets = Budgets.from_dict(header["budgets"])
-        temperature = float(NUMBER.check(header.get("temperature", 1.0), "temperature"))
+        temperature = NUMBER.check(header.get("temperature", 1.0), "temperature")
+        _check_temperature(temperature, "temperature")  # the rule the run was held to
         augment = BOOLEAN.check(header.get("augment_search", False), "augment_search")
     except (KeyError, TypeError, ValueError) as exc:
         return ReplayResult(ok=False, message=f"bad transcript header: {exc}")
 
     recorder, run = _wire(
-        task, ReplayBackend(events), budgets, library=library, temperature=temperature,
+        task, ReplayBackend(events), budgets, library=library, temperature=float(temperature),
         search_provider=resolve_search_provider("bundled") if augment else None,
     )
     outcome = stopped = None

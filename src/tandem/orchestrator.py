@@ -232,7 +232,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
         decision = inp.decision
         if decision is VerdictDecision.MOVE and mode is Mode.FAIL_CHECK:
             raise IllegalTransition("move verdict is not allowed after an execution error")
-        rec.append(EventKind.VERDICT_ISSUED, {"decision": decision.value, "reasons": inp.reasons})
+        rec.append(EventKind.VERDICT_ISSUED, inp.to_dict())
         if decision is VerdictDecision.MOVE:
             assert state.plan is not None
             if state.phase_index < len(state.plan.phases):

@@ -97,27 +97,16 @@ class GlobalPlanner(Agent):
         action: str,
         task: Task,
         observation: Observation,
-        plan: GlobalPlan | None = None,
         passages: tuple[RetrievedPassage, ...] = (),
-        reasons: str = "",
-        phase_index: int = 0,
-        report: ExecutionReport | None = None,
+        **values: str | int,
     ) -> str:
         """Full prompt text for a planner action (used verbatim by tests).
 
-        Layout: role introduction, action meta-prompt, background
-        passages (planning actions only), then the shared context block
-        ending in the objective and previous action.
+        Layout: action meta-prompt with `values` filling its fields,
+        background passages (planning actions only), then the shared
+        context block ending in the objective and previous action.
         """
-        meta = self.library.get(f"global/{action}")
-        if action in ("decide", "revise"):
-            meta = meta.format(
-                reasons=reasons, phase_index=phase_index, previous_plan=render_plan_text(plan)
-            )
-        elif action == "collate":
-            meta = meta.format(report=render_report_text(report))
-
-        parts = [meta]
+        parts = [self.library.render(f"global/{action}", **values)]
         if action in ("plan", "revise") and passages:
             passage_lines = ["Background passages gathered for this objective:"]
             passage_lines += [
@@ -160,8 +149,8 @@ class GlobalPlanner(Agent):
         """
         chat = self._request(
             self.render_prompt(
-                "decide", task, observation, plan,
-                reasons=request.reasons, phase_index=request.phase_index,
+                "decide", task, observation, reasons=request.reasons,
+                phase_index=request.phase_index, previous_plan=render_plan_text(plan),
             )
         )
         token, guidance = self._ask(chat, recorder, self._parse_ruling, prompt_texts.REPAIR_DECISION)
@@ -183,9 +172,9 @@ class GlobalPlanner(Agent):
         """Build the replacement plan; version bumps by exactly one."""
         chat = self._request(
             self.render_prompt(
-                "revise", task, observation, plan,
-                passages=self.fetch_passages(task.objective),
+                "revise", task, observation, self.fetch_passages(task.objective),
                 reasons=request.reasons, phase_index=request.phase_index,
+                previous_plan=render_plan_text(plan),
             )
         )
         parse = partial(parse_global_plan, plan_version=plan.plan_version + 1)
@@ -200,9 +189,8 @@ class GlobalPlanner(Agent):
         Falls back to the execution agent's stop answer (or "") when the
         planner's call fails, a blank reply included; never fatal.
         """
-        chat = self._request(
-            self.render_prompt("collate", task, observation, report=final_report)
-        )
+        report = render_report_text(final_report)
+        chat = self._request(self.render_prompt("collate", task, observation, report=report))
         try:
             return call_llm(self.backend, chat, self.role, recorder).strip()
         except BackendError as exc:

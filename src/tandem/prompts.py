@@ -3,10 +3,12 @@
 Prompt text lives in editable files under ``data/prompts/<agent>/<action>.txt``
 inside the package; a PromptLibrary can overlay a user directory with the
 same layout, so deployments can tune wording without touching code.
-A library reads every prompt when it is built, and formats each prompt
-that an agent formats with placeholder values, so a bad override (one
-that cannot be read, or names a field its renderer does not pass), or an
-override path that is not a directory, fails before any task runs.
+A library reads every prompt when it is built.  ``_FORMAT_FIELDS`` is
+the one list of the fields each prompt is formatted with: ``render``
+fills exactly those, and the library formats each such prompt with
+placeholder values when it is built, so a bad override (one that cannot
+be read, or names another field), or an override path that is not a
+directory, fails before any task runs.
 PACKAGED_PROMPTS is the one library without an overlay, shared by all
 agents.  The shared tail block every prompt ends with (OBSERVATION /
 URL / OBJECTIVE / PREVIOUS ACTION) is rendered by ``context_block``.
@@ -58,7 +60,7 @@ PROMPT_MARKERS = {
     "local/overruled": "kept the global plan",
 }
 
-# The fields each formatted prompt's renderer passes, with placeholder
+# The fields each formatted prompt is rendered with, with placeholder
 # values of their types.  Every other prompt is used as written, braces
 # and all.
 _FORMAT_FIELDS = {
@@ -114,6 +116,14 @@ class PromptLibrary:
 
     def get(self, key: str) -> str:
         return self._texts[key]
+
+    def render(self, key: str, **values: object) -> str:
+        """Prompt `key` formatted with `values`, which name exactly its fields."""
+        text = self.get(key)
+        fields = _FORMAT_FIELDS.get(key, {})
+        if values.keys() != fields.keys():
+            raise TypeError(f"prompt {key} takes fields {sorted(fields)}, got {sorted(values)}")
+        return text.format(**values) if values else text
 
 
 PACKAGED_PROMPTS = PromptLibrary()

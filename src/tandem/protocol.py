@@ -1,7 +1,7 @@
 """Shared protocol types for the two-agent runtime.
 
 Every value that crosses a module boundary is defined here and is
-immutable.  Tasks, observations, plans, action sequences, reports,
+immutable.  Tasks, observations, page actions, plans, reports,
 verdicts, decisions and budgets are frozen dataclasses sharing one
 field-driven JSON-dict codec.  A transcript event is a NamedTuple with
 its own codec: a run builds dozens of them, and a tuple is the cheapest
@@ -27,7 +27,6 @@ import yaml
 
 __all__ = [
     "ActionKind",
-    "ActionSequence",
     "BOOLEAN",
     "Budgets",
     "DictCodec",
@@ -402,13 +401,6 @@ class PageAction(DictCodec):
     text: str | None = None
 
 
-@dataclass(frozen=True)
-class ActionSequence(DictCodec):
-    """Ordered actions planned for one phase."""
-
-    actions: tuple[PageAction, ...]
-
-
 # =====================================================================
 # Plans
 # =====================================================================
@@ -504,12 +496,13 @@ class GlobalDecision(DictCodec):
 
     ruling == "revise": `new_plan` carries the replacement plan.
     ruling == "overrule": `guidance` carries advice for the execution
-    agent; the current plan stays in force, byte for byte.
+    agent; the current plan stays in force, byte for byte.  Each ruling
+    leaves the other's field None, so its wire form omits it.
     """
 
     ruling: str
     new_plan: GlobalPlan | None = None
-    guidance: str = ""
+    guidance: str | None = None
 
     @classmethod
     def revise(cls, new_plan: GlobalPlan) -> "GlobalDecision":
@@ -518,12 +511,6 @@ class GlobalDecision(DictCodec):
     @classmethod
     def overrule(cls, guidance: str) -> "GlobalDecision":
         return cls(ruling="overrule", guidance=guidance)
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        if not self.guidance:  # a revise ruling carries no guidance
-            del d["guidance"]
-        return d
 
 
 # =====================================================================
@@ -593,6 +580,9 @@ EVENT_FIELDS: dict[EventKind, tuple[dict[str, JsonType], tuple[str, ...]]] = {
 }
 
 
+_KINDS = {kind.value: kind for kind in EventKind}
+
+
 class TranscriptEvent(NamedTuple):
     """One record in a task's append-only event log; EVENT_FIELDS gives its payload."""
 
@@ -612,7 +602,12 @@ class TranscriptEvent(NamedTuple):
     @classmethod
     def from_dict(cls, d: dict) -> "TranscriptEvent":
         payload = OBJECT.check(d.get("payload", {}), "payload")
-        return cls(d["seq"], d["ts"], EventKind(d["kind"]), payload)
+        seq, ts, kind = d["seq"], d["ts"], d["kind"]
+        try:  # a dict read; an Enum call by value costs ten times as much
+            kind = _KINDS[kind]
+        except (KeyError, TypeError):  # not a kind's value: EventKind words the error
+            kind = EventKind(kind)
+        return cls(seq, ts, kind, payload)
 
     def to_json(self) -> str:
         return _EVENT_ENCODER.encode(self.to_dict())

@@ -55,7 +55,7 @@ __all__ = [
     "normalize_answer",
 ]
 
-DEFAULT_WINDOW_NODES = 120
+WINDOW_NODES = 120
 
 # Rendered pages and observation texts a fixture keeps for every env over
 # it.  Search urls carry free text, so the set of views is open; a full
@@ -501,9 +501,9 @@ def _listing_rows(fixture: SiteFixture, listing: ListingSpec, view: _ViewState,
 _Shared = TypeVar("_Shared", list[PageNode], str)
 
 
-def _axtree_text(nodes: list[PageNode], scroll: int, window_nodes: int) -> str:
+def _axtree_text(nodes: list[PageNode], scroll: int, size: int) -> str:
     """The node lines of one window of a render, plus a marker for the rest."""
-    window = nodes[scroll : scroll + window_nodes]
+    window = nodes[scroll : scroll + size]
     lines = [f"{'  ' * n.depth}[{n.node_id}] {n.role} '{n.label}'" for n in window]
     below = len(nodes) - (scroll + len(window))
     if below > 0:
@@ -512,13 +512,14 @@ def _axtree_text(nodes: list[PageNode], scroll: int, window_nodes: int) -> str:
 
 
 class WebEnv:
-    """Mutable session over an immutable SiteFixture."""
+    """Mutable session over an immutable SiteFixture.
 
-    def __init__(self, fixture: SiteFixture, window_nodes: int = DEFAULT_WINDOW_NODES) -> None:
-        if window_nodes < 1:
-            raise ValueError("window_nodes must be >= 1")
+    An observation shows WINDOW_NODES nodes of the rendered page, from
+    the scroll offset on; a scroll moves the offset by that many.
+    """
+
+    def __init__(self, fixture: SiteFixture) -> None:
         self.fixture = fixture
-        self.window_nodes = window_nodes
         self.current_url = fixture.start_url
         self.stopped = False
         self.stop_answer: str | None = None
@@ -623,9 +624,10 @@ class WebEnv:
         """Window of node lines plus a trailing marker when nodes remain.
 
         The text is shared like the renders, keyed on the render's key
-        plus the scroll offset and window size.
+        plus the scroll offset and window size, so text made under another
+        WINDOW_NODES is never served.
         """
-        url, scroll, size = self.current_url, self._scroll, self.window_nodes
+        url, scroll, size = self.current_url, self._scroll, WINDOW_NODES
         view = self._view(url)
         return self._shared(
             (url, view.sort, view.filter, scroll, size),
@@ -703,11 +705,11 @@ class WebEnv:
 
         elif kind is ActionKind.SCROLL:
             total = len(self.render_nodes())
-            max_offset = max(0, total - self.window_nodes)
+            max_offset = max(0, total - WINDOW_NODES)
             if action.target == "down":
-                self._scroll = min(self._scroll + self.window_nodes, max_offset)
+                self._scroll = min(self._scroll + WINDOW_NODES, max_offset)
             else:
-                self._scroll = max(self._scroll - self.window_nodes, 0)
+                self._scroll = max(self._scroll - WINDOW_NODES, 0)
 
         elif kind is ActionKind.GOTO:
             url = str(action.target)

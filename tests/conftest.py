@@ -16,9 +16,13 @@ from tandem.protocol import (
     Budgets,
     EvaluatorSpec,
     EventKind,
+    GlobalDecision,
+    GlobalPlan,
+    LocalVerdict,
     Observation,
     PageAction,
     PhaseSpec,
+    ReplanRequest,
     Task,
 )
 from tandem.transcript import RunRecorder
@@ -163,3 +167,24 @@ def assert_declared(kind: EventKind, payload: dict) -> None:
             json_type.check(payload[key], key)
         else:
             assert key in optional, (kind, key)
+
+
+# The protocol value each of these events records, and the payload key that
+# holds it (None: the payload is the value itself).
+PAYLOAD_VALUES = {
+    EventKind.PLAN_ISSUED: (GlobalPlan, "plan"),
+    EventKind.VERDICT_ISSUED: (LocalVerdict, None),
+    EventKind.REPLAN_REQUESTED: (ReplanRequest, "request"),
+    EventKind.DECISION_ISSUED: (GlobalDecision, None),
+}
+
+
+def assert_codec_output(kind: EventKind, payload: dict) -> None:
+    """A protocol value's event payload is what its value's codec writes of it,
+    key order included; other events pass."""
+    if kind not in PAYLOAD_VALUES:
+        return
+    cls, key = PAYLOAD_VALUES[kind]
+    value = cls.from_dict(payload if key is None else payload[key]).to_dict()
+    rebuilt = value if key is None else {key: value}
+    assert json.dumps(rebuilt) == json.dumps(payload), (kind, payload)

@@ -21,6 +21,7 @@ from tandem.backend import (
     ChatMessage,
     ChatRequest,
     HttpChatBackend,
+    MAX_RESPONSE_TOKENS,
     PASSAGE_WORD_LIMIT,
     ResponseEmpty,
     RetrievedPassage,
@@ -190,13 +191,12 @@ def test_http_body_shape(monkeypatch):
         system_prompt="sys",
         messages=(ChatMessage("user", "u1"), ChatMessage("assistant", "a1")),
         temperature=1.0,
-        max_response_tokens=256,
     )
     assert backend.complete(req) == "ok"
     [body] = posted
     assert body["model"] == "m1"
     assert body["temperature"] == 1.0
-    assert body["max_tokens"] == 256
+    assert body["max_tokens"] == MAX_RESPONSE_TOKENS == 1024
     assert body["messages"][0] == {"role": "system", "content": "sys"}
     assert [m["role"] for m in body["messages"]] == ["system", "user", "assistant"]
 

@@ -48,6 +48,14 @@ def test_a_clear_gain_meets_the_claim_rule():
     assert failing["metrics"]["ops_per_s"]["claim_met"] is False
 
 
+def test_fewer_than_ten_pairs_do_not_meet_it():
+    # Six of six pairs win by 20 against a parent IQR of 2.5.
+    parent, change = runs([100, 102, 98, 101, 99, 100], [10.0] * 6), runs([120] * 6, [10.0] * 6)
+    ops = bench_pairs.summarize(parent, change, METRICS)["metrics"]["ops_per_s"]
+    assert (ops["change_wins"], ops["median_better_by"]) == (6, 0.2)
+    assert ops["claim_met"] is False
+
+
 def test_eight_wins_or_a_small_move_do_not_meet_it():
     parent = runs([100] * 10, [10.0, 9.0, 11.0, 10.0, 8.0, 12.0, 10.0, 10.0, 9.0, 11.0])
     change = runs([110] * 8 + [90, 90], [9.9, 8.9, 10.9, 9.9, 7.9, 11.9, 9.9, 9.9, 9.0, 11.0])

@@ -5,7 +5,7 @@ import pytest
 from tandem.backend import ScriptedBackend, ScriptedExchange
 from tandem.executor import LocalExecutor
 from tandem.grammar import ActionParseError, EmptyPlan, VerdictParseError
-from tandem.protocol import ActionKind, ActionSequence, VerdictDecision
+from tandem.protocol import ActionKind, VerdictDecision
 from tandem.transcript import RunRecorder
 from tandem.webenv import ERR_UNKNOWN_NODE, WebEnv, load_fixture
 
@@ -67,8 +67,8 @@ def test_plan_phase_parses_actions():
     executor = executor_with([("Work out the action sequence", ACTIONS_TEXT)])
     recorder = RunRecorder()
     seq = executor.plan_phase(make_phase(1), make_obs(), recorder)
-    assert [a.kind for a in seq.actions] == [ActionKind.CLICK, ActionKind.STOP]
-    assert seq.actions[0].target == 5
+    assert [a.kind for a in seq] == [ActionKind.CLICK, ActionKind.STOP]
+    assert seq[0].target == 5
     assert recorder.exchanges == 1
 
 
@@ -81,7 +81,7 @@ def test_plan_phase_repairs_once():
     )
     recorder = RunRecorder()
     seq = executor.plan_phase(make_phase(1), make_obs(), recorder)
-    assert len(seq.actions) == 2
+    assert len(seq) == 2
     assert recorder.exchanges == 2
 
 
@@ -109,13 +109,13 @@ def test_plan_phase_gives_up_after_one_repair():
 def test_revise_local_uses_revise_prompt():
     executor = executor_with([("You decided to adjust your action sequence", ACTIONS_TEXT)])
     seq = executor.revise_local("bad node id", make_phase(1), make_obs(), RunRecorder())
-    assert len(seq.actions) == 2
+    assert len(seq) == 2
 
 
 def test_handle_overrule_uses_overruled_prompt():
     executor = executor_with([("kept the global plan", ACTIONS_TEXT)])
     seq = executor.handle_overrule("scroll down", make_phase(1), make_obs(), RunRecorder())
-    assert len(seq.actions) == 2
+    assert len(seq) == 2
 
 
 # ---------------------------------------------------------------------
@@ -131,7 +131,7 @@ def env() -> WebEnv:
 
 
 def test_execute_runs_all_actions(env):
-    seq = ActionSequence(actions=(action("click", target=5), action("click", target=9)))
+    seq = (action("click", target=5), action("click", target=9))
     report = executor_with([]).execute_actions(seq, env)
     assert len(report.steps) == 2
     assert not report.raised_exception
@@ -139,9 +139,7 @@ def test_execute_runs_all_actions(env):
 
 
 def test_execute_halts_at_first_error(env):
-    seq = ActionSequence(
-        actions=(action("click", target=999), action("click", target=5))
-    )
+    seq = (action("click", target=999), action("click", target=5))
     report = executor_with([]).execute_actions(seq, env)
     assert report.raised_exception
     assert len(report.steps) == 1
@@ -151,11 +149,9 @@ def test_execute_halts_at_first_error(env):
 
 
 def test_execute_halts_at_stop_without_error(env):
-    seq = ActionSequence(
-        actions=(
-            action("stop", target="answer text"),
-            action("click", target=5),  # never reached
-        )
+    seq = (
+        action("stop", target="answer text"),
+        action("click", target=5),  # never reached
     )
     report = executor_with([]).execute_actions(seq, env)
     assert not report.raised_exception
@@ -169,12 +165,12 @@ def test_execute_halts_at_stop_without_error(env):
 
 
 def good_report(env):
-    seq = ActionSequence(actions=(action("click", target=5),))
+    seq = (action("click", target=5),)
     return executor_with([]).execute_actions(seq, env)
 
 
 def bad_report(env):
-    seq = ActionSequence(actions=(action("click", target=999),))
+    seq = (action("click", target=999),)
     return executor_with([]).execute_actions(seq, env)
 
 

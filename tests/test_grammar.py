@@ -24,7 +24,6 @@ from tandem.grammar import (
 )
 from tandem.protocol import (
     ActionKind,
-    ActionSequence,
     GlobalPlan,
     PageAction,
     PhaseSpec,
@@ -75,11 +74,11 @@ def _random_action(rng: random.Random, allow_stop: bool) -> PageAction:
     return PageAction(ActionKind.STOP, target=text(30))
 
 
-def _random_sequence(rng: random.Random) -> ActionSequence:
+def _random_sequence(rng: random.Random) -> tuple[PageAction, ...]:
     n = rng.randint(1, 6)
     actions = [_random_action(rng, allow_stop=False) for _ in range(n - 1)]
     actions.append(_random_action(rng, allow_stop=True))
-    return ActionSequence(actions=tuple(actions))
+    return tuple(actions)
 
 
 # ---------------------------------------------------------------------
@@ -213,7 +212,7 @@ def test_sequence_truncates_after_stop():
         "**Action 3:** click [4]\n"
     )
     seq = parse_action_sequence(text)
-    assert [a.kind for a in seq.actions] == [ActionKind.CLICK, ActionKind.STOP]
+    assert [a.kind for a in seq] == [ActionKind.CLICK, ActionKind.STOP]
 
 
 def test_sequence_propagates_bad_action():
@@ -224,7 +223,7 @@ def test_sequence_propagates_bad_action():
 def test_sequence_ignores_surrounding_prose():
     text = "Plan:\n**Action 1:** goto [http://x.local/]\nThat should do it."
     seq = parse_action_sequence(text)
-    assert len(seq.actions) == 1
+    assert len(seq) == 1
 
 
 # ---------------------------------------------------------------------

@@ -30,7 +30,16 @@ from tandem.orchestrator import TaskOutcome, Termination
 from tandem.protocol import Budgets, Difficulty, EventKind, InputError, ReplanRequest
 from tandem.transcript import read_transcript
 
-from conftest import DATA, REPO, assert_declared, make_task, scenario_backend, scenario_task
+from conftest import (
+    DATA,
+    PAYLOAD_VALUES,
+    REPO,
+    assert_codec_output,
+    assert_declared,
+    make_task,
+    scenario_backend,
+    scenario_task,
+)
 
 # ---------------------------------------------------------------------
 # Metric arithmetic
@@ -555,6 +564,15 @@ REPLAY_VERDICTS = {
         "scn-replan", lambda header, records: header.update(temperature=True), 0,
         "bad transcript header: temperature: expected a number, got bool True", None,
     ),
+    # A header temperature the run itself would have refused.
+    "temperature-nan": (
+        "scn-replan", lambda header, records: header.update(temperature=float("nan")), 0,
+        "bad transcript header: temperature: must be a finite number >= 0, got nan", None,
+    ),
+    "temperature-negative": (
+        "scn-replan", lambda header, records: header.update(temperature=-3), 0,
+        "bad transcript header: temperature: must be a finite number >= 0, got -3", None,
+    ),
     "force-stop-a-string": (
         "scn-replan", lambda header, records: header["budgets"].update(force_stop_enabled="no"), 0,
         "bad transcript header: force_stop_enabled: expected a boolean, got str 'no'", None,
@@ -650,10 +668,19 @@ def test_every_written_event_has_its_declared_fields(tmp_path):
     run_suite(tasks, factory, Budgets(), out_dir=tmp_path)
     paths = [*tmp_path.glob("*.transcript.jsonl"), *RECORDED.glob("*.transcript.jsonl")]
     assert len(paths) == len(tasks) + 2
+    kinds, rulings = set(), set()
     for path in paths:
         for line in path.read_text(encoding="utf-8").splitlines()[1:]:
             record = json.loads(line)
-            assert_declared(EventKind(record["kind"]), record["payload"])
+            kind = EventKind(record["kind"])
+            assert_declared(kind, record["payload"])
+            assert_codec_output(kind, record["payload"])
+            kinds.add(kind)
+            if kind is EventKind.DECISION_ISSUED:
+                rulings.add(record["payload"]["ruling"])
+    # Every protocol value's event is among them, with both rulings.
+    assert set(PAYLOAD_VALUES) <= kinds
+    assert rulings == {"revise", "overrule"}
 
 
 def test_run_suite_serial(tmp_path):

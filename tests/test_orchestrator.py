@@ -28,7 +28,6 @@ from tandem.orchestrator import (
 )
 from tandem.planner import GlobalPlanner
 from tandem.protocol import (
-    ActionSequence,
     Budgets,
     EventKind,
     ExecutionReport,
@@ -46,6 +45,7 @@ from tandem.webenv import WebEnv, load_fixture
 from conftest import (
     SCENARIOS,
     action,
+    assert_codec_output,
     assert_declared,
     golden_budgets,
     load_golden,
@@ -498,6 +498,7 @@ def check_invariants(outcome: TaskOutcome, recorder: RunRecorder, budgets: Budge
     assert kinds.count("LlmCall") == outcome.exchanges_used == recorder.exchanges
     for e in events:
         assert_declared(e.kind, e.payload)
+        assert_codec_output(e.kind, e.payload)
 
     if budgets.force_stop_enabled:
         assert outcome.exchanges_used <= budgets.max_exchanges

@@ -13,8 +13,8 @@ from tandem.backend import (
     StaticSearchProvider,
     TransportError,
 )
-from tandem.grammar import DecisionParseError, PlanParseError
-from tandem.planner import GlobalPlanner
+from tandem.grammar import DecisionParseError, PlanParseError, render_plan_text
+from tandem.planner import GlobalPlanner, render_report_text
 from tandem.protocol import (
     ExecutionReport,
     ExecutionStep,
@@ -80,7 +80,8 @@ def test_plan_prompt_inserts_passages_between_meta_and_context():
 def test_decide_prompt_quotes_reasons_and_phase():
     planner = planner_with([])
     text = planner.render_prompt(
-        "decide", make_task(), make_obs(), make_plan(), reasons="page is wrong", phase_index=2
+        "decide", make_task(), make_obs(), reasons="page is wrong", phase_index=2,
+        previous_plan=render_plan_text(make_plan()),
     )
     assert "Judge whether the fault lies" in text
     assert "page is wrong" in text
@@ -91,7 +92,8 @@ def test_decide_prompt_quotes_reasons_and_phase():
 def test_revise_prompt_quotes_the_previous_plan():
     planner = planner_with([])
     text = planner.render_prompt(
-        "revise", make_task(), make_obs(), make_plan(), reasons="dead link", phase_index=1
+        "revise", make_task(), make_obs(), reasons="dead link", phase_index=1,
+        previous_plan=render_plan_text(make_plan()),
     )
     assert "You accepted the replan request" in text
     assert "Open the kitchen category" in text  # old plan is quoted verbatim
@@ -101,7 +103,8 @@ def test_revise_prompt_can_carry_passages():
     planner = planner_with([])
     passages = (RetrievedPassage(query="q", passage="useful fact", source="doc"),)
     text = planner.render_prompt(
-        "revise", make_task(), make_obs(), make_plan(), passages, reasons="stuck", phase_index=1
+        "revise", make_task(), make_obs(), passages, reasons="stuck", phase_index=1,
+        previous_plan=render_plan_text(make_plan()),
     )
     assert "You accepted the replan request" in text
     assert "useful fact" in text
@@ -109,7 +112,9 @@ def test_revise_prompt_can_carry_passages():
 
 def test_collate_prompt_quotes_the_report():
     planner = planner_with([])
-    text = planner.render_prompt("collate", make_task(), make_obs(), report=make_report())
+    text = planner.render_prompt(
+        "collate", make_task(), make_obs(), report=render_report_text(make_report())
+    )
     assert "Produce the final answer" in text
     assert "click [3]" in text  # the report's steps are quoted
 

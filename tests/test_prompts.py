@@ -58,9 +58,23 @@ def test_only_formatted_prompts_are_checked_as_templates(tmp_path):
     (tmp_path / "global").mkdir()
     (tmp_path / "global" / "plan.txt").write_text("Plan {literally}\n", encoding="utf-8")
     assert PromptLibrary(override_dir=tmp_path).get("global/plan") == "Plan {literally}\n"
+    assert PromptLibrary(override_dir=tmp_path).render("global/plan") == "Plan {literally}\n"
     (tmp_path / "global" / "decide.txt").write_text("Rule on {reasons:d}\n", encoding="utf-8")
     with pytest.raises(InputError, match="decide.txt: does not format: ValueError"):
         PromptLibrary(override_dir=tmp_path)
+
+
+def test_render_takes_exactly_the_prompts_fields(library):
+    assert library.render("local/revise", reasons="dead link") == library.get(
+        "local/revise"
+    ).replace("{reasons}", "dead link")
+    for key, values in [
+        ("local/revise", {}),
+        ("local/revise", {"reasons": "x", "guidance": "y"}),
+        ("local/plan", {"reasons": "x"}),
+    ]:
+        with pytest.raises(TypeError, match=f"prompt {key} takes fields"):
+            library.render(key, **values)
 
 
 def test_an_override_path_that_is_not_a_directory_is_an_input_error(tmp_path):

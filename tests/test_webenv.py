@@ -106,7 +106,7 @@ def test_determinism_across_instances():
 
 def fresh_axtree(env: WebEnv) -> str:
     """The env's observation text formatted from a fresh render, bypassing both caches."""
-    return webenv._axtree_text(env._render_nodes(), env._scroll, env.window_nodes)
+    return webenv._axtree_text(env._render_nodes(), env._scroll, webenv.WINDOW_NODES)
 
 
 MEMO_WALKS = {
@@ -132,8 +132,9 @@ MEMO_WALKS = {
 
 
 @pytest.mark.parametrize("site", sorted(MEMO_WALKS))
-def test_memoized_render_matches_a_fresh_render(site):
-    env = WebEnv(load_fixture(site), window_nodes=4)
+def test_memoized_render_matches_a_fresh_render(monkeypatch, site):
+    monkeypatch.setattr(webenv, "WINDOW_NODES", 4)
+    env = WebEnv(load_fixture(site))
     env.reset()
     for act in MEMO_WALKS[site]:
         assert env.apply(act).ok, act
@@ -220,8 +221,9 @@ def test_shared_renders_hold_under_threads(shop_copy, monkeypatch):
 # ---------------------------------------------------------------------
 
 
-def test_window_marker_and_scroll_clamping():
-    env = WebEnv(load_fixture("shop"), window_nodes=3)
+def test_window_marker_and_scroll_clamping(monkeypatch):
+    monkeypatch.setattr(webenv, "WINDOW_NODES", 3)
+    env = WebEnv(load_fixture("shop"))
     obs = env.reset()
     lines = obs.axtree.splitlines()
     assert len(lines) == 4
@@ -242,13 +244,9 @@ def test_window_marker_and_scroll_clamping():
     assert env.render_axtree() == obs.axtree
 
 
-def test_window_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        WebEnv(load_fixture("shop"), window_nodes=0)
-
-
-def test_navigation_resets_scroll():
-    env = WebEnv(load_fixture("shop"), window_nodes=2)
+def test_navigation_resets_scroll(monkeypatch):
+    monkeypatch.setattr(webenv, "WINDOW_NODES", 2)
+    env = WebEnv(load_fixture("shop"))
     env.reset()
     env.apply(action("scroll", target="down"))
     assert env.render_axtree().splitlines()[0].startswith("[3]")

@@ -10,10 +10,10 @@ Pair i (from 0) runs `bench/run.py --workload W --seed i+1 --seconds S
 `run_seconds`; the parent runs first in even pairs and the change first
 in odd ones.  For every end-to-end metric that BENCHMARK.json lists, the
 summary gives each side's median and quartiles, how many pairs the
-change won (ties count for neither), the claim rule (every change run is
-correct, the change fails no more operations than the parent, wins at
-least nine tenths of the pairs, and its median is better by more than
-the parent's interquartile range) and the regression rule (the change's
+change won (ties count for neither), the claim rule (at least ten pairs
+ran, every change run is correct, the change fails no more operations
+than the parent, wins at least nine tenths of the pairs, and its median
+is better by more than the parent's interquartile range) and the regression rule (the change's
 median is no worse than the parent's by more than the metric's bound;
 "unresolved" when the parent's own spread is wider than the bound and
 not every change run beats every parent run).  Seeds 1 to 10 are the
@@ -33,6 +33,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Fewer pairs than this reach no claim verdict, however clearly the change wins.
+MIN_PAIRS = 10
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -64,6 +66,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     }
     # A gain does not count when the change is wrong or fails more operations.
     sound = out["correct"]["change"] and out["failed"]["change"] <= out["failed"]["parent"]
+    sound = sound and pairs >= MIN_PAIRS
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         p = [run["metrics"][name]["value"] for run in parent]
