@@ -439,7 +439,7 @@ def replay_transcript(
         return ReplayResult(ok=False, message=f"bad transcript header: {exc}")
 
     recorder, run = _wire(
-        task, ReplayBackend(events), budgets, library=library, temperature=float(temperature),
+        task, ReplayBackend(events), budgets, library=library, temperature=temperature,
         search_provider=resolve_search_provider("bundled") if augment else None,
     )
     outcome = stopped = None

@@ -64,9 +64,13 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
         },
         "metrics": {},
     }
-    # A gain does not count when the change is wrong or fails more operations.
-    sound = out["correct"]["change"] and out["failed"]["change"] <= out["failed"]["parent"]
-    sound = sound and pairs >= MIN_PAIRS
+    # A gain does not count on too few pairs, or when the change is wrong or
+    # fails more operations.
+    sound = (
+        pairs >= MIN_PAIRS
+        and out["correct"]["change"]
+        and out["failed"]["change"] <= out["failed"]["parent"]
+    )
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         p = [run["metrics"][name]["value"] for run in parent]
