@@ -86,6 +86,8 @@ from .protocol import (
     PageAction,
     PhaseSpec,
     ReplanRequest,
+    Ruling,
+    RunHeader,
     StepOutcome,
     Task,
     TranscriptEvent,

@@ -100,7 +100,6 @@ class ChatRequest:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", tuple(self.messages))
         # Joined once: the backend and call_llm both read it.
         parts = [self.system_prompt] + [m.content for m in self.messages]
         object.__setattr__(self, "_rendered", "\n\n".join(p for p in parts if p))
@@ -142,9 +141,10 @@ class HttpChatBackend:
     Retries transient failures (a connection error, a 5xx, 408 Request
     Timeout or 429 Too Many Requests) up to ``retries`` times with
     exponential backoff, waiting at least the ``Retry-After`` delay or
-    until its HTTP-date (RFC 6585 §4, RFC 9110 §10.2.3); a retried call
-    only counts as one exchange because counting happens in call_llm
-    after a response arrives.
+    until its HTTP-date (RFC 6585 §4, RFC 9110 §10.2.3); a ``Retry-After``
+    wait longer than ``timeout`` raises TransportError at once instead.
+    A retried call only counts as one exchange because counting happens
+    in call_llm after a response arrives.
 
     ``requests`` is imported when the backend is built rather than with
     this module, so offline runs never load the HTTP stack and no
@@ -207,6 +207,11 @@ class HttpChatBackend:
             if resp.status_code >= 500 or resp.status_code in _RETRIED_STATUSES:
                 last_error = TransportError(f"backend returned {resp.status_code}")
                 retry_after = _retry_after(resp.headers.get("Retry-After", ""))
+                if retry_after > self.timeout:  # waiting would stall the run; fail now
+                    raise TransportError(
+                        f"{last_error}: Retry-After asks for {retry_after:g}s, "
+                        f"more than the {self.timeout:g}s timeout"
+                    )
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"backend returned {resp.status_code}: {resp.text[:200]}")

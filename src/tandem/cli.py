@@ -4,7 +4,8 @@ Verbs:
     run      one task file against a backend
     suite    a manifest (or bundled suite name) of tasks
     replay   re-run a recorded transcript and check fidelity
-    report   re-render and integrity-check a report.json
+    report   re-render and integrity-check a report.json against its
+             transcripts
 
 Exit codes: 0 run completed, 1 configuration or input error, 2 backend
 unreachable (every task died on transport errors).  Every input error,
@@ -32,6 +33,7 @@ from .harness import (
     resolve_search_provider,
     run_suite,
 )
+from .orchestrator import Termination
 from .prompts import PromptLibrary
 from .protocol import Budgets, InputError, Task
 from .transcript import ReplayBackend, read_transcript
@@ -108,7 +110,7 @@ def _budgets(args: argparse.Namespace) -> Budgets:
 def _backend_unreachable(report: SuiteReport) -> bool:
     # run_task writes a protocol error's detail as "<exception class>: <message>".
     return all(
-        run.outcome.termination.value == "protocol_error"
+        run.outcome.termination is Termination.PROTOCOL_ERROR
         and run.outcome.detail.startswith("TransportError: ")
         for run in report.runs
     )
@@ -208,8 +210,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     raw = load_report(args.report)
-    table, mismatches = check_report(raw)
+    table, mismatches, notes = check_report(raw, Path(args.report).parent)
     print(table)
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
     for m in mismatches:
         print(f"integrity mismatch - {m}", file=sys.stderr)
     return EXIT_CONFIG if mismatches else EXIT_OK

@@ -12,7 +12,8 @@ renderer:
   verdicts   an ``Action:`` token, one per VerdictDecision value
              (move/revise/request), plus a ``Reasons:`` tail; fenced
              tokens (```move```) also accepted
-  decisions  a token among revise/overrule, remaining text is guidance
+  decisions  a token, one per Ruling value (revise/overrule), remaining
+             text is guidance
 
 Parsers are tolerant of surrounding prose but never guess: anything that
 cannot be normalized raises a typed error so the caller can run its one
@@ -30,6 +31,7 @@ from .protocol import (
     LocalVerdict,
     PageAction,
     PhaseSpec,
+    Ruling,
     VerdictDecision,
 )
 
@@ -262,11 +264,11 @@ def parse_verdict(text: str, allow_move: bool = True) -> LocalVerdict:
     return LocalVerdict(decision=decision, reasons=reasons)
 
 
-DECISION_TOKENS = ("revise", "overrule")
+DECISION_TOKENS = tuple(ruling.value for ruling in Ruling)
 
 
-def parse_decision(text: str) -> tuple[str, str]:
-    """Parse a replan ruling: returns (token, guidance).
+def parse_decision(text: str) -> tuple[Ruling, str]:
+    """Parse a replan ruling: returns (ruling, guidance).
 
     guidance is the response text with the token occurrence removed,
     stripped; it matters only for overrule rulings (the caller enforces
@@ -277,4 +279,4 @@ def parse_decision(text: str) -> tuple[str, str]:
         raise DecisionParseError(f"no ruling token in response: {text.strip()[:80]!r}")
     token, start, end = found
     guidance = (text[:start] + " " + text[end:]).strip()
-    return token, guidance
+    return Ruling(token), guidance

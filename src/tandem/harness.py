@@ -25,12 +25,10 @@ from .orchestrator import TaskOutcome, Termination, record_result, run_task
 from .planner import GlobalPlanner
 from .prompts import PromptLibrary
 from .protocol import (
-    BOOLEAN,
-    NUMBER,
     Budgets,
-    Difficulty,
     EventKind,
     InputError,
+    RunHeader,
     Task,
     load_yaml,
     packaged,
@@ -112,20 +110,9 @@ def overall_rate(counts: Mapping[str, tuple[int, int]]) -> Decimal:
 # =====================================================================
 
 
-_DIFFICULTIES = {d.value.casefold(): d.value for d in Difficulty}
-
-
-def _task(raw: dict) -> Task:
-    # Task files spell difficulties in any case ("easy", "EASY").
-    wanted = str(raw.get("difficulty", "unlabeled")).casefold()
-    if wanted not in _DIFFICULTIES:
-        raise ValueError(f"unknown difficulty {wanted!r}")
-    return Task.from_dict({**raw, "difficulty": _DIFFICULTIES[wanted]})
-
-
 def load_task_file(path: str | Path) -> Task:
     """Load one task file; a task that breaks a field rule is an InputError."""
-    return read_data(path, load_yaml, TASK_FORMAT, _task)
+    return read_data(path, load_yaml, TASK_FORMAT, Task.from_dict)
 
 
 def load_manifest(path: str | Path) -> list[Task]:
@@ -250,12 +237,16 @@ _RECOUNTED = ("n_tasks", "n_success", "overall_sr", "categories", "difficulties"
 _GROUP_KEYS = ("site_category", "difficulty")
 
 
-def check_report(raw: dict) -> tuple[str, list[str]]:
-    """Recount a loaded report.json from its task rows.
+def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], list[str]]:
+    """Recount a loaded report.json from its task rows and check each row
+    against its transcript.
 
-    Returns the recounted rate tables and one line per task row whose
-    category or difficulty is not a string and per recounted field whose
-    stored value differs.
+    Returns the recounted rate tables; one line per task row whose
+    category or difficulty is not a string, per recounted field whose
+    stored value differs and per outcome field whose stored value differs
+    from the one its transcript records; and one note per row whose
+    transcript is missing.  A row's transcript is read by its file name
+    from `report_dir`, where a suite writes both.
     """
     rows = raw["tasks"]
     fresh = _tally(rows)
@@ -271,7 +262,31 @@ def check_report(raw: dict) -> tuple[str, list[str]]:
         for key in _RECOUNTED
         if raw.get(key) != recounted[key]
     ]
-    return "\n".join(_rate_lines(fresh, rows)), mismatches
+    notes = []
+    for i, row in enumerate(rows):
+        path = Path(report_dir, Path(str(row.get("transcript") or "")).name)
+        if not path.is_file():
+            notes.append(f"tasks[{i}]: no transcript at {path}; its outcome is not checked")
+        else:
+            mismatches += _outcome_mismatches(f"tasks[{i}]", row, path)
+    return "\n".join(_rate_lines(fresh, rows)), mismatches, notes
+
+
+def _outcome_mismatches(where: str, row: dict, path: Path) -> list[str]:
+    """One line per outcome field of `row` that differs from the transcript at `path`."""
+    raw, events, _ = read_transcript(path)
+    if not events or events[-1].kind is not EventKind.TASK_RESULT:
+        return [f"{where}: transcript {path} has no closing TaskResult"]
+    try:
+        task_id = RunHeader.from_dict(raw).task.id
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(path, f"bad transcript header: {exc}") from exc
+    recorded = TaskOutcome.from_events(task_id, events).to_dict()
+    return [
+        f"{where}.{key}: stored {row.get(key)!r} != transcript {value!r}"
+        for key, value in recorded.items()
+        if row.get(key) != value
+    ]
 
 
 def _wire(
@@ -327,14 +342,8 @@ def run_single(
     transcript_path = ""
     if out_dir is not None:
         dest = Path(out_dir) / f"{task.id}.transcript.jsonl"
-        header = {
-            "task": task.to_dict(),
-            "budgets": budgets.to_dict(),
-            "backend": backend_label,
-            "temperature": temperature,
-            "augment_search": search_provider is not None,
-        }
-        write_transcript(dest, header, recorder.events)
+        header = RunHeader(task, budgets, backend_label, temperature, search_provider is not None)
+        write_transcript(dest, header.to_dict(), recorder.events)
         transcript_path = str(dest)
     return TaskRun(task=task, outcome=outcome, transcript_path=transcript_path)
 
@@ -426,21 +435,19 @@ def replay_transcript(
     ends there, with no TaskResult or with a crash TaskResult, ended
     before its run did.
     """
-    header, events, warnings = read_transcript(path)
+    raw, events, warnings = read_transcript(path)
     for w in warnings:
         logger.warning("replay %s: %s", path, w)
     try:
-        task = Task.from_dict(header["task"])
-        budgets = Budgets.from_dict(header["budgets"])
-        temperature = NUMBER.check(header.get("temperature", 1.0), "temperature")
-        _check_temperature(temperature, "temperature")  # the rule the run was held to
-        augment = BOOLEAN.check(header.get("augment_search", False), "augment_search")
+        header = RunHeader.from_dict(raw)
+        _check_temperature(header.temperature, "temperature")  # the rule the run was held to
     except (KeyError, TypeError, ValueError) as exc:
         return ReplayResult(ok=False, message=f"bad transcript header: {exc}")
 
     recorder, run = _wire(
-        task, ReplayBackend(events), budgets, library=library, temperature=temperature,
-        search_provider=resolve_search_provider("bundled") if augment else None,
+        header.task, ReplayBackend(events), header.budgets, library=library,
+        temperature=header.temperature,
+        search_provider=resolve_search_provider("bundled") if header.augment_search else None,
     )
     outcome = stopped = None
     try:
@@ -463,7 +470,7 @@ def replay_transcript(
         and detail.startswith(CRASH_PREFIX)
         and events[-1].payload["termination"] == Termination.PROTOCOL_ERROR.value
     ):
-        outcome = TaskOutcome.from_events(task.id, events)
+        outcome = TaskOutcome.from_events(header.task.id, events)
         return ReplayResult(ok=False, message=f"recorded run crashed: {detail}", outcome=outcome)
     if stopped is not None:
         message = f"prompt diverged from recording: divergence at seq {where}: {stopped}"

@@ -51,6 +51,7 @@ from .protocol import (
     GlobalPlan,
     LocalVerdict,
     ReplanRequest,
+    Ruling,
     Task,
     TranscriptEvent,
     VerdictDecision,
@@ -264,8 +265,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
         if mode is not Mode.AWAITING_DECISION:
             raise IllegalTransition(f"{mode.value} cannot accept a ruling")
         rec.append(EventKind.DECISION_ISSUED, inp.to_dict())
-        if inp.ruling == "revise":
-            assert inp.new_plan is not None
+        if inp.ruling is Ruling.REVISE:
             _issue_plan(state, inp.new_plan)
         else:
             state.mode = Mode.LOCAL_REVISION
@@ -391,7 +391,7 @@ def run_task(
                 )
                 step(state, request)
                 step(state, decision)
-                if decision.ruling == "overrule":
+                if decision.ruling is Ruling.OVERRULE:
                     pending_guidance = decision.guidance
 
             else:  # pragma: no cover - defensive

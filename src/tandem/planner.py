@@ -48,6 +48,7 @@ from .protocol import (
     GlobalPlan,
     Observation,
     ReplanRequest,
+    Ruling,
     Task,
 )
 from .transcript import RunRecorder
@@ -143,7 +144,7 @@ class GlobalPlanner(Agent):
         """Rule on a replan request.
 
         An accepted request costs a second LLM call (revise_plan) and
-        yields a Revise decision carrying the replacement plan; an
+        yields a revise ruling carrying the replacement plan; an
         overrule reuses the ruling response's remaining text as guidance
         and never touches the plan.
         """
@@ -153,17 +154,17 @@ class GlobalPlanner(Agent):
                 phase_index=request.phase_index, previous_plan=render_plan_text(plan),
             )
         )
-        token, guidance = self._ask(chat, recorder, self._parse_ruling, prompt_texts.REPAIR_DECISION)
-        if token == "overrule":
-            return GlobalDecision.overrule(guidance)
-        return GlobalDecision.revise(self.revise_plan(request, task, observation, plan, recorder))
+        ruling, guidance = self._ask(chat, recorder, self._parse_ruling, prompt_texts.REPAIR_DECISION)
+        if ruling is Ruling.OVERRULE:
+            return GlobalDecision(ruling, guidance=guidance)
+        return GlobalDecision(ruling, self.revise_plan(request, task, observation, plan, recorder))
 
     @staticmethod
-    def _parse_ruling(response: str) -> tuple[str, str]:
-        token, guidance = parse_decision(response)
-        if token == "overrule" and not guidance.strip():
+    def _parse_ruling(response: str) -> tuple[Ruling, str]:
+        ruling, guidance = parse_decision(response)
+        if ruling is Ruling.OVERRULE and not guidance.strip():
             raise DecisionParseError("overrule ruling carries no guidance text")
-        return token, guidance
+        return ruling, guidance
 
     def revise_plan(
         self, request: ReplanRequest, task: Task, observation: Observation, plan: GlobalPlan,

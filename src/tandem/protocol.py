@@ -2,15 +2,18 @@
 
 Every value that crosses a module boundary is defined here and is
 immutable.  Tasks, observations, page actions, plans, reports,
-verdicts, decisions and budgets are frozen dataclasses sharing one
-field-driven JSON-dict codec.  A transcript event is a NamedTuple with
+verdicts, decisions, budgets and the transcript header (RunHeader) are
+frozen dataclasses sharing one field-driven JSON-dict codec, and each
+closed set of words (difficulties, action kinds, verdicts, rulings,
+event kinds) is an Enum.  A transcript event is a NamedTuple with
 its own codec: a run builds dozens of them, and a tuple is the cheapest
 record Python builds.  Every file
 tandem reads (tasks, suites, fixtures, scripts, passages, reports,
 transcripts and prompt overrides) is read by `read_text` and decoded by
 `read_data`/`parse_data`, which turn any way a file can be bad into one
 `InputError`.  Beyond (de)serialization the module holds the field rules
-Task and Budgets check when built, and EVENT_FIELDS; the rest builds on top.
+Task, Budgets and GlobalDecision check when built, and EVENT_FIELDS; the
+rest builds on top.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ __all__ = [
     "PageAction",
     "PhaseSpec",
     "ReplanRequest",
+    "Ruling",
+    "RunHeader",
     "StepOutcome",
     "STRING",
     "Task",
@@ -72,6 +77,11 @@ class Difficulty(str, Enum):
     HARD = "Hard"
     UNLABELED = "Unlabeled"
 
+    @classmethod
+    def _missing_(cls, value: object) -> "Difficulty | None":
+        # Task files spell difficulties in any case ("easy", "EASY").
+        return next((d for d in cls if d.value.casefold() == str(value).casefold()), None)
+
 
 class ActionKind(str, Enum):
     CLICK = "click"
@@ -86,6 +96,11 @@ class VerdictDecision(str, Enum):
     MOVE = "move"
     REVISE = "revise"
     REQUEST = "request"
+
+
+class Ruling(str, Enum):
+    REVISE = "revise"
+    OVERRULE = "overrule"
 
 
 class EventKind(str, Enum):
@@ -114,20 +129,14 @@ class DictCodec:
     to_dict writes the fields in declaration order: enums as their value,
     tuples as lists, nested values through their own to_dict, and None
     values left out.  from_dict decodes each field by its type hint; a str,
-    int or bool field that holds no JSON string, integer or boolean raises
-    a TypeError naming it.  A missing key takes the field's default; a
+    int, float or bool field that holds no JSON string, integer, number or
+    boolean raises a TypeError naming it, and an Enum field holding none
+    of its values a ValueError.  A missing key takes the field's default; a
     field without one, or any field of a class that sets
-    `_all_keys_required`, raises KeyError.  Tuple fields given any other
-    sequence store it as a tuple, so values stay hashable and comparable.
+    `_all_keys_required`, raises KeyError.
     """
 
     _all_keys_required = False
-
-    def __post_init__(self) -> None:
-        for name in _tuple_fields(type(self)):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
 
     def to_dict(self) -> dict:
         return {
@@ -158,7 +167,6 @@ class _Field(NamedTuple):
     name: str
     decode: Callable[[Any], Any]
     required: bool
-    is_tuple: bool
 
 
 @cache
@@ -170,16 +178,9 @@ def _fields_of(cls: type) -> tuple[_Field, ...]:
             f.name,
             _decoder(hints[f.name], f.name),
             f.default is MISSING and f.default_factory is MISSING,
-            get_origin(hints[f.name]) is tuple,
         )
         for f in fields(cls)
     )
-
-
-@cache
-def _tuple_fields(cls: type) -> tuple[str, ...]:
-    """The names of the class's tuple fields, the only ones __post_init__ converts."""
-    return tuple(f.name for f in _fields_of(cls) if f.is_tuple)
 
 
 def _encode(value: Any) -> Any:
@@ -217,7 +218,7 @@ NUMBER = JsonType("a number", (int, float))
 INTEGER = JsonType("an integer", (int,))
 BOOLEAN = JsonType("a boolean", (bool,))
 OBJECT = JsonType("an object", (dict,))
-_SCALARS = {str: STRING, int: INTEGER, bool: BOOLEAN}
+_SCALARS = {str: STRING, int: INTEGER, float: NUMBER, bool: BOOLEAN}
 
 
 def _decoder(hint: Any, name: str) -> Callable[[Any], Any]:
@@ -350,7 +351,6 @@ class Task(DictCodec):
     task_class: str = ""
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         kind, expected = self.evaluator.kind, self.evaluator.expected
         _check_rules(
             self,
@@ -494,23 +494,25 @@ class ReplanRequest(DictCodec):
 class GlobalDecision(DictCodec):
     """The planner's ruling on a replan request.
 
-    ruling == "revise": `new_plan` carries the replacement plan.
-    ruling == "overrule": `guidance` carries advice for the execution
-    agent; the current plan stays in force, byte for byte.  Each ruling
-    leaves the other's field None, so its wire form omits it.
+    Ruling.REVISE: `new_plan` carries the replacement plan.
+    Ruling.OVERRULE: `guidance` carries advice for the execution agent;
+    the current plan stays in force, byte for byte.  A ruling without its
+    field is a ValueError.  Each ruling leaves the other's field None, so
+    its wire form omits it.
     """
 
-    ruling: str
+    ruling: Ruling
     new_plan: GlobalPlan | None = None
     guidance: str | None = None
 
-    @classmethod
-    def revise(cls, new_plan: GlobalPlan) -> "GlobalDecision":
-        return cls(ruling="revise", new_plan=new_plan)
-
-    @classmethod
-    def overrule(cls, guidance: str) -> "GlobalDecision":
-        return cls(ruling="overrule", guidance=guidance)
+    def __post_init__(self) -> None:
+        _check_rules(
+            self,
+            (self.ruling is Ruling.REVISE and self.new_plan is None, "new_plan",
+             "a revise ruling needs new_plan"),
+            (self.ruling is Ruling.OVERRULE and self.guidance is None, "guidance",
+             "an overrule ruling needs guidance"),
+        )
 
 
 # =====================================================================
@@ -536,7 +538,6 @@ class Budgets(DictCodec):
     _all_keys_required = True
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         limits = ("max_local_revisions_per_phase", "max_replan_requests_per_task")
         _check_rules(
             self,
@@ -578,6 +579,17 @@ EVENT_FIELDS: dict[EventKind, tuple[dict[str, JsonType], tuple[str, ...]]] = {
         ("detail",),
     ),
 }
+
+
+@dataclass(frozen=True)
+class RunHeader(DictCodec):
+    """A transcript's first line: the task and the settings its run was held to."""
+
+    task: Task
+    budgets: Budgets
+    backend: str = ""
+    temperature: float = 1.0
+    augment_search: bool = False
 
 
 _KINDS = {kind.value: kind for kind in EventKind}

@@ -148,9 +148,6 @@ class NodeSpec:
     behavior: Behavior | None = None
     children: tuple["NodeSpec", ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-
 
 @dataclass(frozen=True)
 class ListingSpec:
@@ -169,9 +166,6 @@ class PageDef:
     title: str
     nodes: tuple[NodeSpec, ...] = ()
     listing: ListingSpec | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,27 @@ def test_http_retry_after_an_http_date_waits_until_then(monkeypatch):
     assert sleeps == [7.0, 1.0, 2.0]
 
 
+def test_http_retry_after_longer_than_the_timeout_fails_at_once(monkeypatch):
+    calls, sleeps = [], []
+
+    class FakeResponse:
+        status_code = 503
+        text = ""
+        headers = {"Retry-After": "86400"}
+
+    def fake_post(*args, **kwargs):
+        calls.append(1)
+        return FakeResponse()
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=2)
+    with pytest.raises(TransportError, match="Retry-After asks for 86400s, more than the 60s"):
+        backend.complete(make_request("hi"))
+    assert calls == [1]
+    assert sleeps == []
+
+
 def test_http_empty_completion_raises(monkeypatch):
     class FakeResponse:
         status_code = 200

@@ -74,3 +74,13 @@ def test_regressions_are_judged_against_the_bound_and_the_spread():
     assert summary["metrics"]["op_ms_p50"]["regression"] == "unresolved"
     assert summary["correct"] == {"parent": True, "change": False}
     assert summary["failed"] == {"parent": 0, "change": 20}
+
+
+def test_src_lines_sums_numstat_and_counts_a_binary_file_as_zero():
+    numstat = (
+        "12\t30\tsrc/tandem/protocol.py\n"
+        "5\t0\tsrc/tandem/harness.py\n"
+        "-\t-\tsrc/tandem/data/logo.png\n"
+    )
+    assert bench_pairs.src_lines(numstat) == {"added": 17, "deleted": 30, "net": -13}
+    assert bench_pairs.src_lines("") == {"added": 0, "deleted": 0, "net": 0}

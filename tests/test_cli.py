@@ -13,6 +13,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from tandem.cli import (
     main,
     make_backend_factory,
 )
-from tandem.harness import run_single
+from tandem.harness import _RECOUNTED, _tally, run_single
 from tandem.protocol import Budgets, InputError
 
 from conftest import DATA, REPO, scenario_task
@@ -714,6 +715,56 @@ def test_report_detects_a_list_valued_group(demo_report, capsys, key):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"integrity mismatch - tasks[0].{key}:" in err
+
+
+def test_report_detects_a_forged_row_with_recounted_rates(demo_report, capsys):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    i, row = next((i, row) for i, row in enumerate(raw["tasks"]) if row["task_id"] == "scn-happy")
+    row.update(success=False, final_answer="forged")
+    recounted = _tally(raw["tasks"]).to_dict()
+    raw.update({key: recounted[key] for key in _RECOUNTED})
+    demo_report.write_text(json.dumps(raw), encoding="utf-8")
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        f"integrity mismatch - tasks[{i}].success",
+        f"integrity mismatch - tasks[{i}].final_answer",
+    ]
+    assert "stored 'forged' != transcript " in err[1]
+
+
+def test_report_notes_a_missing_transcript(demo_report, capsys):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    Path(raw["tasks"][0]["transcript"]).unlink()
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_OK
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("note: tasks[0]: no transcript at ")
+
+
+def test_report_flags_a_transcript_without_its_task_result(demo_report, capsys):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    path = Path(raw["tasks"][0]["transcript"])
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert '"kind": "TaskResult"' in lines[-1]
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"integrity mismatch - tasks[0]: transcript {path} has no closing TaskResult"
+
+
+def test_report_rejects_a_transcript_with_a_bad_header(demo_report, capsys):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    path = Path(raw["tasks"][0]["transcript"])
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(json.dumps({**json.loads(header), "backend": 5}) + "\n" + rest, encoding="utf-8")
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {path}: bad transcript header: backend: expected a string, got int 5\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -560,6 +560,10 @@ REPLAY_VERDICTS = {
         "scn-replan", lambda header, records: header.update(augment_search="false"), 0,
         "bad transcript header: augment_search: expected a boolean, got str 'false'", None,
     ),
+    "backend-a-number": (
+        "scn-replan", lambda header, records: header.update(backend=5), 0,
+        "bad transcript header: backend: expected a string, got int 5", None,
+    ),
     "temperature-a-bool": (
         "scn-replan", lambda header, records: header.update(temperature=True), 0,
         "bad transcript header: temperature: expected a number, got bool True", None,

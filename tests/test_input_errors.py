@@ -87,8 +87,12 @@ KINDS = [
         lambda p, t: _run(t, task=p),
         lambda s: s[: s.index("evaluator:")],
         (lambda s: s.replace("id: scn-happy", "id: 7"),),
-        # The id names the transcript file, which must stay inside --out.
-        bad_values=(lambda s: s.replace("id: scn-happy", "id: ../escaped"),),
+        bad_values=(
+            # The id names the transcript file, which must stay inside --out.
+            lambda s: s.replace("id: scn-happy", "id: ../escaped"),
+            # A difficulty may be spelled in any case, but must be one of them.
+            lambda s: s.replace("difficulty: easy", "difficulty: trivial"),
+        ),
     ),
     Kind(
         "suite",

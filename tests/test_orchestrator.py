@@ -36,6 +36,7 @@ from tandem.protocol import (
     GlobalPlan,
     LocalVerdict,
     ReplanRequest,
+    Ruling,
     StepOutcome,
     VerdictDecision,
 )
@@ -98,7 +99,7 @@ STEP_INPUTS = {
     "move": lambda: LocalVerdict(decision=VerdictDecision.MOVE, reasons="done"),
     "revise": lambda: LocalVerdict(decision=VerdictDecision.REVISE, reasons="again"),
     "request": lambda: ReplanRequest(phase_index=1, reasons="dead page", report=ok_report()),
-    "ruling": lambda: GlobalDecision.overrule("look again"),
+    "ruling": lambda: GlobalDecision(Ruling.OVERRULE, guidance="look again"),
     "budget": lambda: BudgetTripped(3),
     "failure": lambda: ProtocolFailed("GrammarError: no plan"),
     "finalized": lambda: Finalized(success=True, answer="42"),

@@ -22,6 +22,7 @@ from tandem.protocol import (
     PageAction,
     PhaseSpec,
     ReplanRequest,
+    Ruling,
     StepOutcome,
     Task,
     TranscriptEvent,
@@ -94,8 +95,24 @@ def test_report_request_decision_round_trip():
     request = ReplanRequest(phase_index=1, reasons="bad url", report=report)
     assert ReplanRequest.from_dict(request.to_dict()) == request
     plan = GlobalPlan(phases=(PhaseSpec(1, "a", "b"),), plan_version=2)
-    for decision in (GlobalDecision.revise(plan), GlobalDecision.overrule("try the link")):
+    revise = GlobalDecision(Ruling.REVISE, new_plan=plan)
+    overrule = GlobalDecision(Ruling.OVERRULE, guidance="try the link")
+    for decision in (revise, overrule):
         assert GlobalDecision.from_dict(decision.to_dict()) == decision
+
+
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        ({"ruling": "veto", "guidance": "x"}, "'veto'"),
+        ({"ruling": "revise"}, "new_plan"),
+        ({"ruling": "overrule"}, "guidance"),
+    ],
+    ids=["unknown-ruling", "revise-without-plan", "overrule-without-guidance"],
+)
+def test_decision_rejects_a_ruling_it_cannot_carry_out(raw, named):
+    with pytest.raises(ValueError, match=named):
+        GlobalDecision.from_dict(raw)
 
 
 def test_budgets_defaults_and_round_trip():

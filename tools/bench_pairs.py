@@ -17,7 +17,9 @@ is better by more than the parent's interquartile range) and the regression rule
 median is no worse than the parent's by more than the metric's bound;
 "unresolved" when the parent's own spread is wider than the bound and
 not every change run beats every parent run).  Seeds 1 to 10 are the
-ones bench/baseline.py uses.  Standard library only.
+ones bench/baseline.py uses.  The summary also gives the change's
+`src_lines`: lines added, deleted and net under `src/`, from
+`git diff --numstat`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -100,8 +102,19 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     return out
 
 
-def _git(*args: str) -> None:
-    subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True)
+def src_lines(numstat: str) -> dict:
+    """Lines added, deleted and net over `git diff --numstat` output; a binary file's `-` is 0."""
+    added = deleted = 0
+    for line in numstat.splitlines():
+        plus, minus, _ = line.split("\t", 2)
+        added += int(plus) if plus != "-" else 0
+        deleted += int(minus) if minus != "-" else 0
+    return {"added": added, "deleted": deleted, "net": added - deleted}
+
+
+def _git(*args: str) -> str:
+    cmd = ["git", "-C", str(ROOT), *args]
+    return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
 
 
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -129,7 +142,13 @@ def main(argv: list[str] | None = None) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {side: scratch / side for side in ("parent", "change")}
-    summary = {"parent": args.parent, "change": args.change, "seconds": seconds, "workloads": {}}
+    summary = {
+        "parent": args.parent,
+        "change": args.change,
+        "src_lines": src_lines(_git("diff", "--numstat", args.parent, args.change, "--", "src")),
+        "seconds": seconds,
+        "workloads": {},
+    }
     try:
         for side, tree in trees.items():
             _git("worktree", "add", "--detach", str(tree), getattr(args, side))
