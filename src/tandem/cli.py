@@ -7,10 +7,11 @@ Verbs:
     report   re-render and integrity-check a report.json against its
              transcripts
 
-Exit codes: 0 run completed, 1 configuration or input error, 2 backend
-unreachable (every task died on transport errors).  Every input error,
-a missing flag or a file that cannot be read or decoded, is an
-InputError and prints one line, ``error: <path or flag>: <reason>``.
+Exit codes: 0 run completed, 1 configuration or input error or a closed
+stdout pipe, 2 backend unreachable (every task died on transport
+errors).  Every input error, a missing flag or a file that cannot be
+read or decoded, is an InputError and prints one line,
+``error: <path or flag>: <reason>``.
 """
 
 from __future__ import annotations
@@ -291,10 +292,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.verb in ("run", "suite") and not args.backend:
             raise InputError("--backend", "--backend is required for run/suite")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the exit flush stays
+        # quiet, and exit 1 as Python itself does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

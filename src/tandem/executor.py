@@ -1,9 +1,11 @@
 """The local execution agent.
 
 Turns one plan phase at a time into concrete page actions, runs them
-against the environment, and self-checks the result.  Two check flavors
-exist: check_pass after a clean run (may conclude move, revise or
-request) and check_fail after an environment error (move is off the
+against the environment, and self-checks the result.  It has one method
+per reply grammar: ``actions`` asks for an action sequence with the
+prompt the caller names (plan, revise or overruled), and ``check`` asks
+for a verdict, with the pass check after a clean run (move, revise or
+request) and the false check after an environment error (move is off the
 table).  Like the planner, every parse failure gets one repair round.
 """
 
@@ -64,20 +66,16 @@ class LocalExecutor(Agent):
             lambda c: call_llm(self.backend, c, self.role, recorder), chat, parse, repair_text
         )
 
-    def _actions_via(
-        self, chat: ChatRequest, recorder: RunRecorder
-    ) -> tuple[PageAction, ...]:
-        return self._ask(chat, recorder, parse_action_sequence, prompt_texts.REPAIR_ACTIONS)
-
     # -- operations ------------------------------------------------------
 
-    def plan_phase(
-        self, phase: PhaseSpec, obs: Observation, recorder: RunRecorder
+    def actions(
+        self, action: str, phase: PhaseSpec, obs: Observation, recorder: RunRecorder,
+        **values: str,
     ) -> tuple[PageAction, ...]:
-        """Plan the action sequence for a phase from the current page."""
-        return self._actions_via(
-            self._request(self.render_prompt("plan", phase, obs)), recorder
-        )
+        """The phase's action sequence from prompt `local/<action>`: plan, revise
+        (`reasons`) or overruled (`guidance`, the planner's advice)."""
+        chat = self._request(self.render_prompt(action, phase, obs, **values))
+        return self._ask(chat, recorder, parse_action_sequence, prompt_texts.REPAIR_ACTIONS)
 
     def execute_actions(self, actions: tuple[PageAction, ...], env: WebEnv) -> ExecutionReport:
         """Run actions in order, halting at the first error or at stop.
@@ -102,49 +100,16 @@ class LocalExecutor(Agent):
             raised_exception=failed,
         )
 
-    def check_pass(
+    def check(
         self, report: ExecutionReport, phase: PhaseSpec, recorder: RunRecorder
     ) -> LocalVerdict:
-        """Self-check on a clean run's final page; move/revise/request all allowed."""
-        return self._verdict_via(
-            self._request(self.render_prompt("pass_check", phase, report.final_observation)),
-            recorder,
-            allow_move=True,
-        )
-
-    def check_fail(
-        self, report: ExecutionReport, phase: PhaseSpec, recorder: RunRecorder
-    ) -> LocalVerdict:
-        """Self-check after an environment error; move is rejected."""
-        chat = self._request(
-            self.render_prompt(
-                "false_check", phase, report.final_observation, feedback=_error_feedback(report)
-            )
-        )
-        return self._verdict_via(chat, recorder, allow_move=False)
-
-    def _verdict_via(
-        self, chat: ChatRequest, recorder: RunRecorder, allow_move: bool
-    ) -> LocalVerdict:
-        parse = partial(parse_verdict, allow_move=allow_move)
-        return self._ask(chat, recorder, parse, prompt_texts.REPAIR_VERDICT)
-
-    def revise_local(
-        self, reasons: str, phase: PhaseSpec, obs: Observation, recorder: RunRecorder
-    ) -> tuple[PageAction, ...]:
-        """Produce a corrected sequence for the same phase."""
-        return self._actions_via(
-            self._request(self.render_prompt("revise", phase, obs, reasons=reasons)),
-            recorder,
-        )
-
-    def handle_overrule(
-        self, guidance: str, phase: PhaseSpec, obs: Observation, recorder: RunRecorder
-    ) -> tuple[PageAction, ...]:
-        """Retry the phase under the planner's guidance, plan unchanged."""
-        return self._actions_via(
-            self._request(
-                self.render_prompt("overruled", phase, obs, guidance=guidance)
-            ),
-            recorder,
-        )
+        """Self-check on the report's final page; after an environment error
+        the prompt quotes the error and a move verdict is rejected."""
+        failed = report.raised_exception
+        obs = report.final_observation
+        if failed:
+            prompt = self.render_prompt("false_check", phase, obs, feedback=_error_feedback(report))
+        else:
+            prompt = self.render_prompt("pass_check", phase, obs)
+        parse = partial(parse_verdict, allow_move=not failed)
+        return self._ask(self._request(prompt), recorder, parse, prompt_texts.REPAIR_VERDICT)

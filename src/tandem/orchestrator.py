@@ -340,7 +340,11 @@ def run_task(
 ) -> TaskOutcome:
     """Run one task end to end and return the outcome its events record.
 
-    Parse failures that survive their repair round become a
+    Each mode asks one agent method for the next step input: the
+    executor's ``actions`` with the prompt the last step calls for (plan
+    in a new phase, revise after a revise verdict, overruled after an
+    overrule), its ``check`` on the last report, and the planner's
+    ``decide_replan`` on a request.  Parse failures that survive their repair round become a
     protocol_error outcome rather than an exception; environment load
     problems raise before any LLM call.  The recorder, whose exchange
     cap the caller sets from the budgets, ends up holding the full
@@ -349,41 +353,31 @@ def run_task(
     state = OrchestratorState(task=task, recorder=recorder, budgets=budgets)
 
     obs = env.reset()
-    pending_reasons = ""
-    pending_guidance: str | None = None
+    follow_up: tuple[str, dict[str, str]] = ("plan", {})  # the next action prompt, its fields
 
     try:
-        step(state, planner.make_global_plan(task, obs, recorder))
+        step(state, planner.plan(task, obs, recorder))
 
         while state.mode not in (Mode.COLLATION, *TERMINAL_MODES):
             assert state.plan is not None
             phase = state.plan.phase(state.phase_index)
             if state.mode in (Mode.PHASE_EXECUTION, Mode.LOCAL_REVISION):
-                obs = env.observe()
                 if state.mode is Mode.PHASE_EXECUTION:
-                    seq = executor.plan_phase(phase, obs, recorder)
-                elif pending_guidance is not None:
-                    seq = executor.handle_overrule(pending_guidance, phase, obs, recorder)
-                    pending_guidance = None
-                else:
-                    seq = executor.revise_local(pending_reasons, phase, obs, recorder)
+                    follow_up = "plan", {}
+                action, values = follow_up
+                seq = executor.actions(action, phase, env.observe(), recorder, **values)
                 step(state, executor.execute_actions(seq, env))
 
             elif state.mode in (Mode.PASS_CHECK, Mode.FAIL_CHECK):
                 assert state.last_report is not None
-                check = (
-                    executor.check_pass
-                    if state.mode is Mode.PASS_CHECK
-                    else executor.check_fail
-                )
-                verdict = check(state.last_report, phase, recorder)
-                pending_reasons = verdict.reasons
+                verdict = executor.check(state.last_report, phase, recorder)
+                follow_up = "revise", {"reasons": verdict.reasons}
                 step(state, verdict)
 
             elif state.mode is Mode.REPLAN_PENDING:
                 request = ReplanRequest(
                     phase_index=state.phase_index,
-                    reasons=pending_reasons,
+                    reasons=verdict.reasons,
                     report=state.last_report,
                 )
                 decision = planner.decide_replan(
@@ -392,7 +386,7 @@ def run_task(
                 step(state, request)
                 step(state, decision)
                 if decision.ruling is Ruling.OVERRULE:
-                    pending_guidance = decision.guidance
+                    follow_up = "overruled", {"guidance": decision.guidance}
 
             else:  # pragma: no cover - defensive
                 raise IllegalTransition(f"driver stuck in mode {state.mode.value}")

@@ -1,18 +1,17 @@
 """The global planning agent.
 
-Wraps an LLM backend with prompt construction and response parsing for
-the planner's five responsibilities: issuing the initial plan, ruling on
-replan requests (decide), rebuilding the plan when a request is accepted
-(revise), implicitly overruling with guidance, and collating the final
-answer.  Ruling and rebuilding are two separate LLM calls; an overrule
-costs only the ruling call because its guidance rides in the same
-response.
+Wraps an LLM backend with prompt construction and response parsing, one
+method per reply grammar: ``plan`` makes the initial plan or, given the
+plan it replaces, the revised one; ``decide_replan`` rules on a replan
+request, rebuilding the plan through ``plan`` when it accepts and
+overruling with guidance otherwise; ``collate`` gives the final answer.
+Ruling and rebuilding are two separate LLM calls; an overrule costs only
+the ruling call because its guidance rides in the same response.
 
-Every operation takes the task, the current observation and, where its
-prompt quotes it, the plan in force as arguments; the planning calls
-(plan and revise) fetch their own background passages.  Each parse
-failure earns exactly one repair round (a follow-up message restating
-the output format) before the typed error propagates.
+Every operation takes the task and the current observation as arguments;
+``plan`` fetches its own background passages.  Each parse failure earns
+exactly one repair round (a follow-up message restating the output
+format) before the typed error propagates.
 """
 
 from __future__ import annotations
@@ -128,13 +127,21 @@ class GlobalPlanner(Agent):
 
     # -- operations ------------------------------------------------------
 
-    def make_global_plan(
-        self, task: Task, observation: Observation, recorder: RunRecorder
+    def plan(
+        self, task: Task, observation: Observation, recorder: RunRecorder,
+        previous: GlobalPlan | None = None, **values: str | int,
     ) -> GlobalPlan:
-        """Issue plan version 1. One repair round, then PlanParseError."""
+        """Plan version 1 or, from the revise prompt, the `previous` plan's
+        replacement, one version on; `values` fill that prompt's request
+        fields.  One repair round, then PlanParseError."""
         passages = self.fetch_passages(task.objective)
-        chat = self._request(self.render_prompt("plan", task, observation, passages=passages))
-        parse = partial(parse_global_plan, plan_version=1)
+        if previous is None:
+            action, version = "plan", 1
+        else:
+            action, version = "revise", previous.plan_version + 1
+            values["previous_plan"] = render_plan_text(previous)
+        chat = self._request(self.render_prompt(action, task, observation, passages, **values))
+        parse = partial(parse_global_plan, plan_version=version)
         return self._ask(chat, recorder, parse, prompt_texts.REPAIR_PLAN)
 
     def decide_replan(
@@ -143,7 +150,7 @@ class GlobalPlanner(Agent):
     ) -> GlobalDecision:
         """Rule on a replan request.
 
-        An accepted request costs a second LLM call (revise_plan) and
+        An accepted request costs a second LLM call (``plan``) and
         yields a revise ruling carrying the replacement plan; an
         overrule reuses the ruling response's remaining text as guidance
         and never touches the plan.
@@ -157,7 +164,10 @@ class GlobalPlanner(Agent):
         ruling, guidance = self._ask(chat, recorder, self._parse_ruling, prompt_texts.REPAIR_DECISION)
         if ruling is Ruling.OVERRULE:
             return GlobalDecision(ruling, guidance=guidance)
-        return GlobalDecision(ruling, self.revise_plan(request, task, observation, plan, recorder))
+        new_plan = self.plan(
+            task, observation, recorder, plan, reasons=request.reasons, phase_index=request.phase_index
+        )
+        return GlobalDecision(ruling, new_plan)
 
     @staticmethod
     def _parse_ruling(response: str) -> tuple[Ruling, str]:
@@ -165,21 +175,6 @@ class GlobalPlanner(Agent):
         if ruling is Ruling.OVERRULE and not guidance.strip():
             raise DecisionParseError("overrule ruling carries no guidance text")
         return ruling, guidance
-
-    def revise_plan(
-        self, request: ReplanRequest, task: Task, observation: Observation, plan: GlobalPlan,
-        recorder: RunRecorder,
-    ) -> GlobalPlan:
-        """Build the replacement plan; version bumps by exactly one."""
-        chat = self._request(
-            self.render_prompt(
-                "revise", task, observation, self.fetch_passages(task.objective),
-                reasons=request.reasons, phase_index=request.phase_index,
-                previous_plan=render_plan_text(plan),
-            )
-        )
-        parse = partial(parse_global_plan, plan_version=plan.plan_version + 1)
-        return self._ask(chat, recorder, parse, prompt_texts.REPAIR_PLAN)
 
     def collate(
         self, final_report: ExecutionReport, task: Task, observation: Observation,

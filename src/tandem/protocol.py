@@ -480,6 +480,13 @@ class LocalVerdict(DictCodec):
     decision: VerdictDecision
     reasons: str = ""
 
+    def __post_init__(self) -> None:
+        _check_rules(
+            self,
+            (not isinstance(self.decision, VerdictDecision), "decision",
+             f"{self.decision!r} is not a VerdictDecision"),
+        )
+
 
 @dataclass(frozen=True)
 class ReplanRequest(DictCodec):
@@ -508,6 +515,7 @@ class GlobalDecision(DictCodec):
     def __post_init__(self) -> None:
         _check_rules(
             self,
+            (not isinstance(self.ruling, Ruling), "ruling", f"{self.ruling!r} is not a Ruling"),
             (self.ruling is Ruling.REVISE and self.new_plan is None, "new_plan",
              "a revise ruling needs new_plan"),
             (self.ruling is Ruling.OVERRULE and self.guidance is None, "guidance",

@@ -76,11 +76,15 @@ def test_regressions_are_judged_against_the_bound_and_the_spread():
     assert summary["failed"] == {"parent": 0, "change": 20}
 
 
-def test_src_lines_sums_numstat_and_counts_a_binary_file_as_zero():
+def test_lines_under_sums_numstat_per_directory_and_counts_a_binary_file_as_zero():
     numstat = (
         "12\t30\tsrc/tandem/protocol.py\n"
         "5\t0\tsrc/tandem/harness.py\n"
         "-\t-\tsrc/tandem/data/logo.png\n"
+        "40\t9\ttests/test_protocol.py\n"
+        "3\t1\tbench/tests/test_bench_gate.py\n"
+        "2\t2\tsrcdump/notes.txt\n"
     )
-    assert bench_pairs.src_lines(numstat) == {"added": 17, "deleted": 30, "net": -13}
-    assert bench_pairs.src_lines("") == {"added": 0, "deleted": 0, "net": 0}
+    assert bench_pairs.lines_under("src", numstat) == {"added": 17, "deleted": 30, "net": -13}
+    assert bench_pairs.lines_under("tests", numstat) == {"added": 40, "deleted": 9, "net": 31}
+    assert bench_pairs.lines_under("src", "") == {"added": 0, "deleted": 0, "net": 0}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -825,3 +826,22 @@ def test_module_reports_usage_without_args():
     )
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tandem.cli", "replay",
+             str(REPO / "tests" / "recorded" / "scn-replan.transcript.jsonl")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

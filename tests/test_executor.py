@@ -59,20 +59,20 @@ def test_pass_check_prompt_mentions_clean_run():
 
 
 # ---------------------------------------------------------------------
-# plan_phase / revise_local / handle_overrule
+# actions: the plan, revise and overruled prompts
 # ---------------------------------------------------------------------
 
 
-def test_plan_phase_parses_actions():
+def test_actions_plan_parses_actions():
     executor = executor_with([("Work out the action sequence", ACTIONS_TEXT)])
     recorder = RunRecorder()
-    seq = executor.plan_phase(make_phase(1), make_obs(), recorder)
+    seq = executor.actions("plan", make_phase(1), make_obs(), recorder)
     assert [a.kind for a in seq] == [ActionKind.CLICK, ActionKind.STOP]
     assert seq[0].target == 5
     assert recorder.exchanges == 1
 
 
-def test_plan_phase_repairs_once():
+def test_actions_plan_repairs_once():
     executor = executor_with(
         [
             ("Work out the action sequence", "I would click around"),
@@ -80,12 +80,12 @@ def test_plan_phase_repairs_once():
         ]
     )
     recorder = RunRecorder()
-    seq = executor.plan_phase(make_phase(1), make_obs(), recorder)
+    seq = executor.actions("plan", make_phase(1), make_obs(), recorder)
     assert len(seq) == 2
     assert recorder.exchanges == 2
 
 
-def test_plan_phase_gives_up_after_one_repair():
+def test_actions_plan_gives_up_after_one_repair():
     # second response has no action lines at all
     executor = executor_with(
         [
@@ -94,7 +94,7 @@ def test_plan_phase_gives_up_after_one_repair():
         ]
     )
     with pytest.raises(EmptyPlan):
-        executor.plan_phase(make_phase(1), make_obs(), RunRecorder())
+        executor.actions("plan", make_phase(1), make_obs(), RunRecorder())
     # second response has an action line with an unknown verb
     executor = executor_with(
         [
@@ -103,18 +103,28 @@ def test_plan_phase_gives_up_after_one_repair():
         ]
     )
     with pytest.raises(ActionParseError):
-        executor.plan_phase(make_phase(1), make_obs(), RunRecorder())
+        executor.actions("plan", make_phase(1), make_obs(), RunRecorder())
 
 
-def test_revise_local_uses_revise_prompt():
+def test_actions_revise_uses_revise_prompt():
     executor = executor_with([("You decided to adjust your action sequence", ACTIONS_TEXT)])
-    seq = executor.revise_local("bad node id", make_phase(1), make_obs(), RunRecorder())
+    seq = executor.actions("revise", make_phase(1), make_obs(), RunRecorder(), reasons="bad node id")
     assert len(seq) == 2
 
 
-def test_handle_overrule_uses_overruled_prompt():
+def test_actions_revise_without_reasons_is_refused():
+    executor = executor_with([("You decided to adjust your action sequence", ACTIONS_TEXT)])
+    recorder = RunRecorder()
+    with pytest.raises(TypeError, match="prompt local/revise takes fields"):
+        executor.actions("revise", make_phase(1), make_obs(), recorder)
+    assert recorder.exchanges == 0
+
+
+def test_actions_overruled_uses_overruled_prompt():
     executor = executor_with([("kept the global plan", ACTIONS_TEXT)])
-    seq = executor.handle_overrule("scroll down", make_phase(1), make_obs(), RunRecorder())
+    seq = executor.actions(
+        "overruled", make_phase(1), make_obs(), RunRecorder(), guidance="scroll down"
+    )
     assert len(seq) == 2
 
 
@@ -174,25 +184,27 @@ def bad_report(env):
     return executor_with([]).execute_actions(seq, env)
 
 
-def test_check_pass_allows_move(env):
+def test_check_after_clean_run_allows_move(env):
     executor = executor_with([("ran without errors", "Action: ```move```\nReasons: page matches")])
-    verdict = executor.check_pass(good_report(env), make_phase(1), RunRecorder())
+    verdict = executor.check(good_report(env), make_phase(1), RunRecorder())
     assert verdict.decision is VerdictDecision.MOVE
 
 
-def test_check_fail_rejects_move(env):
+def test_check_after_error_rejects_move(env):
     executor = executor_with(
         [
             ("An action in this phase failed", "Action: ```move```\nReasons: fine anyway"),
             ("An action in this phase failed", "Action: ```revise```\nReasons: wrong node id"),
         ]
     )
-    verdict = executor.check_fail(bad_report(env), make_phase(1), RunRecorder())
+    recorder = RunRecorder()
+    verdict = executor.check(bad_report(env), make_phase(1), recorder)
     assert verdict.decision is VerdictDecision.REVISE
     assert "wrong node id" in verdict.reasons
+    assert "step 1 (click [999]) failed: unknown node id" in recorder.events[0].payload["prompt"]
 
 
-def test_check_fail_embeds_error_feedback(env):
+def test_false_check_prompt_embeds_error_feedback(env):
     report = bad_report(env)
     executor = executor_with([])
     text = executor.render_prompt(
@@ -203,7 +215,7 @@ def test_check_fail_embeds_error_feedback(env):
     assert report.steps[0].outcome.error in text
 
 
-def test_check_fail_double_garbage_raises(env):
+def test_check_after_error_double_garbage_raises(env):
     executor = executor_with(
         [
             ("An action in this phase failed", "no idea"),
@@ -211,12 +223,12 @@ def test_check_fail_double_garbage_raises(env):
         ]
     )
     with pytest.raises(VerdictParseError):
-        executor.check_fail(bad_report(env), make_phase(1), RunRecorder())
+        executor.check(bad_report(env), make_phase(1), RunRecorder())
 
 
-def test_check_pass_request_verdict(env):
+def test_check_after_clean_run_request_verdict(env):
     executor = executor_with(
         [("ran without errors", "Action: ```request```\nReasons: plan assumes a page that is missing")]
     )
-    verdict = executor.check_pass(good_report(env), make_phase(1), RunRecorder())
+    verdict = executor.check(good_report(env), make_phase(1), RunRecorder())
     assert verdict.decision is VerdictDecision.REQUEST

@@ -147,21 +147,21 @@ def test_fetch_passages_swallows_provider_errors():
 
 
 # ---------------------------------------------------------------------
-# make_global_plan
+# plan
 # ---------------------------------------------------------------------
 
 
-def test_make_global_plan_happy_path():
+def test_plan_happy_path():
     planner = planner_with([("Construct the global plan", PLAN_TEXT)])
     recorder = RunRecorder()
-    plan = planner.make_global_plan(make_task(), make_obs(), recorder)
+    plan = planner.plan(make_task(), make_obs(), recorder)
     assert plan.plan_version == 1
     assert [p.index for p in plan.phases] == [1, 2]
     assert plan.phases[0].subtask == "Open the kitchen category"
     assert recorder.exchanges == 1
 
 
-def test_make_global_plan_repairs_once():
+def test_plan_repairs_once():
     planner = planner_with(
         [
             ("Construct the global plan", "sorry, no plan here"),
@@ -169,12 +169,12 @@ def test_make_global_plan_repairs_once():
         ]
     )
     recorder = RunRecorder()
-    plan = planner.make_global_plan(make_task(), make_obs(), recorder)
+    plan = planner.plan(make_task(), make_obs(), recorder)
     assert plan.plan_version == 1
     assert recorder.exchanges == 2
 
 
-def test_make_global_plan_fails_after_one_repair():
+def test_plan_fails_after_one_repair():
     planner = planner_with(
         [
             ("Construct the global plan", "garbage"),
@@ -183,7 +183,7 @@ def test_make_global_plan_fails_after_one_repair():
     )
     recorder = RunRecorder()
     with pytest.raises(PlanParseError):
-        planner.make_global_plan(make_task(), make_obs(), recorder)
+        planner.plan(make_task(), make_obs(), recorder)
     assert recorder.exchanges == 2
 
 
@@ -266,13 +266,13 @@ def test_planning_calls_fetch_their_own_passages():
         search_provider=provider,
     )
     recorder = RunRecorder()
-    plan = planner.make_global_plan(make_task(), make_obs(), recorder)
+    plan = planner.plan(make_task(), make_obs(), recorder)
     planner.decide_replan(make_request_obj(), make_task(), make_obs(), plan, recorder)
     prompts = [e.payload["prompt"] for e in recorder.events]
     assert ["kettles pour water" in p for p in prompts] == [True, False, True]
 
 
-def test_revise_plan_repairs_once():
+def test_plan_revision_repairs_once():
     planner = planner_with(
         [
             ("You accepted the replan request", "no plan, sorry"),
@@ -280,8 +280,10 @@ def test_revise_plan_repairs_once():
         ]
     )
     recorder = RunRecorder()
-    plan = planner.revise_plan(
-        make_request_obj(), make_task(), make_obs(), make_plan(version=3), recorder
+    request = make_request_obj()
+    plan = planner.plan(
+        make_task(), make_obs(), recorder, make_plan(version=3),
+        reasons=request.reasons, phase_index=request.phase_index,
     )
     assert plan.plan_version == 4
     assert recorder.exchanges == 2

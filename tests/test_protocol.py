@@ -18,6 +18,7 @@ from tandem.protocol import (
     ExecutionStep,
     GlobalDecision,
     GlobalPlan,
+    LocalVerdict,
     Observation,
     PageAction,
     PhaseSpec,
@@ -113,6 +114,20 @@ def test_report_request_decision_round_trip():
 def test_decision_rejects_a_ruling_it_cannot_carry_out(raw, named):
     with pytest.raises(ValueError, match=named):
         GlobalDecision.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LocalVerdict(decision="move"), "LocalVerdict.decision: 'move' is not a VerdictDecision"),
+        (lambda: GlobalDecision(ruling="revise"), "GlobalDecision.ruling: 'revise' is not a Ruling"),
+    ],
+    ids=["verdict", "ruling"],
+)
+def test_plain_string_protocol_values_are_refused(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
 
 
 def test_budgets_defaults_and_round_trip():

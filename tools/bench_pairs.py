@@ -18,8 +18,8 @@ median is no worse than the parent's by more than the metric's bound;
 "unresolved" when the parent's own spread is wider than the bound and
 not every change run beats every parent run).  Seeds 1 to 10 are the
 ones bench/baseline.py uses.  The summary also gives the change's
-`src_lines`: lines added, deleted and net under `src/`, from
-`git diff --numstat`.  Standard library only.
+`src_lines` and `tests_lines`: lines added, deleted and net under `src/`
+and under `tests/`, from one `git diff --numstat`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -102,11 +102,14 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     return out
 
 
-def src_lines(numstat: str) -> dict:
-    """Lines added, deleted and net over `git diff --numstat` output; a binary file's `-` is 0."""
+def lines_under(top: str, numstat: str) -> dict:
+    """Lines added, deleted and net under directory `top` over `git diff
+    --numstat --no-renames` output; a binary file's `-` is 0."""
     added = deleted = 0
     for line in numstat.splitlines():
-        plus, minus, _ = line.split("\t", 2)
+        plus, minus, path = line.split("\t", 2)
+        if not path.startswith(f"{top}/"):
+            continue
         added += int(plus) if plus != "-" else 0
         deleted += int(minus) if minus != "-" else 0
     return {"added": added, "deleted": deleted, "net": added - deleted}
@@ -142,10 +145,12 @@ def main(argv: list[str] | None = None) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {side: scratch / side for side in ("parent", "change")}
+    numstat = _git("diff", "--numstat", "--no-renames", args.parent, args.change)
     summary = {
         "parent": args.parent,
         "change": args.change,
-        "src_lines": src_lines(_git("diff", "--numstat", args.parent, args.change, "--", "src")),
+        "src_lines": lines_under("src", numstat),
+        "tests_lines": lines_under("tests", numstat),
         "seconds": seconds,
         "workloads": {},
     }
