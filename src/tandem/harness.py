@@ -242,10 +242,10 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], lis
     against its transcript.
 
     Returns the recounted rate tables; one line per task row whose
-    category or difficulty is not a string, per recounted field whose
-    stored value differs and per outcome field whose stored value differs
-    from the one its transcript records; and one note per row whose
-    transcript is missing.  A row's transcript is read by its file name
+    category or difficulty is not a string or whose task id an earlier
+    row has, per recounted field whose stored value differs and per row
+    field whose stored value differs from the one its transcript records;
+    and one note per row whose transcript is missing.  A row's transcript is read by its file name
     from `report_dir`, where a suite writes both.
     """
     rows = raw["tasks"]
@@ -263,7 +263,11 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], lis
         if raw.get(key) != recounted[key]
     ]
     notes = []
+    first: dict[str, int] = {}  # each task id's first row; load_manifest refuses duplicates
     for i, row in enumerate(rows):
+        task_id = row.get("task_id")
+        if isinstance(task_id, str) and first.setdefault(task_id, i) != i:
+            mismatches.append(f"tasks[{i}].task_id: {task_id!r} is also tasks[{first[task_id]}]'s")
         path = Path(report_dir, Path(str(row.get("transcript") or "")).name)
         if not path.is_file():
             notes.append(f"tasks[{i}]: no transcript at {path}; its outcome is not checked")
@@ -273,15 +277,17 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], lis
 
 
 def _outcome_mismatches(where: str, row: dict, path: Path) -> list[str]:
-    """One line per outcome field of `row` that differs from the transcript at `path`."""
+    """One line per field of `row` that differs from the row its transcript at
+    `path` gives, built as a live report builds it; the transcript path aside."""
     raw, events, _ = read_transcript(path)
     if not events or events[-1].kind is not EventKind.TASK_RESULT:
         return [f"{where}: transcript {path} has no closing TaskResult"]
     try:
-        task_id = RunHeader.from_dict(raw).task.id
+        task = RunHeader.from_dict(raw).task
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(path, f"bad transcript header: {exc}") from exc
-    recorded = TaskOutcome.from_events(task_id, events).to_dict()
+    recorded = _task_row(TaskRun(task, TaskOutcome.from_events(task.id, events)))
+    del recorded["transcript"]
     return [
         f"{where}.{key}: stored {row.get(key)!r} != transcript {value!r}"
         for key, value in recorded.items()
@@ -300,8 +306,7 @@ def _wire(
     failures begins.
     """
     env = WebEnv(load_fixture(task.env_fixture))
-    cap = budgets.max_exchanges if budgets.force_stop_enabled else None
-    recorder = RunRecorder(exchange_cap=cap)
+    recorder = RunRecorder()
     planner = GlobalPlanner(
         backend, library=library, temperature=temperature, search_provider=search_provider
     )

@@ -25,12 +25,13 @@ Mode graph (inputs in parentheses):
     any active --(BudgetTripped)--> ForceStopped
     any active --(ProtocolFailed)--> Done
 
-Budget semantics: with force stop enabled the recorder's exchange gate
-interrupts the run the moment a call would exceed max_exchanges; with it
-disabled, ``step`` applies the per-phase revision and per-task replan
+Budget semantics: ``OrchestratorState`` arms its recorder's exchange gate
+from its budgets.  With force stop enabled the gate interrupts the run
+the moment a call would exceed max_exchanges; with it disabled the gate
+is off and ``step`` applies the per-phase revision and per-task replan
 limits to each revise or request verdict.  Either way the budget event
-recorded is a ForceStop event whose ``reason`` field says which limit
-tripped, and the run's TaskResult takes its termination and detail from it.
+is a ForceStop whose ``reason`` says which limit tripped, and the run's
+TaskResult takes its termination and detail from it and never succeeds.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ __all__ = [
     "ProtocolFailed",
     "TaskOutcome",
     "Termination",
-    "finalize",
     "record_result",
     "run_task",
     "step",
@@ -137,7 +137,6 @@ StepInput = (
 
 @dataclass
 class OrchestratorState:
-    task: Task
     recorder: RunRecorder
     budgets: Budgets = field(default_factory=Budgets)
     mode: Mode = Mode.PLANNING
@@ -146,6 +145,10 @@ class OrchestratorState:
     replan_requests: int = 0
     revisions_this_phase: int = 0
     last_report: ExecutionReport | None = None
+
+    def __post_init__(self) -> None:  # arm the exchange gate: a cap only with force stop on
+        budgets = self.budgets
+        self.recorder.exchange_cap = budgets.max_exchanges if budgets.force_stop_enabled else None
 
 
 @dataclass(frozen=True)
@@ -275,13 +278,13 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
         if mode is Mode.COLLATION:
             termination, detail = Termination.COMPLETED, ""
             state.mode = Mode.DONE
-        elif mode is Mode.FORCE_STOPPED:  # the ForceStop that stopped the run says why
+        elif mode is Mode.FORCE_STOPPED and not inp.success:  # its ForceStop says why
             stop = next(e for e in reversed(rec.events) if e.kind is EventKind.FORCE_STOP)
             detail = stop.payload["reason"]
             exhausted = detail != "max_exchanges"  # a revision or replan limit
             termination = Termination.BUDGET_EXHAUSTED if exhausted else Termination.FORCE_STOPPED
-        else:
-            raise IllegalTransition(f"{mode.value} cannot finalize")
+        else:  # a force-stopped run fails
+            raise IllegalTransition(f"{mode.value} cannot finalize with success={inp.success}")
         record_result(rec, inp.success, inp.answer, termination, detail)
         return state
 
@@ -344,13 +347,12 @@ def run_task(
     executor's ``actions`` with the prompt the last step calls for (plan
     in a new phase, revise after a revise verdict, overruled after an
     overrule), its ``check`` on the last report, and the planner's
-    ``decide_replan`` on a request.  Parse failures that survive their repair round become a
-    protocol_error outcome rather than an exception; environment load
-    problems raise before any LLM call.  The recorder, whose exchange
-    cap the caller sets from the budgets, ends up holding the full
-    transcript.
+    ``decide_replan`` on a request and ``collate`` in Collation.  Parse
+    failures that survive their repair round become a protocol_error
+    outcome; environment load problems raise before any LLM call.  A
+    force-stopped run closes with the stop answer and no collation call.
     """
-    state = OrchestratorState(task=task, recorder=recorder, budgets=budgets)
+    state = OrchestratorState(recorder=recorder, budgets=budgets)
 
     obs = env.reset()
     follow_up: tuple[str, dict[str, str]] = ("plan", {})  # the next action prompt, its fields
@@ -358,7 +360,7 @@ def run_task(
     try:
         step(state, planner.plan(task, obs, recorder))
 
-        while state.mode not in (Mode.COLLATION, *TERMINAL_MODES):
+        while state.mode not in TERMINAL_MODES:
             assert state.plan is not None
             phase = state.plan.phase(state.phase_index)
             if state.mode in (Mode.PHASE_EXECUTION, Mode.LOCAL_REVISION):
@@ -388,8 +390,11 @@ def run_task(
                 if decision.ruling is Ruling.OVERRULE:
                     follow_up = "overruled", {"guidance": decision.guidance}
 
-            else:  # pragma: no cover - defensive
-                raise IllegalTransition(f"driver stuck in mode {state.mode.value}")
+            else:  # Collation
+                answer = planner.collate(
+                    state.last_report, task, env.observe(), recorder, stop_answer=env.stop_answer
+                )
+                step(state, Finalized(evaluate(answer, env, task.evaluator), answer))
 
     except ForceStopInterrupt as fs:
         step(state, BudgetTripped(fs.exchange_count))
@@ -397,31 +402,6 @@ def run_task(
         detail = f"{type(exc).__name__}: {exc}"
         step(state, ProtocolFailed(detail=detail, answer=env.stop_answer or ""))
 
-    if state.mode in (Mode.COLLATION, Mode.FORCE_STOPPED):
-        finalize(state, planner, env)
+    if state.mode is Mode.FORCE_STOPPED:
+        step(state, Finalized(success=False, answer=(env.stop_answer or "").strip()))
     return TaskOutcome.from_events(task.id, recorder.events)
-
-
-def finalize(state: OrchestratorState, planner: GlobalPlanner, env: WebEnv) -> None:
-    """Collate the final answer, evaluate it, and write the TaskResult.
-
-    Only a run that reached Collation on its own merits gets a collation
-    LLM call; force-stopped or budget-exhausted runs fall back to the
-    execution agent's stop answer (or "") without burning an exchange.
-    A force stop tripping on the collation call itself downgrades the
-    run to ForceStopped.  Called from any other mode, it raises
-    IllegalTransition at ``step(Finalized)`` without calling the backend.
-    """
-    answer = (env.stop_answer or "").strip()
-    if state.mode is Mode.COLLATION:
-        try:
-            answer = planner.collate(
-                state.last_report, state.task, env.observe(), state.recorder,
-                stop_answer=env.stop_answer,
-            )
-        except ForceStopInterrupt as fs:  # answer keeps the stop answer
-            step(state, BudgetTripped(fs.exchange_count))
-
-    passed = evaluate(answer, env, state.task.evaluator)
-    success = passed and state.mode is Mode.COLLATION
-    step(state, Finalized(success=success, answer=answer))

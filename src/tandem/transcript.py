@@ -64,7 +64,8 @@ class RunRecorder:
     exchange_cap, when set, arms the force-stop gate:
     check_exchange_budget raises ForceStopInterrupt as soon as the
     completed-call count has reached the cap, i.e. before the call that
-    would exceed it.
+    would exceed it.  A run's `orchestrator.OrchestratorState` sets it
+    from the run's budgets, so a run's caller passes a bare recorder.
     """
 
     def __init__(self, exchange_cap: int | None = None) -> None:

@@ -83,8 +83,7 @@ def run_scenario(task_id: str, budgets: Budgets | None = None):
     task = scenario_task(task_id)
     budgets = budgets or Budgets()
     env = WebEnv(load_fixture(task.env_fixture))
-    cap = budgets.max_exchanges if budgets.force_stop_enabled else None
-    recorder = RunRecorder(exchange_cap=cap)
+    recorder = RunRecorder()
     backend = scenario_backend(task_id)
     planner = GlobalPlanner(backend)
     executor = LocalExecutor(backend)

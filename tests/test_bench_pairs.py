@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 
 from conftest import REPO
 
@@ -88,3 +89,28 @@ def test_lines_under_sums_numstat_per_directory_and_counts_a_binary_file_as_zero
     assert bench_pairs.lines_under("src", numstat) == {"added": 17, "deleted": 30, "net": -13}
     assert bench_pairs.lines_under("tests", numstat) == {"added": 40, "deleted": 9, "net": 31}
     assert bench_pairs.lines_under("src", "") == {"added": 0, "deleted": 0, "net": 0}
+
+
+def test_extract_writes_a_revisions_files_and_leaves_git_alone(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "bench" / "run.py").write_text("first\n", encoding="utf-8")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "first")
+    (repo / "bench" / "run.py").write_text("second\n", encoding="utf-8")
+    (repo / "untracked.txt").write_text("not committed\n", encoding="utf-8")
+    git("add", "bench")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "second")
+
+    dest = tmp_path / "parent"
+    bench_pairs.extract(repo, "HEAD~1", dest)
+    assert sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*")) == [
+        "bench", "bench/run.py"
+    ]
+    assert (dest / "bench" / "run.py").read_text(encoding="utf-8") == "first\n"
+    assert not (repo / ".git" / "worktrees").exists()

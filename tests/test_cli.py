@@ -735,6 +735,28 @@ def test_report_detects_a_forged_row_with_recounted_rates(demo_report, capsys):
     assert "stored 'forged' != transcript " in err[1]
 
 
+@pytest.mark.parametrize(
+    "forge,expected",
+    [
+        (
+            lambda rows: rows[5].update(site_category="shopping"),
+            "tasks[5].site_category: stored 'shopping' != transcript 'gitlab'",
+        ),
+        (lambda rows: rows.append(dict(rows[0])), "tasks[6].task_id: 'scn-happy' is also tasks[0]'s"),
+    ],
+    ids=["moved-to-another-group", "duplicated"],
+)
+def test_report_detects_a_forged_row_set_with_recounted_rates(demo_report, capsys, forge, expected):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    forge(raw["tasks"])
+    recounted = _tally(raw["tasks"]).to_dict()
+    raw.update({key: recounted[key] for key in _RECOUNTED})
+    demo_report.write_text(json.dumps(raw), encoding="utf-8")
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"integrity mismatch - {expected}"]
+
+
 def test_report_notes_a_missing_transcript(demo_report, capsys):
     raw = json.loads(demo_report.read_text(encoding="utf-8"))
     Path(raw["tasks"][0]["transcript"]).unlink()

@@ -22,7 +22,6 @@ from tandem.orchestrator import (
     ProtocolFailed,
     TaskOutcome,
     Termination,
-    finalize,
     run_task,
     step,
 )
@@ -56,6 +55,8 @@ from conftest import (
     outcome_dict,
     project,
     run_scenario,
+    scenario_backend,
+    scenario_task,
 )
 
 FUZZ_RUNS = 1000
@@ -72,7 +73,7 @@ FUZZ_DIGEST = "b9cceaaa6e2cdc71fa00c0a78930f5693b7a85b50ee990770643c5ec86cdd2a6"
 
 
 def fresh_state(mode: Mode = Mode.PLANNING, plan: GlobalPlan | None = None) -> OrchestratorState:
-    state = OrchestratorState(task=make_task(), recorder=RunRecorder())
+    state = OrchestratorState(recorder=RunRecorder())
     state.mode = mode
     state.plan = plan
     return state
@@ -102,7 +103,8 @@ STEP_INPUTS = {
     "ruling": lambda: GlobalDecision(Ruling.OVERRULE, guidance="look again"),
     "budget": lambda: BudgetTripped(3),
     "failure": lambda: ProtocolFailed("GrammarError: no plan"),
-    "finalized": lambda: Finalized(success=True, answer="42"),
+    "finalized_success": lambda: Finalized(success=True, answer="42"),
+    "finalized_failure": lambda: Finalized(success=False, answer="42"),
     "unknown": lambda: object(),
 }
 
@@ -118,7 +120,8 @@ LEGAL = {
     "ruling": {Mode.AWAITING_DECISION: Mode.LOCAL_REVISION},
     "budget": dict.fromkeys(ACTIVE_MODES, Mode.FORCE_STOPPED),
     "failure": dict.fromkeys(ACTIVE_MODES, Mode.DONE),
-    "finalized": {Mode.COLLATION: Mode.DONE, Mode.FORCE_STOPPED: Mode.FORCE_STOPPED},
+    "finalized_success": {Mode.COLLATION: Mode.DONE},
+    "finalized_failure": {Mode.COLLATION: Mode.DONE, Mode.FORCE_STOPPED: Mode.FORCE_STOPPED},
     "unknown": {},
 }
 
@@ -205,7 +208,7 @@ LIMITS = [
 
 def verdict_state(counter: str, used: int, limit_field: str, force_stop: bool) -> OrchestratorState:
     budgets = Budgets(**{limit_field: 2, "force_stop_enabled": force_stop})
-    state = OrchestratorState(task=make_task(), recorder=RunRecorder(), budgets=budgets)
+    state = OrchestratorState(recorder=RunRecorder(), budgets=budgets)
     state.mode, state.plan, state.phase_index = Mode.FAIL_CHECK, make_plan(), 1
     setattr(state, counter, used)
     for _ in range(3):
@@ -247,27 +250,10 @@ def test_limits_do_not_bind_with_force_stop(decision, counter, limit_field, reas
     assert getattr(state, counter) == 3
 
 
-class RefusingBackend:
-    def complete(self, request) -> str:
-        raise AssertionError("no backend call expected")
-
-
-def test_finalize_outside_collation_is_illegal():
-    state = fresh_state(Mode.PHASE_EXECUTION, plan=make_plan())
-    state.phase_index = 1
-    state.last_report = ok_report()
-    env = WebEnv(load_fixture("shop"))
-    env.reset()
-    with pytest.raises(IllegalTransition):
-        finalize(state, GlobalPlanner(RefusingBackend()), env)
-    assert state.recorder.events == []
-    assert state.mode is Mode.PHASE_EXECUTION
-
-
 def test_terminal_state_rejects_everything_after_close():
     outcome, recorder, _ = run_scenario("scn-happy")
     assert recorder.closed
-    state = OrchestratorState(task=make_task(), recorder=recorder)
+    state = OrchestratorState(recorder=recorder)
     state.mode = Mode.DONE
     with pytest.raises(IllegalTransition):
         step(state, make_plan())
@@ -318,8 +304,7 @@ REQUEST_VERDICT = "Action: ```request```\nReasons: the plan names a missing page
 def run_with_script(script: list[tuple[str, str]], budgets: Budgets):
     task = make_task()
     env = WebEnv(load_fixture(task.env_fixture))
-    cap = budgets.max_exchanges if budgets.force_stop_enabled else None
-    recorder = RunRecorder(exchange_cap=cap)
+    recorder = RunRecorder()
     backend = ScriptedBackend([ScriptedExchange(m, r) for m, r in script])
     outcome = run_task(task, GlobalPlanner(backend), LocalExecutor(backend), env, budgets, recorder)
     return outcome, recorder
@@ -397,6 +382,20 @@ def test_force_stop_during_collation_downgrades_the_run():
     assert outcome.final_answer  # scn-happy does stop with an answer
     kinds = [e.kind.value for e in recorder.events]
     assert kinds[-2:] == ["ForceStop", "TaskResult"]
+
+
+def test_run_arms_a_bare_recorder_from_its_budgets():
+    # scn-happy needs 6 exchanges; the run alone must hold it to 3
+    task = scenario_task("scn-happy")
+    backend = scenario_backend("scn-happy")
+    recorder = RunRecorder()
+    outcome = run_task(
+        task, GlobalPlanner(backend), LocalExecutor(backend), WebEnv(load_fixture(task.env_fixture)),
+        Budgets(max_exchanges=3), recorder,
+    )
+    assert outcome.termination is Termination.FORCE_STOPPED
+    assert outcome.exchanges_used == recorder.exchanges == 3
+    assert recorder.events[-2].payload == {"exchange_count": 3, "reason": "max_exchanges"}
 
 
 # ---------------------------------------------------------------------
@@ -554,8 +553,7 @@ def run_adversarial(n_runs: int, seed: int) -> tuple[Counter, str]:
             )
             task = make_task(id=f"fuzz-{i}", env_fixture=fixture_name)
             env = WebEnv(fixtures[fixture_name])
-            cap = budgets.max_exchanges if budgets.force_stop_enabled else None
-            recorder = RunRecorder(exchange_cap=cap)
+            recorder = RunRecorder()
             backend = AdversarialBackend(rng)
             outcome = run_task(
                 task, GlobalPlanner(backend), LocalExecutor(backend), env, budgets, recorder

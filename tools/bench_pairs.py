@@ -3,8 +3,9 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workload replay-verify --workload scripted-suite --pairs 10 --out pairs.json
 
-Each side runs from its own `git worktree` of the given revision, made in
-a temporary directory and removed when the driver ends, however it ends.
+Each side runs from the committed files of its revision, extracted with
+`git archive` into a temporary directory that is removed when the driver
+ends, however it ends; the repository's `.git` is only read.
 Pair i (from 0) runs `bench/run.py --workload W --seed i+1 --seconds S
 --trace 0` once on each side, back to back, with S BENCHMARK.json's
 `run_seconds`; the parent runs first in even pairs and the change first
@@ -25,12 +26,14 @@ and under `tests/`, from one `git diff --numstat`.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -120,6 +123,14 @@ def _git(*args: str) -> str:
     return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
 
 
+def extract(repo: Path, rev: str, dest: Path) -> None:
+    """Write the files committed at `rev` in `repo` into directory `dest`."""
+    cmd = ["git", "-C", str(repo), "archive", "--format=tar", rev]
+    tar = subprocess.run(cmd, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,
@@ -156,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         for side, tree in trees.items():
-            _git("worktree", "add", "--detach", str(tree), getattr(args, side))
+            extract(ROOT, getattr(args, side), tree)
         for workload in args.workload:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(args.pairs):
@@ -168,10 +179,6 @@ def main(argv: list[str] | None = None) -> int:
                           file=sys.stderr)
             summary["workloads"][workload] = summarize(runs["parent"], runs["change"], metrics)
     finally:
-        for tree in trees.values():
-            if tree.exists():
-                _git("worktree", "remove", "--force", str(tree))
-        _git("worktree", "prune")
         shutil.rmtree(scratch, ignore_errors=True)
 
     text = json.dumps(summary, indent=1)
