@@ -133,16 +133,22 @@ class ChatBackend(Protocol):
 
 # Client-side statuses worth a retry: 408 Request Timeout and 429 Too Many Requests.
 _RETRIED_STATUSES = (408, 429)
+# Seconds a request may take, retries after the first attempt, and the
+# first retry's backoff in seconds (doubled for each later one).
+HTTP_TIMEOUT_S = 60.0
+HTTP_RETRIES = 2
+HTTP_BACKOFF_S = 0.5
 
 
 class HttpChatBackend:
     """OpenAI-style chat-completions client.
 
     Retries transient failures (a connection error, a 5xx, 408 Request
-    Timeout or 429 Too Many Requests) up to ``retries`` times with
-    exponential backoff, waiting at least the ``Retry-After`` delay or
-    until its HTTP-date (RFC 6585 §4, RFC 9110 §10.2.3); a ``Retry-After``
-    wait longer than ``timeout`` raises TransportError at once instead.
+    Timeout or 429 Too Many Requests) up to ``HTTP_RETRIES`` times with
+    exponential backoff from ``HTTP_BACKOFF_S``, waiting at least the
+    ``Retry-After`` delay or until its HTTP-date (RFC 6585 §4, RFC 9110
+    §10.2.3); a ``Retry-After`` wait longer than the ``HTTP_TIMEOUT_S``
+    request timeout raises TransportError at once instead.
     A retried call only counts as one exchange because counting happens
     in call_llm after a response arrives.
 
@@ -151,21 +157,10 @@ class HttpChatBackend:
     recorded call latency includes the import.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str = "",
-        timeout: float = 60.0,
-        retries: int = 2,
-        backoff: float = 0.5,
-    ) -> None:
+    def __init__(self, endpoint: str, model: str, api_key: str = "") -> None:
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         import requests
 
         self._requests = requests
@@ -189,9 +184,9 @@ class HttpChatBackend:
     def complete(self, request: ChatRequest) -> str:
         last_error: Exception | None = None
         retry_after = 0
-        for attempt in range(self.retries + 1):
+        for attempt in range(HTTP_RETRIES + 1):
             if attempt:
-                delay = max(self.backoff * (2 ** (attempt - 1)), retry_after)
+                delay = max(HTTP_BACKOFF_S * (2 ** (attempt - 1)), retry_after)
                 logger.warning("retrying backend call in %.1fs: %s", delay, last_error)
                 time.sleep(delay)
             try:
@@ -199,7 +194,7 @@ class HttpChatBackend:
                     self.endpoint,
                     headers=self._headers(),
                     json=self._body(request),
-                    timeout=self.timeout,
+                    timeout=HTTP_TIMEOUT_S,
                 )
             except self._requests.RequestException as exc:
                 last_error = exc
@@ -207,10 +202,10 @@ class HttpChatBackend:
             if resp.status_code >= 500 or resp.status_code in _RETRIED_STATUSES:
                 last_error = TransportError(f"backend returned {resp.status_code}")
                 retry_after = _retry_after(resp.headers.get("Retry-After", ""))
-                if retry_after > self.timeout:  # waiting would stall the run; fail now
+                if retry_after > HTTP_TIMEOUT_S:  # waiting would stall the run; fail now
                     raise TransportError(
                         f"{last_error}: Retry-After asks for {retry_after:g}s, "
-                        f"more than the {self.timeout:g}s timeout"
+                        f"more than the {HTTP_TIMEOUT_S:g}s timeout"
                     )
                 continue
             if resp.status_code != 200:
@@ -222,7 +217,7 @@ class HttpChatBackend:
             if not isinstance(content, str):
                 raise ResponseEmpty("backend returned an empty completion")
             return content
-        raise TransportError(f"backend unreachable after {self.retries + 1} attempts: {last_error}")
+        raise TransportError(f"backend unreachable after {HTTP_RETRIES + 1} attempts: {last_error}")
 
 
 def _retry_after(value: str) -> float:

@@ -68,8 +68,8 @@ class RunRecorder:
     from the run's budgets, so a run's caller passes a bare recorder.
     """
 
-    def __init__(self, exchange_cap: int | None = None) -> None:
-        self.exchange_cap = exchange_cap
+    def __init__(self) -> None:
+        self.exchange_cap: int | None = None
         self.events: list[TranscriptEvent] = []
         self.exchanges = 0
 

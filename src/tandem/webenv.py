@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 from urllib.parse import parse_qs, quote_plus, urlsplit
@@ -177,7 +177,6 @@ class SiteFixture:
     and WebEnv.render_axtree).
     """
 
-    site_id: str
     start_url: str
     entities: dict[str, tuple[dict, ...]]
     pages: dict[str, PageDef]
@@ -323,10 +322,10 @@ def _parse_page(raw: dict, where: str, row: dict | None = None) -> PageDef:
 
 @lru_cache(maxsize=16)  # bounded: every edit of a file adds an entry
 def _parse_fixture(path: Path, text: str) -> SiteFixture:
-    return parse_data(path, text, load_yaml, FIXTURE_FORMAT, partial(_fixture, path))
+    return parse_data(path, text, load_yaml, FIXTURE_FORMAT, _fixture)
 
 
-def _fixture(path: Path, doc: dict) -> SiteFixture:
+def _fixture(doc: dict) -> SiteFixture:
     entities: dict[str, tuple[dict, ...]] = {}
     for name, rows in (doc.get("entities") or {}).items():
         if not isinstance(rows, list):
@@ -350,7 +349,6 @@ def _fixture(path: Path, doc: dict) -> SiteFixture:
             raise ValueError(f"{where}: page needs url or url_template")
 
     fixture = SiteFixture(
-        site_id=doc.get("site_id", path.stem),
         start_url=doc.get("start_url", ""),
         entities=entities,
         pages=pages,

@@ -158,7 +158,8 @@ def test_call_llm_records_a_failed_call_and_reraises(backend, error):
 
 
 def test_call_llm_gates_before_the_call():
-    recorder = RunRecorder(exchange_cap=0)
+    recorder = RunRecorder()
+    recorder.exchange_cap = 0
     backend = ScriptedBackend([ScriptedExchange("hi", "hello")])
     with pytest.raises(ForceStopInterrupt) as err:
         call_llm(backend, make_request("hi"), role="local", recorder=recorder)
@@ -225,7 +226,7 @@ def test_http_retries_then_succeeds(monkeypatch):
 
     monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setattr(backend_mod.time, "sleep", lambda s: None)
-    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=2)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     assert backend.complete(make_request("hi")) == "recovered"
     assert len(calls) == 2
 
@@ -236,7 +237,7 @@ def test_http_gives_up_after_retries(monkeypatch):
 
     monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setattr(backend_mod.time, "sleep", lambda s: None)
-    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=1)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     with pytest.raises(TransportError):
         backend.complete(make_request("hi"))
 
@@ -253,7 +254,7 @@ def test_http_4xx_is_fatal_without_retry(monkeypatch):
         return FakeResponse()
 
     monkeypatch.setattr(requests, "post", fake_post)
-    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=3)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     with pytest.raises(TransportError):
         backend.complete(make_request("hi"))
     assert len(calls) == 1
@@ -274,7 +275,7 @@ def test_http_retries_rate_limits_honouring_retry_after(monkeypatch):
 
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(statuses.pop(0)))
     monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
-    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=2, backoff=0.5)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     assert backend.complete(make_request("hi")) == "finally"
     assert statuses == []
     assert sleeps == [3, 3]  # Retry-After outlasts the 0.5 s and 1 s backoff
@@ -299,7 +300,8 @@ def test_http_retry_after_an_http_date_waits_until_then(monkeypatch):
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(statuses.pop(0)))
     monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
     monkeypatch.setattr(backend_mod.time, "time", lambda: now)
-    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=3, backoff=0.5)
+    monkeypatch.setattr(backend_mod, "HTTP_RETRIES", 3)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     assert backend.complete(make_request("hi")) == "finally"
     assert statuses == []
     # The future date outlasts the 0.5 s backoff; the past and garbage ones wait the backoff.
@@ -320,7 +322,7 @@ def test_http_retry_after_longer_than_the_timeout_fails_at_once(monkeypatch):
 
     monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setattr(backend_mod.time, "sleep", sleeps.append)
-    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1", retries=2)
+    backend = HttpChatBackend(endpoint="http://x/v1/chat", model="m1")
     with pytest.raises(TransportError, match="Retry-After asks for 86400s, more than the 60s"):
         backend.complete(make_request("hi"))
     assert calls == [1]

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 import tandem
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tandem.__path__, "tandem."))
+SRC = Path(tandem.__file__).parent.parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,6 +23,17 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_imports_alone(name):
+    # A fresh interpreter per module: the package root imports nothing, so a
+    # module that works only after another one was imported fails here.
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {name}"], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 SOURCES = sorted(Path(tandem.__file__).parent.glob("*.py"))
@@ -65,9 +80,7 @@ def _annotation_names(tree: ast.Module) -> set[str]:
     }
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {

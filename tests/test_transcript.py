@@ -78,7 +78,8 @@ def test_exchange_counter_tracks_llm_calls():
 
 
 def test_budget_gate_trips_at_cap_before_the_call():
-    recorder = RunRecorder(exchange_cap=2)
+    recorder = RunRecorder()
+    recorder.exchange_cap = 2
     recorder.check_exchange_budget()  # 0 < 2
     recorder.append(
         EventKind.LLM_CALL,

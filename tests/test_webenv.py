@@ -373,7 +373,6 @@ def test_loader_rejects_bad_template(tmp_path):
     path.write_text(
         """\
 format: tandem-fixture
-site_id: t
 start_url: http://t.local/
 entities:
   things:
@@ -397,7 +396,6 @@ def test_loader_rejects_unresolvable_navigate(tmp_path):
     path.write_text(
         """\
 format: tandem-fixture
-site_id: t
 start_url: http://t.local/
 entities: {}
 pages:
@@ -415,7 +413,6 @@ pages:
 
 CHECKED_FIXTURE = """\
 format: tandem-fixture
-site_id: t
 start_url: http://t.local/
 entities:
   things:
