@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
 
 from .grammar import GrammarError
 from .prompts import PACKAGED_PROMPTS, PromptLibrary
-from .protocol import EventKind, load_yaml, read_data
+from .protocol import BOOLEAN, EventKind, load_yaml, read_data
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .transcript import RunRecorder
@@ -292,7 +292,7 @@ def _exchanges(doc: dict) -> list[ScriptedExchange]:
         raise TypeError("exchanges must be a list")
     exchanges = []
     for i, entry in enumerate(entries):
-        regex = bool(entry.get("regex", False))
+        regex = BOOLEAN.check(entry.get("regex", False), f"exchange {i}: regex")
         exchange = ScriptedExchange(entry["match"], entry["response"], regex)
         if not isinstance(exchange.matcher, str) or not isinstance(exchange.response, str):
             raise TypeError(f"exchange {i}: match and response must be strings")

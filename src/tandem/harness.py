@@ -33,6 +33,7 @@ from .protocol import (
     load_yaml,
     packaged,
     read_data,
+    version_mismatch,
 )
 from .transcript import (
     ReplayBackend,
@@ -49,6 +50,7 @@ logger = logging.getLogger(__name__)
 TASK_FORMAT = "tandem-task"
 SUITE_FORMAT = "tandem-suite"
 REPORT_FORMAT = "tandem-report"
+REPORT_VERSION = 1
 
 # The start of the TaskResult detail of a run that crashed outside the protocol.
 CRASH_PREFIX = "harness: "
@@ -182,7 +184,7 @@ class SuiteReport:
     def to_dict(self) -> dict:
         return {
             "format": REPORT_FORMAT,
-            "version": 1,
+            "version": REPORT_VERSION,
             "n_tasks": self.n_tasks,
             "n_success": self.n_success,
             "overall_sr": float(self.overall),
@@ -260,7 +262,7 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], lis
     mismatches += [
         f"{key}: stored {raw.get(key)} != recounted {recounted[key]}"
         for key in _RECOUNTED
-        if raw.get(key) != recounted[key]
+        if _as_json(raw.get(key)) != _as_json(recounted[key])
     ]
     notes = []
     first: dict[str, int] = {}  # each task id's first row; load_manifest refuses duplicates
@@ -291,8 +293,13 @@ def _outcome_mismatches(where: str, row: dict, path: Path) -> list[str]:
     return [
         f"{where}.{key}: stored {row.get(key)!r} != transcript {value!r}"
         for key, value in recorded.items()
-        if row.get(key) != value
+        if _as_json(row.get(key)) != _as_json(value)
     ]
+
+
+def _as_json(value: object) -> str:
+    """`value` as JSON text, so a comparison tells 1 from true and 6.0 from 6."""
+    return json.dumps(value, sort_keys=True)
 
 
 def _wire(
@@ -527,9 +534,11 @@ def _report(raw: dict) -> dict:
         raise TypeError("tasks must be a list of objects")
     if not tasks:
         raise ValueError("report lists no tasks")
+    if mismatch := version_mismatch(raw, REPORT_VERSION):
+        raise ValueError(mismatch)
     return raw
 
 
 def load_report(path: str | Path) -> dict:
-    """Load a report.json that lists at least one task row."""
+    """Load a report.json of REPORT_VERSION that lists at least one task row."""
     return read_data(path, json.loads, REPORT_FORMAT, _report)

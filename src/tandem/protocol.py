@@ -63,6 +63,7 @@ __all__ = [
     "parse_data",
     "read_data",
     "read_text",
+    "version_mismatch",
 ]
 
 
@@ -305,6 +306,17 @@ def parse_data(path: str | Path, text: str, parse: Callable, fmt: str, decode: C
 def read_data(path: str | Path, parse: Callable, fmt: str, decode: Callable) -> Any:
     """`parse_data` over the text of the file at `path`."""
     return parse_data(path, read_text(path), parse, fmt, decode)
+
+
+def version_mismatch(doc: dict, version: int) -> str | None:
+    """Why `doc` is not of format version `version`, or None if it is.
+
+    The version must be that JSON integer: a boolean, a float or a missing
+    version counts as another one."""
+    found = doc.get("version")
+    if type(found) is int and found == version:
+        return None
+    return f"version {found!r}: this tandem reads only version {version}"
 
 
 # =====================================================================

@@ -21,7 +21,15 @@ import time
 from pathlib import Path
 
 from .backend import BackendError, ChatRequest
-from .protocol import EVENT_FIELDS, EventKind, InputError, TranscriptEvent, parse_data, read_text
+from .protocol import (
+    EVENT_FIELDS,
+    EventKind,
+    InputError,
+    TranscriptEvent,
+    parse_data,
+    read_text,
+    version_mismatch,
+)
 
 __all__ = [
     "ForceStopInterrupt",
@@ -121,9 +129,10 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     every complete event plus a warning; structural damage before the
     last line raises TranscriptCorrupt with the offending line number, as
     does an event payload that is not an object or breaks EVENT_FIELDS: a
-    required key missing, a value of another type.  A file that cannot be
-    read is an InputError.  Records end at line feeds only, so a string
-    value may hold U+2028 or any other line break raw.
+    required key missing, a value of another type, and, for line 1, a
+    header whose version is not TRANSCRIPT_VERSION.  A file that cannot
+    be read is an InputError.  Records end at line feeds only, so a
+    string value may hold U+2028 or any other line break raw.
     """
     lines = read_text(path).split("\n")
     if lines[-1] == "":
@@ -164,6 +173,8 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
         if event.seq != len(events):
             raise TranscriptCorrupt(path, i, f"seq {event.seq} breaks gap-free order")
         events.append(event)
+    if mismatch := version_mismatch(header, TRANSCRIPT_VERSION):
+        raise TranscriptCorrupt(path, 1, mismatch)
     return header, events, warnings
 
 

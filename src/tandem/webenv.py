@@ -26,6 +26,7 @@ from urllib.parse import parse_qs, quote_plus, urlsplit
 from .grammar import render_action
 from .protocol import (
     ActionKind,
+    DictCodec,
     EvaluatorSpec,
     InputError,
     Observation,
@@ -81,7 +82,7 @@ class Navigate:
 
 
 @dataclass(frozen=True)
-class SortBy:
+class SortBy(DictCodec):
     field: str
     ascending: bool = True
 
@@ -118,10 +119,10 @@ _OPS = {
 
 
 @dataclass(frozen=True)
-class Condition:
+class Condition(DictCodec):
     field: str
-    op: str
     value: object
+    op: str = "eq"
 
     def holds(self, row: dict) -> bool:
         return _OPS[self.op](row[self.field], self.value)
@@ -228,7 +229,7 @@ def _format(template: str, row: dict, where: str) -> str:
 
 
 def _parse_condition(raw: dict, where: str, kind: type[Condition] = Condition) -> Condition:
-    cond = kind(field=raw["field"], op=raw.get("op", "eq"), value=raw["value"])
+    cond = kind.from_dict(raw)
     if cond.op not in _OPS:
         raise ValueError(f"{where}: unknown condition op {cond.op!r}")
     if isinstance(cond.value, (list, dict)):
@@ -247,8 +248,7 @@ def _parse_behavior(raw: dict, where: str) -> Behavior | None:
     if key == "navigate":
         return Navigate(url=str(raw["navigate"]))
     if key == "sort":
-        spec = raw["sort"]
-        return SortBy(field=spec["field"], ascending=bool(spec.get("ascending", True)))
+        return SortBy.from_dict(raw["sort"])
     if key == "filter":
         return _parse_condition(raw["filter"], where, FilterBy)
     if key == "clear_filter":
@@ -297,14 +297,7 @@ def _parse_listing(raw: dict, where: str) -> ListingSpec:
         item_template=raw["item"],
         link_template=raw.get("item_link"),
         where=_parse_condition(raw["where"], where) if raw.get("where") else None,
-        default_sort=(
-            SortBy(
-                field=raw["default_sort"]["field"],
-                ascending=bool(raw["default_sort"].get("ascending", True)),
-            )
-            if raw.get("default_sort")
-            else None
-        ),
+        default_sort=SortBy.from_dict(raw["default_sort"]) if raw.get("default_sort") else None,
     )
 
 

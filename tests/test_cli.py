@@ -695,8 +695,10 @@ def test_report_detects_tampered_rates(demo_report, capsys):
         lambda raw: raw.update(overall_sr=99.0),
         lambda raw: raw.update(n_tasks=raw["n_tasks"] + 1),
         lambda raw: raw.update(n_success=raw["n_success"] - 1),
+        lambda raw: raw.update(n_tasks=float(raw["n_tasks"])),
+        lambda raw: raw.update(n_success=float(raw["n_success"])),
     ],
-    ids=["difficulty-rate", "overall_sr", "n_tasks", "n_success"],
+    ids=["difficulty-rate", "overall_sr", "n_tasks", "n_success", "float-n_tasks", "float-n_success"],
 )
 def test_report_detects_each_tampered_summary_field(demo_report, capsys, tamper):
     raw = json.loads(demo_report.read_text(encoding="utf-8"))
@@ -743,8 +745,18 @@ def test_report_detects_a_forged_row_with_recounted_rates(demo_report, capsys):
             "tasks[5].site_category: stored 'shopping' != transcript 'gitlab'",
         ),
         (lambda rows: rows.append(dict(rows[0])), "tasks[6].task_id: 'scn-happy' is also tasks[0]'s"),
+        # JSON tells a number from a boolean and 6.0 from 6, as the protocol does.
+        (lambda rows: rows[0].update(success=1), "tasks[0].success: stored 1 != transcript True"),
+        (
+            lambda rows: rows[0].update(exchanges_used=6.0),
+            "tasks[0].exchanges_used: stored 6.0 != transcript 6",
+        ),
+        (
+            lambda rows: rows[0].update(plan_versions=True),
+            "tasks[0].plan_versions: stored True != transcript 1",
+        ),
     ],
-    ids=["moved-to-another-group", "duplicated"],
+    ids=["moved-to-another-group", "duplicated", "int-success", "float-count", "bool-count"],
 )
 def test_report_detects_a_forged_row_set_with_recounted_rates(demo_report, capsys, forge, expected):
     raw = json.loads(demo_report.read_text(encoding="utf-8"))

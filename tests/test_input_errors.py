@@ -52,6 +52,15 @@ def _report() -> str:
     )
 
 
+# Versions a reader refuses: another number, a boolean (JSON's true is no 1)
+# and none at all.
+WRONG_VERSIONS = ('"version": 99', '"version": true', "")
+
+
+def _with_version(version: str) -> Callable[[str], str]:
+    return lambda s: s.replace('"version": 1,', version + "," if version else "", 1)
+
+
 def _task_on_fixture(path) -> str:
     return _text(HAPPY_TASK).replace("env_fixture: shop", f"env_fixture: {json.dumps(str(path))}")
 
@@ -109,6 +118,10 @@ KINDS = [
         (
             lambda s: s[: s.index("pages:")] + "pages: [1]\n",
             lambda s: s.replace("entities:", "entities: [1]\nunused:", 1),
+            # A string is no boolean, though bool("false") is true.
+            lambda s: s.replace("ascending: false}", 'ascending: "false"}', 1),
+            lambda s: s.replace("default_sort: {field: name, ascending: true}",
+                                'default_sort: {field: name, ascending: "true"}', 1),
         ),
     ),
     Kind(
@@ -116,7 +129,10 @@ KINDS = [
         _text(HAPPY_SCRIPT),
         lambda p, t: _run(t, script=p),
         lambda s: s[: s.index("response:")],
-        (lambda s: s.replace("response: |", "response: 5\n    unused: |", 1),),
+        (
+            lambda s: s.replace("response: |", "response: 5\n    unused: |", 1),
+            lambda s: s.replace("  - match:", '  - regex: "false"\n    match:', 1),
+        ),
     ),
     Kind(
         "passages",
@@ -132,6 +148,7 @@ KINDS = [
         lambda s: s[: len(s) // 2],
         (lambda s: s.replace('"tasks": [', '"tasks": 5, "unused": ['),),
         syntax="json",
+        bad_values=tuple(_with_version(v) for v in WRONG_VERSIONS),
     ),
     Kind(
         "transcript",
@@ -143,6 +160,7 @@ KINDS = [
             lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
         ),
         syntax="jsonl",
+        bad_values=tuple(_with_version(v) for v in WRONG_VERSIONS),
     ),
     Kind(
         "replay-backend",
@@ -157,6 +175,7 @@ KINDS = [
             lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
         ),
         syntax="jsonl",
+        bad_values=tuple(_with_version(v) for v in WRONG_VERSIONS),
     ),
 ]
 
