@@ -14,18 +14,15 @@ records an LlmCall event (one exchange) or an LlmFailed event;
 ``ask_with_repair`` adds their one repair round.
 """
 
-from __future__ import annotations
-
 import logging
 import re
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, TypeVar
 
 from .grammar import GrammarError
 from .prompts import PACKAGED_PROMPTS, PromptLibrary
-from .protocol import BOOLEAN, EventKind, load_yaml, read_data
+from .protocol import BOOLEAN, EventKind, checked, load_yaml, read_data
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .transcript import RunRecorder
@@ -85,24 +82,33 @@ class ProviderError(Exception):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(NamedTuple):
     role: str  # "user" | "assistant"
     content: str
 
 
-@dataclass(frozen=True)
-class ChatRequest:
-    """One chat completion request. Temperature defaults to 1."""
-
+class _ChatRequest(NamedTuple):
     system_prompt: str
     messages: tuple[ChatMessage, ...]
-    temperature: float = 1.0
+    temperature: float
+    text: str
 
-    def __post_init__(self) -> None:
-        # Joined once: the backend and call_llm both read it.
-        parts = [self.system_prompt] + [m.content for m in self.messages]
-        object.__setattr__(self, "_rendered", "\n\n".join(p for p in parts if p))
+
+class ChatRequest(_ChatRequest):
+    """One chat completion request. Temperature defaults to 1.
+
+    `text` is the system prompt and the messages joined, once, since the
+    backend and call_llm both read it.  The constructor is its own rather
+    than `checked`'s hook, which would build each per-call request twice.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, system_prompt: str, messages: tuple[ChatMessage, ...], temperature: float = 1.0
+    ) -> "ChatRequest":
+        text = "\n\n".join([p for p in (system_prompt, *[m.content for m in messages]) if p])
+        return tuple.__new__(cls, (system_prompt, messages, temperature, text))
 
     def rendered(self) -> str:
         """Flat text view of the whole request.
@@ -110,7 +116,7 @@ class ChatRequest:
         Scripted matchers run against this, and it is what transcripts
         store as the prompt.
         """
-        return self._rendered
+        return self.text
 
     def with_followup(self, assistant_text: str, user_text: str) -> "ChatRequest":
         """Extend the conversation for a repair round."""
@@ -243,8 +249,7 @@ def _retry_after(value: str) -> float:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class ScriptedExchange:
+class ScriptedExchange(NamedTuple):
     """One matcher/response pair; `regex` switches substring to pattern."""
 
     matcher: str
@@ -393,8 +398,8 @@ def ask_with_repair(
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class RetrievedPassage:
+@checked
+class RetrievedPassage(NamedTuple):
     """A short background passage attached to planning prompts.
 
     Passages are clamped to PASSAGE_WORD_LIMIT whitespace-delimited words
@@ -405,8 +410,9 @@ class RetrievedPassage:
     passage: str
     source: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "passage", truncate_to_words(self.passage, PASSAGE_WORD_LIMIT))
+    def _checked(self) -> "RetrievedPassage":
+        passage = truncate_to_words(self.passage, PASSAGE_WORD_LIMIT)
+        return tuple.__new__(RetrievedPassage, (self.query, passage, self.source))
 
 
 def truncate_to_words(text: str, limit: int = PASSAGE_WORD_LIMIT) -> str:

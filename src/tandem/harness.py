@@ -6,18 +6,15 @@ is the unweighted mean of the per-category rates; with unequal sizes it
 is the pooled task-weighted rate.
 """
 
-from __future__ import annotations
-
 import json
 import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .backend import ChatBackend, SearchProvider, StaticSearchProvider
 from .executor import LocalExecutor
@@ -27,7 +24,11 @@ from .prompts import PromptLibrary
 from .protocol import (
     Budgets,
     EventKind,
+    GlobalDecision,
+    GlobalPlan,
     InputError,
+    LocalVerdict,
+    ReplanRequest,
     RunHeader,
     Task,
     load_yaml,
@@ -165,21 +166,25 @@ def resolve_search_provider(spec: str) -> StaticSearchProvider:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class TaskRun:
+class TaskRun(NamedTuple):
     task: Task
     outcome: TaskOutcome
     transcript_path: str = ""
 
 
-@dataclass
 class SuiteReport:
-    runs: list[TaskRun]
-    per_category: dict[str, Decimal] = field(default_factory=dict)
-    per_difficulty: dict[str, Decimal] = field(default_factory=dict)
-    overall: Decimal = Decimal("0.0")
-    n_tasks: int = 0
-    n_success: int = 0
+    """A suite's runs, with the success rates and counts over them."""
+
+    def __init__(
+        self, runs: list[TaskRun], per_category: dict[str, Decimal],
+        per_difficulty: dict[str, Decimal], overall: Decimal, n_tasks: int, n_success: int,
+    ) -> None:
+        self.runs = runs
+        self.per_category = per_category
+        self.per_difficulty = per_difficulty
+        self.overall = overall
+        self.n_tasks = n_tasks
+        self.n_success = n_success
 
     def to_dict(self) -> dict:
         return {
@@ -245,10 +250,11 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], lis
 
     Returns the recounted rate tables; one line per task row whose
     category or difficulty is not a string or whose task id an earlier
-    row has, per recounted field whose stored value differs and per row
+    row has, per recounted field whose stored value differs, per protocol
+    message in a row's transcript that its record refuses, and per row
     field whose stored value differs from the one its transcript records;
-    and one note per row whose transcript is missing.  A row's transcript is read by its file name
-    from `report_dir`, where a suite writes both.
+    and one note per row whose transcript is missing.  A row's transcript
+    is read by its file name from `report_dir`, where a suite writes both.
     """
     rows = raw["tasks"]
     fresh = _tally(rows)
@@ -279,8 +285,10 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], lis
 
 
 def _outcome_mismatches(where: str, row: dict, path: Path) -> list[str]:
-    """One line per field of `row` that differs from the row its transcript at
-    `path` gives, built as a live report builds it; the transcript path aside."""
+    """One line per protocol message in the transcript at `path` that its
+    record refuses, then one per field of `row` that differs from the row
+    that transcript gives, built as a live report builds it; the transcript
+    path aside."""
     raw, events, _ = read_transcript(path)
     if not events or events[-1].kind is not EventKind.TASK_RESULT:
         return [f"{where}: transcript {path} has no closing TaskResult"]
@@ -288,13 +296,40 @@ def _outcome_mismatches(where: str, row: dict, path: Path) -> list[str]:
         task = RunHeader.from_dict(raw).task
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(path, f"bad transcript header: {exc}") from exc
+    refused = [
+        f"{where}: seq {event.seq} {event.kind.value}: {reason}"
+        for event in events
+        if event.kind in _MESSAGE_RECORDS and (reason := _refusal(event.kind, event.payload))
+    ]
     recorded = _task_row(TaskRun(task, TaskOutcome.from_events(task.id, events)))
     del recorded["transcript"]
-    return [
+    return refused + [
         f"{where}.{key}: stored {row.get(key)!r} != transcript {value!r}"
         for key, value in recorded.items()
         if _as_json(row.get(key)) != _as_json(value)
     ]
+
+
+# The protocol record each message event carries, and the payload key that
+# holds it (None: the payload is the record).
+_MESSAGE_RECORDS = {
+    EventKind.PLAN_ISSUED: (GlobalPlan, "plan"),
+    EventKind.VERDICT_ISSUED: (LocalVerdict, None),
+    EventKind.REPLAN_REQUESTED: (ReplanRequest, "request"),
+    EventKind.DECISION_ISSUED: (GlobalDecision, None),
+}
+
+
+def _refusal(kind: EventKind, payload: dict) -> str | None:
+    """Why the record of message event `kind` refuses `payload`, or None if it decodes."""
+    record, key = _MESSAGE_RECORDS[kind]
+    try:
+        record.from_dict(payload if key is None else payload[key])
+    except KeyError as exc:
+        return f"missing key {exc}"
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    return None
 
 
 def _as_json(value: object) -> str:
@@ -427,8 +462,7 @@ def _replace_file(path: Path, text: str) -> None:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     ok: bool
     message: str
     divergence_seq: int | None = None

@@ -34,10 +34,8 @@ is a ForceStop whose ``reason`` says which limit tripped, and the run's
 TaskResult takes its termination and detail from it and never succeeds.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .backend import BackendError
 from .executor import LocalExecutor
@@ -45,7 +43,6 @@ from .grammar import GrammarError, render_action
 from .planner import GlobalPlanner
 from .protocol import (
     Budgets,
-    DictCodec,
     EventKind,
     ExecutionReport,
     GlobalDecision,
@@ -56,6 +53,7 @@ from .protocol import (
     Task,
     TranscriptEvent,
     VerdictDecision,
+    record,
 )
 from .transcript import ForceStopInterrupt, RunRecorder
 from .webenv import WebEnv, evaluate
@@ -107,19 +105,16 @@ class IllegalTransition(Exception):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class BudgetTripped:
+class BudgetTripped(NamedTuple):
     exchange_count: int
 
 
-@dataclass(frozen=True)
-class ProtocolFailed:
+class ProtocolFailed(NamedTuple):
     detail: str
     answer: str = ""
 
 
-@dataclass(frozen=True)
-class Finalized:
+class Finalized(NamedTuple):
     success: bool
     answer: str
 
@@ -135,24 +130,24 @@ StepInput = (
 # =====================================================================
 
 
-@dataclass
 class OrchestratorState:
-    recorder: RunRecorder
-    budgets: Budgets = field(default_factory=Budgets)
-    mode: Mode = Mode.PLANNING
-    phase_index: int = 0
-    plan: GlobalPlan | None = None
-    replan_requests: int = 0
-    revisions_this_phase: int = 0
-    last_report: ExecutionReport | None = None
+    """The mutable state ``step`` moves; building it arms the recorder's
+    exchange gate: a cap only with force stop on."""
 
-    def __post_init__(self) -> None:  # arm the exchange gate: a cap only with force stop on
-        budgets = self.budgets
-        self.recorder.exchange_cap = budgets.max_exchanges if budgets.force_stop_enabled else None
+    def __init__(self, recorder: RunRecorder, budgets: Budgets = Budgets()) -> None:
+        self.recorder = recorder
+        self.budgets = budgets
+        self.mode = Mode.PLANNING
+        self.phase_index = 0
+        self.plan: GlobalPlan | None = None
+        self.replan_requests = 0
+        self.revisions_this_phase = 0
+        self.last_report: ExecutionReport | None = None
+        recorder.exchange_cap = budgets.max_exchanges if budgets.force_stop_enabled else None
 
 
-@dataclass(frozen=True)
-class TaskOutcome(DictCodec):
+@record
+class TaskOutcome(NamedTuple):
     task_id: str
     success: bool
     final_answer: str

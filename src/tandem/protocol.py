@@ -3,28 +3,24 @@
 Every value that crosses a module boundary is defined here and is
 immutable.  Tasks, observations, page actions, plans, reports,
 verdicts, decisions, budgets and the transcript header (RunHeader) are
-frozen dataclasses sharing one field-driven JSON-dict codec, and each
-closed set of words (difficulties, action kinds, verdicts, rulings,
-event kinds) is an Enum.  A transcript event is a NamedTuple with
-its own codec: a run builds dozens of them, and a tuple is the cheapest
-record Python builds.  Every file
-tandem reads (tasks, suites, fixtures, scripts, passages, reports,
-transcripts and prompt overrides) is read by `read_text` and decoded by
-`read_data`/`parse_data`, which turn any way a file can be bad into one
-`InputError`.  Beyond (de)serialization the module holds the field rules
-Task, Budgets and GlobalDecision check when built, and EVENT_FIELDS; the
-rest builds on top.
+NamedTuples that `record` gives one field-driven JSON-dict codec, and
+each closed set of words (difficulties, action kinds, verdicts, rulings,
+event kinds) is an Enum.  A transcript event is a NamedTuple with its
+own codec.  A record is a tuple, so it equals any tuple of the same
+items.  Every file tandem reads (tasks, suites, fixtures, scripts,
+passages, reports, transcripts and prompt overrides) is read by
+`read_text` and decoded by `read_data`/`parse_data`, which turn any way
+a file can be bad into one `InputError`.  Beyond (de)serialization the module holds the field rules
+Task, Budgets, LocalVerdict and GlobalDecision check when built (see
+`checked`), and EVENT_FIELDS; the rest builds on top.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache, partial
 from pathlib import Path
 from types import UnionType
-from typing import IO, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import IO, Any, Callable, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -32,7 +28,6 @@ __all__ = [
     "ActionKind",
     "BOOLEAN",
     "Budgets",
-    "DictCodec",
     "Difficulty",
     "EvaluatorSpec",
     "EVENT_FIELDS",
@@ -58,11 +53,13 @@ __all__ = [
     "Task",
     "TranscriptEvent",
     "VerdictDecision",
+    "checked",
     "load_yaml",
     "packaged",
     "parse_data",
     "read_data",
     "read_text",
+    "record",
     "version_mismatch",
 ]
 
@@ -124,44 +121,78 @@ EVALUATOR_KINDS = ("exact_match", "must_include", "url_match")
 # =====================================================================
 
 
-class DictCodec:
-    """Field-driven JSON-dict codec for frozen dataclasses.
+_Record = TypeVar("_Record", bound=type)
+_Checked = TypeVar("_Checked", bound=tuple)
+
+
+def checked(cls: _Record) -> _Record:
+    """Make NamedTuple `cls`'s constructor pass each record it builds through
+    `cls._checked`, which raises ValueError for a broken rule and returns the
+    record to keep: the one it was given, or one with a field normalised.
+
+    `_make` and `_replace` skip the hook, so no code calls them on a
+    checked record.
+    """
+    build, check = cls.__new__, cls._checked
+
+    def __new__(cls: type, *args: Any, **kwargs: Any) -> Any:
+        return check(build(cls, *args, **kwargs))
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
+
+
+def record(cls: _Record) -> _Record:
+    """Give NamedTuple `cls` the field-driven JSON-dict codec, and a checked
+    constructor if it defines `_checked`.
 
     to_dict writes the fields in declaration order: enums as their value,
-    tuples as lists, nested values through their own to_dict, and None
+    tuples as lists, nested records through their own to_dict, and None
     values left out.  from_dict decodes each field by its type hint; a str,
     int, float or bool field that holds no JSON string, integer, number or
     boolean raises a TypeError naming it, and an Enum field holding none
     of its values a ValueError.  A missing key takes the field's default; a
     field without one, or any field of a class that sets
-    `_all_keys_required`, raises KeyError.
+    `_all_keys_required`, raises KeyError.  A class keeps a to_dict or
+    from_dict of its own.
     """
-
-    _all_keys_required = False
-
-    def to_dict(self) -> dict:
-        return {
-            f.name: _encode(value)
-            for f in _fields_of(type(self))
-            if (value := getattr(self, f.name)) is not None
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> Any:
-        kwargs = {}
-        for f in _fields_of(cls):
-            if f.name in d:
-                kwargs[f.name] = f.decode(d[f.name])
-            elif f.required or cls._all_keys_required:
-                raise KeyError(f.name)
-        return cls(**kwargs)
+    if "to_dict" not in vars(cls):
+        cls.to_dict = _to_dict
+    if "from_dict" not in vars(cls):
+        cls.from_dict = classmethod(_from_dict)
+    return checked(cls) if "_checked" in vars(cls) else cls
 
 
-def _check_rules(value: DictCodec, *rules: tuple[bool, str, str]) -> None:
-    """Raise one ValueError naming each (broken, field path, message) rule of `value`."""
-    broken = [f"{type(value).__name__}.{path}: {message}" for bad, path, message in rules if bad]
+def _to_dict(self: tuple) -> dict:
+    return {
+        name: _encode(value) for name, value in zip(self._fields, self) if value is not None
+    }
+
+
+def _from_dict(cls: type, d: dict) -> Any:
+    kwargs = {}
+    for f in _fields_of(cls):
+        if f.name in d:
+            kwargs[f.name] = f.decode(d[f.name])
+        elif f.required:
+            raise KeyError(f.name)
+    return cls(**kwargs)
+
+
+def _check_rules(value: _Checked, *rules: tuple[bool, str, str]) -> _Checked:
+    """`value`, or one ValueError naming each (broken, field path, message) rule of it.
+
+    A message is a `str.format` template over `self`, filled in only when
+    its rule is broken: a record on the hot path builds no text.
+    """
+    broken = [
+        f"{type(value).__name__}.{path}: {message.format(self=value)}"
+        for bad, path, message in rules
+        if bad
+    ]
     if broken:
         raise ValueError("; ".join(broken))
+    return value
 
 
 class _Field(NamedTuple):
@@ -174,23 +205,19 @@ class _Field(NamedTuple):
 def _fields_of(cls: type) -> tuple[_Field, ...]:
     """Each field's codec rules, resolved from the type hints once per class."""
     hints = get_type_hints(cls)
+    every = getattr(cls, "_all_keys_required", False)
     return tuple(
-        _Field(
-            f.name,
-            _decoder(hints[f.name], f.name),
-            f.default is MISSING and f.default_factory is MISSING,
-        )
-        for f in fields(cls)
+        _Field(name, _decoder(hints[name], name), every or name not in cls._field_defaults)
+        for name in cls._fields
     )
 
 
 def _encode(value: Any) -> Any:
-    if isinstance(value, DictCodec):
-        return value.to_dict()
+    if isinstance(value, tuple):
+        to_dict = getattr(value, "to_dict", None)  # a record
+        return to_dict() if to_dict is not None else [_encode(v) for v in value]
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
     return value
 
 
@@ -234,7 +261,7 @@ def _decoder(hint: Any, name: str) -> Callable[[Any], Any]:
         return lambda value: None if value is None else item(value)
     if hint in _SCALARS:
         return partial(_SCALARS[hint].check, key=name)
-    if isinstance(hint, type) and issubclass(hint, DictCodec):
+    if isinstance(hint, type) and issubclass(hint, tuple) and hasattr(hint, "from_dict"):
         return hint.from_dict
     if isinstance(hint, type) and issubclass(hint, Enum):
         return hint
@@ -324,8 +351,8 @@ def version_mismatch(doc: dict, version: int) -> str | None:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class EvaluatorSpec(DictCodec):
+@record
+class EvaluatorSpec(NamedTuple):
     """How a task's final answer / final env state is judged.
 
     kind is one of:
@@ -345,11 +372,11 @@ class EvaluatorSpec(DictCodec):
         # A bare string is a single expected value, not a run of characters.
         if isinstance(d, dict) and isinstance(d.get("expected"), str):
             d = {**d, "expected": [d["expected"]]}
-        return super().from_dict(d)
+        return _from_dict(cls, d)
 
 
-@dataclass(frozen=True)
-class Task(DictCodec):
+@record
+class Task(NamedTuple):
     """One benchmark task: an objective against a named site fixture."""
 
     id: str
@@ -362,9 +389,9 @@ class Task(DictCodec):
     # bundled fixtures (e.g. "Order Management"); empty when unused.
     task_class: str = ""
 
-    def __post_init__(self) -> None:
-        kind, expected = self.evaluator.kind, self.evaluator.expected
-        _check_rules(
+    def _checked(self) -> "Task":
+        expected = self.evaluator.expected
+        return _check_rules(
             self,
             (not self.id.strip(), "id", "task id must be nonempty"),
             (
@@ -374,7 +401,11 @@ class Task(DictCodec):
             ),
             (not self.objective.strip(), "objective", "objective must be nonempty"),
             (not self.env_fixture.strip(), "env_fixture", "env_fixture must be nonempty"),
-            (kind not in EVALUATOR_KINDS, "evaluator.kind", f"unknown evaluator kind {kind!r}"),
+            (
+                self.evaluator.kind not in EVALUATOR_KINDS,
+                "evaluator.kind",
+                "unknown evaluator kind {self.evaluator.kind!r}",
+            ),
             (not expected, "evaluator.expected", "expected values must be nonempty"),
             (
                 not all(expected),
@@ -389,8 +420,8 @@ class Task(DictCodec):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class Observation(DictCodec):
+@record
+class Observation(NamedTuple):
     """What an agent sees: rendered accessibility tree plus page context."""
 
     axtree: str
@@ -399,8 +430,8 @@ class Observation(DictCodec):
     previous_action: str = "None"
 
 
-@dataclass(frozen=True)
-class PageAction(DictCodec):
+@record
+class PageAction(NamedTuple):
     """A single browser-level action.
 
     `target` holds the element id for click/type, the direction for
@@ -418,8 +449,8 @@ class PageAction(DictCodec):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class PhaseSpec(DictCodec):
+@record
+class PhaseSpec(NamedTuple):
     """One phase of a global plan: a subtask and its expected end state."""
 
     index: int
@@ -427,13 +458,16 @@ class PhaseSpec(DictCodec):
     expected_state: str
 
 
-@dataclass(frozen=True, kw_only=True)
-class GlobalPlan(DictCodec):
+@record
+class GlobalPlan(NamedTuple):
     """A versioned multi-phase plan produced by the planning agent."""
 
-    # Declared first so the wire form leads with the version.
-    plan_version: int = 1
     phases: tuple[PhaseSpec, ...]
+    plan_version: int = 1
+
+    def to_dict(self) -> dict:
+        # The wire form leads with the version.
+        return {"plan_version": self.plan_version, "phases": [p.to_dict() for p in self.phases]}
 
     def phase(self, index: int) -> PhaseSpec:
         for p in self.phases:
@@ -447,8 +481,8 @@ class GlobalPlan(DictCodec):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class StepOutcome(DictCodec):
+@record
+class StepOutcome(NamedTuple):
     """Result of applying one action: Ok, or an environment error."""
 
     ok: bool
@@ -465,14 +499,14 @@ class StepOutcome(DictCodec):
         return cls(ok=False, error=message)
 
 
-@dataclass(frozen=True)
-class ExecutionStep(DictCodec):
+@record
+class ExecutionStep(NamedTuple):
     action: PageAction
     outcome: StepOutcome
 
 
-@dataclass(frozen=True)
-class ExecutionReport(DictCodec):
+@record
+class ExecutionReport(NamedTuple):
     """What happened when an action sequence ran against the environment."""
 
     steps: tuple[ExecutionStep, ...]
@@ -485,23 +519,23 @@ class ExecutionReport(DictCodec):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class LocalVerdict(DictCodec):
+@record
+class LocalVerdict(NamedTuple):
     """The execution agent's self-check after running a phase."""
 
     decision: VerdictDecision
     reasons: str = ""
 
-    def __post_init__(self) -> None:
-        _check_rules(
+    def _checked(self) -> "LocalVerdict":
+        return _check_rules(
             self,
             (not isinstance(self.decision, VerdictDecision), "decision",
-             f"{self.decision!r} is not a VerdictDecision"),
+             "{self.decision!r} is not a VerdictDecision"),
         )
 
 
-@dataclass(frozen=True)
-class ReplanRequest(DictCodec):
+@record
+class ReplanRequest(NamedTuple):
     """Escalation from the execution agent asking for a new global plan."""
 
     phase_index: int
@@ -509,8 +543,8 @@ class ReplanRequest(DictCodec):
     report: ExecutionReport
 
 
-@dataclass(frozen=True)
-class GlobalDecision(DictCodec):
+@record
+class GlobalDecision(NamedTuple):
     """The planner's ruling on a replan request.
 
     Ruling.REVISE: `new_plan` carries the replacement plan.
@@ -524,10 +558,10 @@ class GlobalDecision(DictCodec):
     new_plan: GlobalPlan | None = None
     guidance: str | None = None
 
-    def __post_init__(self) -> None:
-        _check_rules(
+    def _checked(self) -> "GlobalDecision":
+        return _check_rules(
             self,
-            (not isinstance(self.ruling, Ruling), "ruling", f"{self.ruling!r} is not a Ruling"),
+            (not isinstance(self.ruling, Ruling), "ruling", "{self.ruling!r} is not a Ruling"),
             (self.ruling is Ruling.REVISE and self.new_plan is None, "new_plan",
              "a revise ruling needs new_plan"),
             (self.ruling is Ruling.OVERRULE and self.guidance is None, "guidance",
@@ -540,8 +574,8 @@ class GlobalDecision(DictCodec):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class Budgets(DictCodec):
+@record
+class Budgets(NamedTuple):
     """Dialogue limits for one task run.
 
     max_exchanges caps the total number of completed agent LLM calls and
@@ -557,9 +591,9 @@ class Budgets(DictCodec):
     # A transcript header must spell out every limit it ran under.
     _all_keys_required = True
 
-    def __post_init__(self) -> None:
+    def _checked(self) -> "Budgets":
         limits = ("max_local_revisions_per_phase", "max_replan_requests_per_task")
-        _check_rules(
+        return _check_rules(
             self,
             (self.max_exchanges <= 0, "max_exchanges", "max_exchanges must be positive"),
             *((getattr(self, name) < 0, name, f"{name} must be >= 0") for name in limits),
@@ -601,8 +635,8 @@ EVENT_FIELDS: dict[EventKind, tuple[dict[str, JsonType], tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunHeader(DictCodec):
+@record
+class RunHeader(NamedTuple):
     """A transcript's first line: the task and the settings its run was held to."""
 
     task: Task

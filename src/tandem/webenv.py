@@ -13,20 +13,16 @@ error is one of the four fixed messages ("unknown node id", "action not
 applicable to role", "unknown url", "environment stopped").
 """
 
-from __future__ import annotations
-
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, TypeVar
 from urllib.parse import parse_qs, quote_plus, urlsplit
 
 from .grammar import render_action
 from .protocol import (
     ActionKind,
-    DictCodec,
     EvaluatorSpec,
     InputError,
     Observation,
@@ -36,6 +32,7 @@ from .protocol import (
     packaged,
     parse_data,
     read_text,
+    record,
 )
 
 __all__ = [
@@ -76,24 +73,21 @@ FIXTURE_FORMAT = "tandem-fixture"
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class Navigate:
+class Navigate(NamedTuple):
     url: str
 
 
-@dataclass(frozen=True)
-class SortBy(DictCodec):
+@record
+class SortBy(NamedTuple):
     field: str
     ascending: bool = True
 
 
-@dataclass(frozen=True)
-class ClearFilter:
+class ClearFilter(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(NamedTuple):
     """Typing into the box navigates to `results_url?q=<text>`."""
 
     results_url: str
@@ -118,8 +112,8 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Condition(DictCodec):
+@record
+class Condition(NamedTuple):
     field: str
     value: object
     op: str = "eq"
@@ -131,6 +125,8 @@ class Condition(DictCodec):
 class FilterBy(Condition):
     """A control that narrows its page's listing to the rows where it holds."""
 
+    __slots__ = ()
+
 
 Behavior = Navigate | SortBy | FilterBy | ClearFilter | SearchBox
 
@@ -140,8 +136,7 @@ Behavior = Navigate | SortBy | FilterBy | ClearFilter | SearchBox
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     """A static node in a page tree (label already fully expanded)."""
 
     role: str
@@ -150,8 +145,7 @@ class NodeSpec:
     children: tuple["NodeSpec", ...] = ()
 
 
-@dataclass(frozen=True)
-class ListingSpec:
+class ListingSpec(NamedTuple):
     """A page section rendered live from an entity collection."""
 
     collection: str
@@ -161,37 +155,46 @@ class ListingSpec:
     default_sort: SortBy | None = None
 
 
-@dataclass(frozen=True)
-class PageDef:
+class PageDef(NamedTuple):
     url: str
     title: str
     nodes: tuple[NodeSpec, ...] = ()
     listing: ListingSpec | None = None
 
 
-@dataclass(frozen=True)
 class SiteFixture:
-    """Entities plus a closed world of pages. Immutable and shareable.
+    """Entities plus a closed world of pages. Shareable, and never changed.
 
     `renders` is the one mutable part: the page renders and observation
     texts every WebEnv over this fixture shares (see WebEnv.render_nodes
-    and WebEnv.render_axtree).
+    and WebEnv.render_axtree).  Equality leaves it out.
     """
 
-    start_url: str
-    entities: dict[str, tuple[dict, ...]]
-    pages: dict[str, PageDef]
-    search_pages: dict[str, SearchBox] = field(default_factory=dict)
-    renders: dict[tuple, list[PageNode] | str] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    __slots__ = ("start_url", "entities", "pages", "search_pages", "renders")
+
+    def __init__(
+        self, start_url: str, entities: dict[str, tuple[dict, ...]], pages: dict[str, PageDef],
+        search_pages: dict[str, SearchBox],
+    ) -> None:
+        self.start_url = start_url
+        self.entities = entities
+        self.pages = pages
+        self.search_pages = search_pages
+        self.renders: dict[tuple, list[PageNode] | str] = {}
+
+    def _compared(self) -> tuple:
+        return self.start_url, self.entities, self.pages, self.search_pages
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not SiteFixture:
+            return NotImplemented
+        return self._compared() == other._compared()
 
     def rows(self, collection: str) -> tuple[dict, ...]:
         return self.entities[collection]
 
 
-@dataclass(frozen=True)
-class PageNode:
+class PageNode(NamedTuple):
     """One rendered node; ids are dense (1..N in depth-first order) and
     stable for a given (page, fixture, view state)."""
 
@@ -228,8 +231,18 @@ def _format(template: str, row: dict, where: str) -> str:
         raise ValueError(f"{where}: template {template!r} failed: {exc}") from exc
 
 
+def _decode(kind: Any, raw: dict, where: str) -> Any:
+    """`kind.from_dict(raw)`, with `where` in front of any error it raises."""
+    try:
+        return kind.from_dict(raw)
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _parse_condition(raw: dict, where: str, kind: type[Condition] = Condition) -> Condition:
-    cond = kind.from_dict(raw)
+    cond = _decode(kind, raw, where)
     if cond.op not in _OPS:
         raise ValueError(f"{where}: unknown condition op {cond.op!r}")
     if isinstance(cond.value, (list, dict)):
@@ -248,7 +261,7 @@ def _parse_behavior(raw: dict, where: str) -> Behavior | None:
     if key == "navigate":
         return Navigate(url=str(raw["navigate"]))
     if key == "sort":
-        return SortBy.from_dict(raw["sort"])
+        return _decode(SortBy, raw["sort"], where)
     if key == "filter":
         return _parse_condition(raw["filter"], where, FilterBy)
     if key == "clear_filter":
@@ -292,12 +305,13 @@ def _parse_node(raw: dict, where: str, row: dict | None) -> list[NodeSpec]:
 
 
 def _parse_listing(raw: dict, where: str) -> ListingSpec:
+    sort = raw.get("default_sort")
     return ListingSpec(
         collection=raw["collection"],
         item_template=raw["item"],
         link_template=raw.get("item_link"),
         where=_parse_condition(raw["where"], where) if raw.get("where") else None,
-        default_sort=SortBy.from_dict(raw["default_sort"]) if raw.get("default_sort") else None,
+        default_sort=_decode(SortBy, sort, where) if sort else None,
     )
 
 
@@ -455,10 +469,12 @@ def load_fixture(name_or_path: str | Path) -> SiteFixture:
 # =====================================================================
 
 
-@dataclass
 class _ViewState:
-    sort: SortBy | None = None
-    filter: FilterBy | None = None
+    __slots__ = ("sort", "filter")
+
+    def __init__(self, sort: SortBy | None = None, filter: FilterBy | None = None) -> None:
+        self.sort = sort
+        self.filter = filter
 
 
 def _listing_rows(fixture: SiteFixture, listing: ListingSpec, view: _ViewState,

@@ -53,6 +53,13 @@ def test_rendered_joins_system_and_messages():
     assert req.rendered() == "you are an agent\n\ndo the thing"
 
 
+def test_request_text_is_joined_once_when_built():
+    req = make_request("do the thing", system="")
+    assert req.text == "do the thing"
+    assert req.rendered() is req.text
+    assert req.with_followup("bad reply", "fix it").text == "do the thing\n\nbad reply\n\nfix it"
+
+
 def test_with_followup_extends_conversation():
     req = make_request("first")
     follow = req.with_followup("bad reply", "please fix the format")

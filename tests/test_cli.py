@@ -769,6 +769,50 @@ def test_report_detects_a_forged_row_set_with_recounted_rates(demo_report, capsy
     assert capsys.readouterr().err.splitlines() == [f"integrity mismatch - {expected}"]
 
 
+def _edit_payload(report: Path, task_id: str, seq: int, edit) -> int:
+    """Apply `edit` to the payload of event `seq` in task `task_id`'s
+    transcript beside `report`; return the task's row index."""
+    path = report.parent / f"{task_id}.transcript.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        if event.get("seq") == seq:
+            edit(event["payload"])
+            lines[i] = json.dumps(event)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = json.loads(report.read_text(encoding="utf-8"))["tasks"]
+    return [row["task_id"] for row in rows].index(task_id)
+
+
+@pytest.mark.parametrize(
+    "task_id, seq, edit, expected",
+    [
+        (
+            "scn-replan", 9, lambda p: p.update(ruling="veto"),
+            "seq 9 DecisionIssued: 'veto' is not a valid Ruling",
+        ),
+        (
+            "scn-replan", 9, lambda p: p["new_plan"].update(plan_version="2"),
+            "seq 9 DecisionIssued: plan_version: expected an integer, got str '2'",
+        ),
+        (
+            "scn-happy", 5, lambda p: p.update(decision="maybe"),
+            "seq 5 VerdictIssued: 'maybe' is not a valid VerdictDecision",
+        ),
+    ],
+    ids=["ruling-veto", "new-plan-version-a-string", "verdict-maybe"],
+)
+def test_report_refuses_a_protocol_value_its_record_refuses(
+    demo_report, capsys, task_id, seq, edit, expected
+):
+    row = _edit_payload(demo_report, task_id, seq, edit)
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"integrity mismatch - tasks[{row}]: {expected}"
+    ]
+
+
 def test_report_notes_a_missing_transcript(demo_report, capsys):
     raw = json.loads(demo_report.read_text(encoding="utf-8"))
     Path(raw["tasks"][0]["transcript"]).unlink()

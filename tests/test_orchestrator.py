@@ -147,6 +147,16 @@ def test_step_legality_table(mode, name):
         assert state.mode is mode
 
 
+def test_step_dispatches_by_class_not_by_items():
+    # A record is a tuple and equals a plain tuple of its items; step reads the class.
+    plan = make_plan()
+    assert tuple(plan) == plan
+    state = fresh_state()
+    with pytest.raises(IllegalTransition, match="unknown input tuple"):
+        step(state, tuple(plan))
+    assert state.recorder.events == [] and state.mode is Mode.PLANNING
+
+
 def test_move_advances_phase_then_collates():
     state = fresh_state(Mode.PLANNING)
     step(state, make_plan(n_phases=2))

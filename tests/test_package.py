@@ -36,7 +36,31 @@ def test_each_module_imports_alone(name):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # Records are NamedTuples: building them runs no generated-method exec,
+    # and nothing pulls in dataclasses, or the inspect, ast and dis it loads.
+    probe = "import sys, tandem.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 SOURCES = sorted(Path(tandem.__file__).parent.glob("*.py"))
+
+
+def test_no_module_copies_a_record_unchecked():
+    # _make and _replace build a record without its constructor, so they
+    # would skip a checked record's rules.
+    calls = [
+        f"{path.name}:{n.lineno} {n.attr}"
+        for path in SOURCES
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.Attribute) and n.attr in ("_make", "_replace")
+    ]
+    assert calls == []
 # Errors that only reading or parsing a file raises; protocol.read_text and
 # protocol.parse_data turn them into InputError, so no other module catches them.
 PARSE_ERRORS = {"YAMLError", "UnicodeDecodeError", "JSONDecodeError"}

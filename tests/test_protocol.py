@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -194,9 +193,30 @@ def test_plan_dict_round_trip_property(phases, version):
     assert GlobalPlan.from_dict(plan.to_dict()) == plan
 
 
+def test_record_dicts_keep_the_wire_order():
+    plan = GlobalPlan(phases=(PhaseSpec(1, "a", "b"),), plan_version=2)
+    assert list(plan.to_dict()) == ["plan_version", "phases"]
+    assert list(make_task().to_dict()) == [
+        "id", "objective", "env_fixture", "evaluator", "difficulty", "site_category", "task_class",
+    ]
+    assert list(Budgets().to_dict()) == [
+        "max_exchanges", "max_local_revisions_per_phase", "max_replan_requests_per_task",
+        "force_stop_enabled",
+    ]
+
+
+def test_a_checked_record_keeps_its_rules_however_it_is_built():
+    with pytest.raises(ValueError, match="^Budgets.max_exchanges: "):
+        Budgets(0)  # positionally
+    with pytest.raises(ValueError, match="^Budgets.max_exchanges: "):
+        Budgets.from_dict({**Budgets().to_dict(), "max_exchanges": 0})
+    with pytest.raises(ValueError, match="^GlobalDecision.new_plan: "):
+        GlobalDecision(Ruling.REVISE, None, "advice")
+
+
 def test_frozen_types_reject_mutation():
     task = make_task()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         task.id = "other"  # type: ignore[misc]
 
 

@@ -426,6 +426,7 @@ pages:
         label: Find
         search: {results_url: http://t.local/search, collection: things}
       - {role: button, label: Cheap, filter: {field: price, op: lt, value: 2}}
+      - {role: tab, label: Dearest, sort: {field: price, ascending: false}}
     listing:
       collection: things
       item: "{name}"
@@ -477,6 +478,28 @@ FIXTURE_REJECTIONS = [
     pytest.param(
         "collection: things}", "collection: widgets}", "search: unknown collection 'widgets'",
         id="search-unknown-collection",
+    ),
+    # A control or listing record that fails to decode names its page and node.
+    pytest.param(
+        "ascending: false", "ascending: 'false'",
+        "pages[0].nodes[2]: ascending: expected a boolean, got str 'false'",
+        id="sort-ascending-not-a-boolean",
+    ),
+    pytest.param(
+        "sort: {field: price, ", "sort: {", "pages[0].nodes[2]: missing key 'field'",
+        id="sort-without-field",
+    ),
+    pytest.param(
+        "default_sort: {field: name}", "default_sort: {field: name, ascending: 1}",
+        "pages[0]: ascending: expected a boolean, got int 1", id="default-sort-not-a-boolean",
+    ),
+    pytest.param(
+        "op: lt, value: 2}", "op: lt}", "pages[0].nodes[1]: missing key 'value'",
+        id="filter-without-value",
+    ),
+    pytest.param(
+        "where: {field: price, op: ge, value: 0}", "where: {field: 7, op: ge, value: 0}",
+        "pages[0]: field: expected a string, got int 7", id="where-field-not-a-string",
     ),
 ]
 
@@ -578,6 +601,14 @@ def test_fixture_cache_never_keeps_a_failed_load(tmp_path, count_parses):
         with pytest.raises(InputError):
             load_fixture(path)
     assert len(count_parses) == 2
+
+
+def test_fixture_equality_leaves_out_the_shared_renders(shop_copy):
+    used = load_fixture(shop_copy)
+    WebEnv(used).observe()
+    fresh = webenv._parse_fixture.__wrapped__(shop_copy, shop_copy.read_text(encoding="utf-8"))
+    assert used.renders and not fresh.renders
+    assert used == fresh
 
 
 def test_runs_leave_the_cached_bundled_fixtures_unchanged():
