@@ -172,19 +172,13 @@ class TaskRun(NamedTuple):
     transcript_path: str = ""
 
 
-class SuiteReport:
-    """A suite's runs, with the success rates and counts over them."""
-
-    def __init__(
-        self, runs: list[TaskRun], per_category: dict[str, Decimal],
-        per_difficulty: dict[str, Decimal], overall: Decimal, n_tasks: int, n_success: int,
-    ) -> None:
-        self.runs = runs
-        self.per_category = per_category
-        self.per_difficulty = per_difficulty
-        self.overall = overall
-        self.n_tasks = n_tasks
-        self.n_success = n_success
+class SuiteReport(NamedTuple):
+    runs: list[TaskRun]
+    per_category: dict[str, Decimal]
+    per_difficulty: dict[str, Decimal]
+    overall: Decimal
+    n_tasks: int
+    n_success: int
 
     def to_dict(self) -> dict:
         return {

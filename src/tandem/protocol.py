@@ -185,11 +185,8 @@ def _check_rules(value: _Checked, *rules: tuple[bool, str, str]) -> _Checked:
     A message is a `str.format` template over `self`, filled in only when
     its rule is broken: a record on the hot path builds no text.
     """
-    broken = [
-        f"{type(value).__name__}.{path}: {message.format(self=value)}"
-        for bad, path, message in rules
-        if bad
-    ]
+    name = type(value).__name__
+    broken = [f"{name}.{path}: {text.format(self=value)}" for bad, path, text in rules if bad]
     if broken:
         raise ValueError("; ".join(broken))
     return value
@@ -390,7 +387,7 @@ class Task(NamedTuple):
     task_class: str = ""
 
     def _checked(self) -> "Task":
-        expected = self.evaluator.expected
+        kind, expected = self.evaluator
         return _check_rules(
             self,
             (not self.id.strip(), "id", "task id must be nonempty"),
@@ -401,11 +398,8 @@ class Task(NamedTuple):
             ),
             (not self.objective.strip(), "objective", "objective must be nonempty"),
             (not self.env_fixture.strip(), "env_fixture", "env_fixture must be nonempty"),
-            (
-                self.evaluator.kind not in EVALUATOR_KINDS,
-                "evaluator.kind",
-                "unknown evaluator kind {self.evaluator.kind!r}",
-            ),
+            (kind not in EVALUATOR_KINDS, "evaluator.kind",
+             "unknown evaluator kind {self.evaluator.kind!r}"),
             (not expected, "evaluator.expected", "expected values must be nonempty"),
             (
                 not all(expected),
