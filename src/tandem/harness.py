@@ -10,7 +10,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from pathlib import Path
@@ -428,6 +427,9 @@ def run_suite(
     if parallel == 1:
         runs = [one(task) for task in tasks]
     else:
+        # Imported here: a serial run, replay or report never loads the pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             runs = list(pool.map(one, tasks))
 

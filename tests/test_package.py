@@ -36,10 +36,12 @@ def test_each_module_imports_alone(name):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+def test_import_loads_no_dataclasses_inspect_or_thread_pool():
     # Records are NamedTuples: building them runs no generated-method exec,
     # and nothing pulls in dataclasses, or the inspect, ast and dis it loads.
-    probe = "import sys, tandem.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # Only a parallel suite needs the thread pool.
+    unused = "{'dataclasses', 'inspect', 'concurrent.futures'}"
+    probe = f"import sys, tandem.cli; print(sorted({unused} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(SRC)},
