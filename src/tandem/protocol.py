@@ -10,9 +10,10 @@ own codec.  A record is a tuple, so it equals any tuple of the same
 items.  Every file tandem reads (tasks, suites, fixtures, scripts,
 passages, reports, transcripts and prompt overrides) is read by
 `read_text` and decoded by `read_data`/`parse_data`, which turn any way
-a file can be bad into one `InputError`.  Beyond (de)serialization the module holds the field rules
-Task, Budgets, LocalVerdict and GlobalDecision check when built (see
-`checked`), and EVENT_FIELDS; the rest builds on top.
+a file can be bad into one `InputError`.  Beyond (de)serialization the
+module holds the field rules Task, Budgets, LocalVerdict and
+GlobalDecision check when built (see `checked`), and EVENT_FIELDS; the
+rest builds on top.
 """
 
 import json

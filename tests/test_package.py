@@ -52,17 +52,6 @@ def test_import_loads_no_dataclasses_inspect_or_thread_pool():
 
 SOURCES = sorted(Path(tandem.__file__).parent.glob("*.py"))
 
-
-def test_no_module_copies_a_record_unchecked():
-    # _make and _replace build a record without its constructor, so they
-    # would skip a checked record's rules.
-    calls = [
-        f"{path.name}:{n.lineno} {n.attr}"
-        for path in SOURCES
-        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(n, ast.Attribute) and n.attr in ("_make", "_replace")
-    ]
-    assert calls == []
 # Errors that only reading or parsing a file raises; protocol.read_text and
 # protocol.parse_data turn them into InputError, so no other module catches them.
 PARSE_ERRORS = {"YAMLError", "UnicodeDecodeError", "JSONDecodeError"}
@@ -84,6 +73,18 @@ def test_only_protocol_parses_input_files(path):
         if isinstance(n, (ast.Name, ast.Attribute))
     }
     assert not caught & PARSE_ERRORS
+
+
+def test_no_module_copies_a_record_unchecked():
+    # _make and _replace build a record without its constructor, so they
+    # would skip a checked record's rules.
+    calls = [
+        f"{path.name}:{n.lineno} {n.attr}"
+        for path in SOURCES
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.Attribute) and n.attr in ("_make", "_replace")
+    ]
+    assert calls == []
 
 
 def _annotation_names(tree: ast.Module) -> set[str]:
