@@ -14,6 +14,7 @@ records an LlmCall event (one exchange) or an LlmFailed event;
 ``ask_with_repair`` adds their one repair round.
 """
 
+import json
 import logging
 import re
 import time
@@ -22,9 +23,11 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, TypeVar
 
 from .grammar import GrammarError
 from .prompts import PACKAGED_PROMPTS, PromptLibrary
-from .protocol import BOOLEAN, EventKind, checked, load_yaml, read_data
+from .protocol import BOOLEAN, OBJECT, EventKind, InputError, checked, load_yaml, read_data
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
+if TYPE_CHECKING:  # pragma: no cover - for type hints only
+    from email.message import Message
+
     from .transcript import RunRecorder
 
 logger = logging.getLogger(__name__)
@@ -147,29 +150,38 @@ HTTP_BACKOFF_S = 0.5
 
 
 class HttpChatBackend:
-    """OpenAI-style chat-completions client.
+    """OpenAI-style chat-completions client on the standard library's urllib.
 
-    Retries transient failures (a connection error, a 5xx, 408 Request
-    Timeout or 429 Too Many Requests) up to ``HTTP_RETRIES`` times with
-    exponential backoff from ``HTTP_BACKOFF_S``, waiting at least the
-    ``Retry-After`` delay or until its HTTP-date (RFC 6585 §4, RFC 9110
-    §10.2.3); a ``Retry-After`` wait longer than the ``HTTP_TIMEOUT_S``
-    request timeout raises TransportError at once instead.
+    Retries transient failures (a connection, timeout or TLS error, a
+    5xx, 408 Request Timeout or 429 Too Many Requests) up to
+    ``HTTP_RETRIES`` times with exponential backoff from ``HTTP_BACKOFF_S``,
+    waiting at least the ``Retry-After`` delay or until its HTTP-date
+    (RFC 6585 §4, RFC 9110 §10.2.3); a ``Retry-After`` wait longer than the
+    ``HTTP_TIMEOUT_S`` request timeout raises TransportError at once instead.
     A retried call only counts as one exchange because counting happens
     in call_llm after a response arrives.
 
-    ``requests`` is imported when the backend is built rather than with
-    this module, so offline runs never load the HTTP stack and no
-    recorded call latency includes the import.
+    An endpoint that is not an http or https URL with a host is an
+    InputError, since urllib would also open ``file:``, ``ftp:`` and
+    ``data:`` URLs.  Each
+    attempt opens its own connection, so one backend serves parallel
+    tasks.  ``urllib.request`` is imported when the backend is built, so
+    offline runs never load the HTTP client and no recorded call latency
+    includes the import.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str = "") -> None:
+        import urllib.request  # here, so no recorded call latency includes the import
+
+        try:
+            url = urllib.parse.urlsplit(endpoint)
+        except ValueError as exc:  # an unclosed IPv6 bracket, say
+            raise InputError(endpoint, str(exc)) from exc
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise InputError(endpoint, "the endpoint must be an http:// or https:// URL")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        import requests
-
-        self._requests = requests
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -187,7 +199,26 @@ class HttpChatBackend:
             "max_tokens": MAX_RESPONSE_TOKENS,
         }
 
+    def _post(self, data: bytes) -> tuple[int, "Message", bytes]:
+        """One attempt's status, headers and whole body, whatever the status.
+
+        A transport failure, reading the body included, raises OSError or
+        http.client.HTTPException.
+        """
+        import urllib.request  # loads urllib.error too
+
+        post = urllib.request.Request(self.endpoint, data, self._headers())
+        try:
+            with urllib.request.urlopen(post, timeout=HTTP_TIMEOUT_S) as resp:
+                return resp.status, resp.headers, resp.read()
+        except urllib.error.HTTPError as exc:  # not 2xx; an OSError, so caught first
+            with exc:
+                return exc.code, exc.headers, exc.read()
+
     def complete(self, request: ChatRequest) -> str:
+        from http.client import HTTPException
+
+        data = json.dumps(self._body(request)).encode()
         last_error: Exception | None = None
         retry_after = 0
         for attempt in range(HTTP_RETRIES + 1):
@@ -196,28 +227,24 @@ class HttpChatBackend:
                 logger.warning("retrying backend call in %.1fs: %s", delay, last_error)
                 time.sleep(delay)
             try:
-                resp = self._requests.post(
-                    self.endpoint,
-                    headers=self._headers(),
-                    json=self._body(request),
-                    timeout=HTTP_TIMEOUT_S,
-                )
-            except self._requests.RequestException as exc:
+                status, headers, body = self._post(data)
+            except (OSError, HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code >= 500 or resp.status_code in _RETRIED_STATUSES:
-                last_error = TransportError(f"backend returned {resp.status_code}")
-                retry_after = _retry_after(resp.headers.get("Retry-After", ""))
+            if status >= 500 or status in _RETRIED_STATUSES:
+                last_error = TransportError(f"backend returned {status}")
+                retry_after = _retry_after(headers.get("Retry-After", ""))
                 if retry_after > HTTP_TIMEOUT_S:  # waiting would stall the run; fail now
                     raise TransportError(
                         f"{last_error}: Retry-After asks for {retry_after:g}s, "
                         f"more than the {HTTP_TIMEOUT_S:g}s timeout"
                     )
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"backend returned {resp.status_code}: {resp.text[:200]}")
+            if status != 200:
+                text = body.decode("utf-8", "replace")
+                raise TransportError(f"backend returned {status}: {text[:200]}")
             try:
-                content = resp.json()["choices"][0]["message"]["content"]
+                content = json.loads(body.decode())["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(f"malformed backend response: {exc}") from exc
             if not isinstance(content, str):
@@ -297,6 +324,7 @@ def _exchanges(doc: dict) -> list[ScriptedExchange]:
         raise TypeError("exchanges must be a list")
     exchanges = []
     for i, entry in enumerate(entries):
+        OBJECT.check(entry, f"exchange {i}")
         regex = BOOLEAN.check(entry.get("regex", False), f"exchange {i}: regex")
         exchange = ScriptedExchange(entry["match"], entry["response"], regex)
         if not isinstance(exchange.matcher, str) or not isinstance(exchange.response, str):

@@ -9,9 +9,9 @@ Verbs:
 
 Exit codes: 0 run completed, 1 configuration or input error or a closed
 stdout pipe, 2 backend unreachable (every task died on transport
-errors).  Every input error, a missing flag or a file that cannot be
-read or decoded, is an InputError and prints one line,
-``error: <path or flag>: <reason>``.
+errors).  Every input error, a missing flag, an endpoint that is not
+http or https, or a file that cannot be read, decoded or written, is an
+InputError and prints one line, ``error: <path or flag>: <reason>``.
 """
 
 from __future__ import annotations

@@ -443,12 +443,15 @@ def run_suite(
 
 def _replace_file(path: Path, text: str) -> None:
     """Write `text` plus a newline to a temp file beside `path`, then move it
-    into place, so a crash leaves the old file or the new one, never a torn one."""
+    into place, so a crash leaves the old file or the new one, never a torn one.
+    A file that cannot be written is an InputError."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise InputError(path, f"cannot write: {exc.strerror or exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 

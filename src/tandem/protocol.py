@@ -171,6 +171,8 @@ def _to_dict(self: tuple) -> dict:
 
 
 def _from_dict(cls: type, d: dict) -> Any:
+    if type(d) is not dict:  # `in` on a string would test for a substring
+        raise TypeError(OBJECT.mismatch(d, cls.__name__))
     kwargs = {}
     for f in _fields_of(cls):
         if f.name in d:

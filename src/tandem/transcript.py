@@ -110,11 +110,17 @@ class RunRecorder:
 
 
 def write_transcript(path: str | Path, header: dict, events: list[TranscriptEvent]) -> None:
-    """Write a header line plus one JSON line per event; the directory must exist."""
+    """Write a header line plus one JSON line per event; the directory must exist.
+
+    A file that cannot be written is an InputError.
+    """
     full_header = {"format": TRANSCRIPT_FORMAT, "version": TRANSCRIPT_VERSION, **header}
     lines = [json.dumps(full_header, ensure_ascii=False), *(event.to_json() for event in events)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InputError(path, f"cannot write: {exc.strerror or exc}") from exc
 
 
 # json.loads hands each str to a decoder like this one; calling it

@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,19 @@ def test_an_out_path_that_is_a_file_fails_before_any_task_runs(tmp_path, monkeyp
     assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("blocked", ["scn-happy.transcript.jsonl", "report.json"])
+def test_an_output_file_that_cannot_be_written_is_an_input_error(tmp_path, capsys, parallel, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = ["suite", "demo", "--backend", f"scripted:{SCRIPTS}", "--out", str(out)]
+    assert run_cli(*argv, "--parallel", parallel) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out / blocked}: cannot write: Is a directory"
+    ]
+    assert not (out / "report.txt").exists()
+
+
 def test_replay_with_a_missing_prompt_dir_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "missing"
     code = run_cli("replay", str(REPLAN_RECORDING), "--prompt-dir", str(missing))
@@ -285,6 +299,22 @@ def test_http_factory_without_any_config_raises():
     parser_args = type("Args", (), {"endpoint": "", "model": ""})()
     with pytest.raises(InputError):
         make_backend_factory("http", parser_args, [])
+
+
+@pytest.mark.parametrize("url", ["file:///etc/hostname", "127.0.0.1:9/v1"])
+def test_http_endpoint_without_an_http_scheme_is_an_input_error(monkeypatch, tmp_path, capsys, url):
+    opened = []
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: opened.append(args))
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", str(HAPPY_TASK), "--backend", "http", "--endpoint", url, "--model", "m",
+        "--out", str(out),
+    )
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {url}: the endpoint must be an http:// or https:// URL"
+    ]
+    assert opened == [] and not out.exists()
 
 
 # =====================================================================

@@ -775,7 +775,7 @@ def test_a_failed_report_write_leaves_the_old_report_or_the_new_one(tmp_path, mo
             patch.setattr(harness, "open", make_fake(fault_on), raising=False)
         else:
             patch.setattr(harness.os, "replace", make_fake(fault_on))
-        with pytest.raises(OSError):
+        with pytest.raises(InputError, match="cannot write: "):
             run_suite(tasks, factory, Budgets(), out_dir=tmp_path)
     after_fault = reports()
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == []

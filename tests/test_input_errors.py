@@ -29,6 +29,7 @@ SCRIPTS = DATA / "scripts"
 HAPPY_TASK = TASKS / "scn-happy.yaml"
 HAPPY_SCRIPT = SCRIPTS / "scn-happy.yaml"
 RECORDED = REPO / "tests" / "recorded" / "scn-overrule.transcript.jsonl"
+EVALUATOR = 'evaluator:\n  kind: must_include\n  expected: ["34.50"]\n'
 
 
 def _text(path) -> str:
@@ -57,8 +58,9 @@ def _report() -> str:
 WRONG_VERSIONS = ('"version": 99', '"version": true', "")
 
 
-def _with_version(version: str) -> Callable[[str], str]:
-    return lambda s: s.replace('"version": 1,', version + "," if version else "", 1)
+def _with_version(version: str) -> tuple[Callable[[str], str], str]:
+    edit = lambda s: s.replace('"version": 1,', version + "," if version else "", 1)  # noqa: E731
+    return edit, "this tandem reads only version 1"
 
 
 def _task_on_fixture(path) -> str:
@@ -75,7 +77,9 @@ class Kind:
     truncated: Callable[[str], str]  # a prefix of `base` that no longer decodes
     wrong_scalars: tuple  # of str -> str: `base` with one value of the wrong type
     syntax: str = "yaml"  # yaml, json or jsonl
-    bad_values: tuple = ()  # of str -> str: `base` with one value a field rule rejects
+    # Of (str -> str, words): `base` with one value a field rule rejects, and
+    # words its error must contain.
+    bad_values: tuple = ()
 
 
 def _run(tmp_path, *extra, task=HAPPY_TASK, script=HAPPY_SCRIPT):
@@ -98,9 +102,16 @@ KINDS = [
         (lambda s: s.replace("id: scn-happy", "id: 7"),),
         bad_values=(
             # The id names the transcript file, which must stay inside --out.
-            lambda s: s.replace("id: scn-happy", "id: ../escaped"),
+            (lambda s: s.replace("id: scn-happy", "id: ../escaped"),
+             "task id must be one path component"),
             # A difficulty may be spelled in any case, but must be one of them.
-            lambda s: s.replace("difficulty: easy", "difficulty: trivial"),
+            (lambda s: s.replace("difficulty: easy", "difficulty: trivial"),
+             "'trivial' is not a valid Difficulty"),
+            # A record is decoded from an object, never from a string's characters.
+            (lambda s: s.replace(EVALUATOR, "evaluator: url_match\n"),
+             "EvaluatorSpec: expected an object, got str 'url_match'"),
+            (lambda s: s.replace(EVALUATOR, "evaluator: kind expected\n"),
+             "EvaluatorSpec: expected an object, got str 'kind expected'"),
         ),
     ),
     Kind(
@@ -123,6 +134,12 @@ KINDS = [
             lambda s: s.replace("default_sort: {field: name, ascending: true}",
                                 'default_sort: {field: name, ascending: "true"}', 1),
         ),
+        bad_values=(
+            (lambda s: s.replace("sort: {field: price, ascending: true}", "sort: price", 1),
+             "pages[1].nodes[1]: SortBy: expected an object, got str 'price'"),
+            (lambda s: s.replace("sort: {field: price, ascending: true}", "sort: field", 1),
+             "pages[1].nodes[1]: SortBy: expected an object, got str 'field'"),
+        ),
     ),
     Kind(
         "script",
@@ -132,6 +149,10 @@ KINDS = [
         (
             lambda s: s.replace("response: |", "response: 5\n    unused: |", 1),
             lambda s: s.replace("  - match:", '  - regex: "false"\n    match:', 1),
+        ),
+        bad_values=(
+            (lambda s: s.replace("exchanges:\n", "exchanges:\n  - just a string\n", 1),
+             "exchange 0: expected an object, got str 'just a string'"),
         ),
     ),
     Kind(
@@ -211,7 +232,8 @@ def damaged(kind: Kind, case: str) -> bytes:
         text = _without_format(kind)
     else:
         edits, i = case.rsplit("-", 1)
-        text = (kind.bad_values if edits == "bad-value" else kind.wrong_scalars)[int(i)](kind.base)
+        edit = kind.bad_values[int(i)][0] if edits == "bad-value" else kind.wrong_scalars[int(i)]
+        text = edit(kind.base)
     return text.encode("utf-8")
 
 
@@ -260,6 +282,8 @@ def test_damaged_input_is_one_input_error(tmp_path, capsys, caplog, kind, case):
     path.write_bytes(damaged(kind, case))
     code, err = run_main(kind.argv(path, tmp_path), capsys, caplog)
     assert_one_input_error(code, err, path, tmp_path)
+    if case.startswith("bad-value-"):
+        assert kind.bad_values[int(case.rsplit("-", 1)[1])][1] in err
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ import pytest
 
 import tandem
 
+from conftest import REPO
+
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tandem.__path__, "tandem."))
 SRC = Path(tandem.__file__).parent.parent
 
@@ -125,3 +127,19 @@ def test_no_unused_imports(path):
         if isinstance(c, ast.Constant)
     }
     assert sorted(imported - used - exported) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_needs_only_the_standard_library_and_pyyaml(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.level]
+    outside = {name.split(".")[0] for name in imported} - sys.stdlib_module_names - {"yaml"}
+    assert sorted(outside) == []
+
+
+def test_declared_dependencies_are_pyyaml_alone():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["pyyaml>=6"]

@@ -11,7 +11,7 @@ from conftest import REPO
 
 FIGURES = [
     "import_cached_ms", "import_cached_rss_mb", "import_compiling_ms",
-    "import_compiling_rss_mb", "replay_wall_ms",
+    "import_compiling_rss_mb", "replay_wall_ms", "live_first_request_ms",
 ]
 
 

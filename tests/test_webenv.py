@@ -489,6 +489,15 @@ FIXTURE_REJECTIONS = [
         "sort: {field: price, ", "sort: {", "pages[0].nodes[2]: missing key 'field'",
         id="sort-without-field",
     ),
+    # A record is decoded from an object, never from a string's characters.
+    pytest.param(
+        "sort: {field: price, ascending: false}", "sort: price",
+        "pages[0].nodes[2]: SortBy: expected an object, got str 'price'", id="sort-a-string",
+    ),
+    pytest.param(
+        "sort: {field: price, ascending: false}", "sort: field",
+        "pages[0].nodes[2]: SortBy: expected an object, got str 'field'", id="sort-a-key-name",
+    ),
     pytest.param(
         "default_sort: {field: name}", "default_sort: {field: name, ascending: 1}",
         "pages[0]: ascending: expected a boolean, got int 1", id="default-sort-not-a-boolean",

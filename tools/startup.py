@@ -10,12 +10,18 @@ the parent first in even runs and the change first in odd ones:
   import_cached_*     a fresh interpreter's in-process `import tandem.cli`
                       time and its peak RSS (ru_maxrss), with bytecode
                       cached under a private temporary PYTHONPYCACHEPREFIX
-                      that one warm-up import fills
+                      that one warm-up import and one warm-up live run fill
   import_compiling_*  the same with PYTHONDONTWRITEBYTECODE=1, so tandem
                       compiles from source each time
   replay_wall_ms      the wall time of `tandem replay
                       tests/recorded/scn-overrule.transcript.jsonl`, with
                       bytecode cached
+  live_first_request_ms
+                      the wall time from launching `tandem run
+                      src/tandem/data/tasks/scn-happy.yaml --backend http`
+                      to its first POST reaching a loopback stub inside this
+                      probe, with bytecode cached; the stub answers 400,
+                      which fails without a retry, so the run exits 2 at once
 
 It prints one JSON object: the revisions, the number of runs, per side
 each figure's median and values, and the change's median minus the
@@ -32,13 +38,16 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, extract  # noqa: E402
 
 REPLAYED = "tests/recorded/scn-overrule.transcript.jsonl"
+LIVE_TASK = "src/tandem/data/tasks/scn-happy.yaml"
 
 # Prints the import's milliseconds, the peak RSS in KiB (ru_maxrss on
 # Linux) and the file tandem.cli was imported from.
@@ -76,7 +85,35 @@ def _replay_ms(tree: Path, env: dict) -> float:
     return (time.perf_counter() - started) * 1e3
 
 
-def measure(tree: Path, cache: Path) -> dict:
+class _Stub(BaseHTTPRequestHandler):
+    """Notes when each POST arrives, then answers 400."""
+
+    arrivals: list[float] = []
+
+    def do_POST(self):  # noqa: N802 (stdlib naming)
+        self.arrivals.append(time.perf_counter())
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_error(400)
+
+    def log_message(self, *args):
+        pass
+
+
+def _first_request_ms(tree: Path, env: dict, stub: HTTPServer) -> float:
+    """Milliseconds from launching a live `tandem run` to its first POST reaching `stub`."""
+    url = f"http://127.0.0.1:{stub.server_port}/v1/chat/completions"
+    cmd = [sys.executable, "-m", "tandem.cli", "run", LIVE_TASK,
+           "--backend", "http", "--endpoint", url, "--model", "m"]
+    env = {k: v for k, v in env.items() if not k.lower().endswith("_proxy")}
+    _Stub.arrivals.clear()
+    started = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 2 or not _Stub.arrivals:
+        raise SystemExit(f"live run exited {proc.returncode} without a request:\n{proc.stderr}")
+    return (_Stub.arrivals[0] - started) * 1e3
+
+
+def measure(tree: Path, cache: Path, stub: HTTPServer) -> dict:
     """One run's figures for the tree; `cache` is its bytecode prefix."""
     cached = _env(tree, PYTHONPYCACHEPREFIX=str(cache))
     compiling = _env(tree, PYTHONDONTWRITEBYTECODE="1")
@@ -88,6 +125,7 @@ def measure(tree: Path, cache: Path) -> dict:
         "import_compiling_ms": compiling_ms,
         "import_compiling_rss_mb": compiling_mb,
         "replay_wall_ms": _replay_ms(tree, cached),
+        "live_first_request_ms": _first_request_ms(tree, cached, stub),
     }
 
 
@@ -117,18 +155,24 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--runs must be at least 1")
 
     scratch = Path(tempfile.mkdtemp(prefix="startup-"))
+    stub = HTTPServer(("127.0.0.1", 0), _Stub)
+    threading.Thread(target=stub.serve_forever, args=(0.01,), daemon=True).start()
     try:
         sides = {}
         for side in ("parent", "change"):
             tree, cache = scratch / side, scratch / f"{side}-pycache"
             extract(ROOT, getattr(args, side), tree)
-            _import(tree, _env(tree, PYTHONPYCACHEPREFIX=str(cache)))  # fills the cache
+            cached = _env(tree, PYTHONPYCACHEPREFIX=str(cache))
+            _import(tree, cached)  # fills the cache
+            _first_request_ms(tree, cached, stub)  # and with the HTTP client's modules
             sides[side] = tree, cache
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i in range(args.runs):
             for side in ("change", "parent") if i % 2 else ("parent", "change"):
-                runs[side].append(measure(*sides[side]))
+                runs[side].append(measure(*sides[side], stub))
     finally:
+        stub.shutdown()
+        stub.server_close()
         shutil.rmtree(scratch, ignore_errors=True)
 
     revisions = {"parent": args.parent, "change": args.change}
