@@ -161,23 +161,23 @@ class HttpChatBackend:
     A retried call only counts as one exchange because counting happens
     in call_llm after a response arrives.
 
-    An endpoint that is not an http or https URL with a host is an
-    InputError, since urllib would also open ``file:``, ``ftp:`` and
-    ``data:`` URLs.  Each
-    attempt opens its own connection, so one backend serves parallel
-    tasks.  ``urllib.request`` is imported when the backend is built, so
-    offline runs never load the HTTP client and no recorded call latency
-    includes the import.
+    The endpoint must be an http or https URL with a host (and a valid
+    port, if it names one), since urllib would also open ``file:``,
+    ``ftp:`` and ``data:`` URLs.  Each attempt opens its own connection,
+    so one backend serves parallel tasks.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str = "") -> None:
-        import urllib.request  # here, so no recorded call latency includes the import
+        # Imported here, so offline runs never load the HTTP client and no
+        # recorded call latency includes the import.
+        import urllib.request
 
         try:
             url = urllib.parse.urlsplit(endpoint)
-        except ValueError as exc:  # an unclosed IPv6 bracket, say
+            host, _ = url.hostname, url.port  # reading the port checks it
+        except ValueError as exc:  # an unclosed IPv6 bracket or a port out of range, say
             raise InputError(endpoint, str(exc)) from exc
-        if url.scheme not in ("http", "https") or not url.hostname:
+        if url.scheme not in ("http", "https") or not host:
             raise InputError(endpoint, "the endpoint must be an http:// or https:// URL")
         self.endpoint = endpoint
         self.model = model
@@ -200,11 +200,9 @@ class HttpChatBackend:
         }
 
     def _post(self, data: bytes) -> tuple[int, "Message", bytes]:
-        """One attempt's status, headers and whole body, whatever the status.
-
-        A transport failure, reading the body included, raises OSError or
-        http.client.HTTPException.
-        """
+        """One attempt's status, headers and whole body, whatever the status;
+        a transport failure, reading the body included, raises OSError or
+        http.client.HTTPException."""
         import urllib.request  # loads urllib.error too
 
         post = urllib.request.Request(self.endpoint, data, self._headers())
@@ -472,9 +470,10 @@ class StaticSearchProvider:
         """Load a `tandem-passages` file; a bad one is an InputError."""
 
         def decode(doc: dict) -> "StaticSearchProvider":
-            entries = [
-                (e["trigger"], e["passage"], e.get("source", "")) for e in doc.get("passages", [])
-            ]
+            entries = []
+            for i, e in enumerate(doc.get("passages", [])):
+                OBJECT.check(e, f"passage {i}")
+                entries.append((e["trigger"], e["passage"], e.get("source", "")))
             if not all(isinstance(value, str) for entry in entries for value in entry):
                 raise TypeError("trigger, passage and source must be strings")
             return cls(entries)

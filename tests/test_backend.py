@@ -310,6 +310,7 @@ def test_http_body_shape(endpoint):
             "localhost:9/v1", "http:///v1", "https:127.0.0.1/v1",
         )],
         ("http://[::1/v1", "Invalid IPv6 URL"),
+        ("http://127.0.0.1:99999/v1", "Port out of range 0-65535"),
     ],
 )
 def test_http_endpoint_must_be_an_http_url_with_a_host(url, reason):
@@ -423,7 +424,7 @@ def test_one_http_backend_serves_two_tasks_at_once(endpoint):
             time.sleep(0.01)
         in_flight = len(endpoint.posts)
         endpoint.release.set()
-        assert [call.result() for call in calls] == ["live reply", "live reply"]
+        assert [call.result(timeout=30) for call in calls] == ["live reply", "live reply"]
     assert in_flight == 2
     assert sorted(body["messages"][1]["content"] for _, _, body in endpoint.posts) == ["a", "b"]
 

@@ -59,7 +59,9 @@ WRONG_VERSIONS = ('"version": 99', '"version": true', "")
 
 
 def _with_version(version: str) -> tuple[Callable[[str], str], str]:
-    edit = lambda s: s.replace('"version": 1,', version + "," if version else "", 1)  # noqa: E731
+    def edit(s: str) -> str:
+        return s.replace('"version": 1,', version + "," if version else "", 1)
+
     return edit, "this tandem reads only version 1"
 
 
@@ -161,6 +163,10 @@ KINDS = [
         lambda p, t: _run(t, "--augment-search", "--search-passages", str(p)),
         lambda s: s[: s.index("passage: >")],
         (lambda s: s.replace("trigger: kettle", "trigger: 5"),),
+        bad_values=(
+            (lambda s: s.replace("passages:\n", "passages:\n  - just a string\n", 1),
+             "passage 0: expected an object, got str 'just a string'"),
+        ),
     ),
     Kind(
         "report",

@@ -86,12 +86,10 @@ def _replay_ms(tree: Path, env: dict) -> float:
 
 
 class _Stub(BaseHTTPRequestHandler):
-    """Notes when each POST arrives, then answers 400."""
-
-    arrivals: list[float] = []
+    """Notes in its server's `arrivals` when each POST arrives, then answers 400."""
 
     def do_POST(self):  # noqa: N802 (stdlib naming)
-        self.arrivals.append(time.perf_counter())
+        self.server.arrivals.append(time.perf_counter())
         self.rfile.read(int(self.headers["Content-Length"]))
         self.send_error(400)
 
@@ -105,12 +103,12 @@ def _first_request_ms(tree: Path, env: dict, stub: HTTPServer) -> float:
     cmd = [sys.executable, "-m", "tandem.cli", "run", LIVE_TASK,
            "--backend", "http", "--endpoint", url, "--model", "m"]
     env = {k: v for k, v in env.items() if not k.lower().endswith("_proxy")}
-    _Stub.arrivals.clear()
+    stub.arrivals = []
     started = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode != 2 or not _Stub.arrivals:
+    if proc.returncode != 2 or not stub.arrivals:
         raise SystemExit(f"live run exited {proc.returncode} without a request:\n{proc.stderr}")
-    return (_Stub.arrivals[0] - started) * 1e3
+    return (stub.arrivals[0] - started) * 1e3
 
 
 def measure(tree: Path, cache: Path, stub: HTTPServer) -> dict:
