@@ -3,7 +3,7 @@
 Three interchangeable backends implement ``complete(request) -> str``:
 
   HttpChatBackend   a real chat-completions endpoint over HTTP
-  ScriptedBackend   deterministic matcher/response pairs from a fixture
+  ScriptedBackend   deterministic match/response pairs from a script
                     file, for offline tests
   (ReplayBackend lives in ``transcript`` since it feeds on recorded
   transcripts)
@@ -23,7 +23,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, TypeVar
 
 from .grammar import GrammarError
 from .prompts import PACKAGED_PROMPTS, PromptLibrary
-from .protocol import BOOLEAN, OBJECT, EventKind, InputError, checked, load_yaml, read_data
+from .protocol import (
+    ARRAY, EventKind, InputError, checked, decode_at, load_yaml, read_data, record
+)
 
 if TYPE_CHECKING:  # pragma: no cover - for type hints only
     from email.message import Message
@@ -40,6 +42,7 @@ __all__ = [
     "ChatMessage",
     "ChatRequest",
     "HttpChatBackend",
+    "Passage",
     "ProviderError",
     "ResponseEmpty",
     "RetrievedPassage",
@@ -274,17 +277,26 @@ def _retry_after(value: str) -> float:
 # =====================================================================
 
 
+@record
 class ScriptedExchange(NamedTuple):
-    """One matcher/response pair; `regex` switches substring to pattern."""
+    """One match/response pair; `regex` switches substring to pattern."""
 
-    matcher: str
+    match: str
     response: str
     regex: bool = False
 
+    def _checked(self) -> "ScriptedExchange":
+        if self.regex:
+            try:
+                re.compile(self.match)
+            except re.error as exc:
+                raise ValueError(f"match is not a valid regex: {exc}") from None
+        return self
+
     def matches(self, prompt: str) -> bool:
         if self.regex:
-            return re.search(self.matcher, prompt) is not None
-        return self.matcher in prompt
+            return re.search(self.match, prompt) is not None
+        return self.match in prompt
 
 
 SCRIPT_FORMAT = "tandem-script"
@@ -317,27 +329,12 @@ class ScriptedBackend:
 
 
 def _exchanges(doc: dict) -> list[ScriptedExchange]:
-    entries = doc.get("exchanges", [])
-    if not isinstance(entries, list):
-        raise TypeError("exchanges must be a list")
-    exchanges = []
-    for i, entry in enumerate(entries):
-        OBJECT.check(entry, f"exchange {i}")
-        regex = BOOLEAN.check(entry.get("regex", False), f"exchange {i}: regex")
-        exchange = ScriptedExchange(entry["match"], entry["response"], regex)
-        if not isinstance(exchange.matcher, str) or not isinstance(exchange.response, str):
-            raise TypeError(f"exchange {i}: match and response must be strings")
-        if regex:
-            try:
-                re.compile(exchange.matcher)
-            except re.error as exc:
-                raise ValueError(f"exchange {i}: match is not a valid regex: {exc}") from None
-        exchanges.append(exchange)
-    return exchanges
+    entries = ARRAY.check(doc.get("exchanges", []), "exchanges")
+    return [decode_at(ScriptedExchange, entry, f"exchange {i}") for i, entry in enumerate(entries)]
 
 
 def load_script_file(path: str | Path) -> list[ScriptedExchange]:
-    """Load matcher/response pairs from a YAML script file; a bad one is an InputError."""
+    """Load match/response pairs from a YAML script file; a bad one is an InputError."""
     return read_data(path, load_yaml, SCRIPT_FORMAT, _exchanges)
 
 
@@ -453,6 +450,15 @@ class SearchProvider(Protocol):
         ...
 
 
+@record
+class Passage(NamedTuple):
+    """One passage-file entry: `passage` fires when `trigger` occurs in a query."""
+
+    trigger: str
+    passage: str
+    source: str = ""
+
+
 class StaticSearchProvider:
     """Keyword-triggered passages from a fixed table (or YAML file).
 
@@ -462,7 +468,7 @@ class StaticSearchProvider:
     """
 
     def __init__(self, entries: list[tuple[str, str, str]]) -> None:
-        # entries: (trigger, passage, source)
+        # entries: (trigger, passage, source), such as Passage records
         self._entries = list(entries)
 
     @classmethod
@@ -470,13 +476,8 @@ class StaticSearchProvider:
         """Load a `tandem-passages` file; a bad one is an InputError."""
 
         def decode(doc: dict) -> "StaticSearchProvider":
-            entries = []
-            for i, e in enumerate(doc.get("passages", [])):
-                OBJECT.check(e, f"passage {i}")
-                entries.append((e["trigger"], e["passage"], e.get("source", "")))
-            if not all(isinstance(value, str) for entry in entries for value in entry):
-                raise TypeError("trigger, passage and source must be strings")
-            return cls(entries)
+            entries = ARRAY.check(doc.get("passages", []), "passages")
+            return cls([decode_at(Passage, e, f"passage {i}") for i, e in enumerate(entries)])
 
         return read_data(path, load_yaml, PASSAGES_FORMAT, decode)
 

@@ -21,6 +21,7 @@ from .orchestrator import TaskOutcome, Termination, record_result, run_task
 from .planner import GlobalPlanner
 from .prompts import PromptLibrary
 from .protocol import (
+    STRING,
     Budgets,
     EventKind,
     GlobalDecision,
@@ -125,7 +126,10 @@ def load_manifest(path: str | Path) -> list[Task]:
         entries = raw.get("tasks")
         if not isinstance(entries, list) or not entries:
             raise ValueError("manifest lists no tasks")
-        tasks = [load_task_file((path.parent / str(entry)).resolve()) for entry in entries]
+        tasks = [
+            load_task_file((path.parent / STRING.check(entry, f"tasks[{i}]")).resolve())
+            for i, entry in enumerate(entries)
+        ]
         seen: set[str] = set()
         for task in tasks:
             if task.id in seen:

@@ -10,8 +10,9 @@ own codec.  A record is a tuple, so it equals any tuple of the same
 items.  Every file tandem reads (tasks, suites, fixtures, scripts,
 passages, reports, transcripts and prompt overrides) is read by
 `read_text` and decoded by `read_data`/`parse_data`, which turn any way
-a file can be bad into one `InputError`.  Beyond (de)serialization the
-module holds the field rules Task, Budgets, LocalVerdict and
+a file can be bad into one `InputError`; `decode_at` decodes a record
+inside one and names its place in any error.  Beyond (de)serialization
+the module holds the field rules Task, Budgets, LocalVerdict and
 GlobalDecision check when built (see `checked`), and EVENT_FIELDS; the
 rest builds on top.
 """
@@ -26,6 +27,7 @@ from typing import IO, Any, Callable, NamedTuple, TypeVar, get_args, get_origin,
 import yaml
 
 __all__ = [
+    "ARRAY",
     "ActionKind",
     "BOOLEAN",
     "Budgets",
@@ -55,6 +57,7 @@ __all__ = [
     "TranscriptEvent",
     "VerdictDecision",
     "checked",
+    "decode_at",
     "load_yaml",
     "packaged",
     "parse_data",
@@ -182,6 +185,16 @@ def _from_dict(cls: type, d: dict) -> Any:
     return cls(**kwargs)
 
 
+def decode_at(kind: Any, raw: Any, where: str) -> Any:
+    """`kind.from_dict(raw)`, with `where` in front of any error it raises."""
+    try:
+        return kind.from_dict(raw)
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _check_rules(value: _Checked, *rules: tuple[bool, str, str]) -> _Checked:
     """`value`, or one ValueError naming each (broken, field path, message) rule of it.
 
@@ -246,6 +259,7 @@ NUMBER = JsonType("a number", (int, float))
 INTEGER = JsonType("an integer", (int,))
 BOOLEAN = JsonType("a boolean", (bool,))
 OBJECT = JsonType("an object", (dict,))
+ARRAY = JsonType("an array", (list,))
 _SCALARS = {str: STRING, int: INTEGER, float: NUMBER, bool: BOOLEAN}
 
 
@@ -254,7 +268,7 @@ def _decoder(hint: Any, name: str) -> Callable[[Any], Any]:
     origin, args = get_origin(hint), get_args(hint)
     if origin is tuple:
         item = _decoder(args[0], name)
-        return lambda value: tuple(item(v) for v in value)
+        return lambda value: tuple(item(v) for v in ARRAY.check(value, name))
     if origin is UnionType:
         inner = [a for a in args if a is not type(None)]
         item = _decoder(inner[0], name) if len(inner) == 1 else _as_is

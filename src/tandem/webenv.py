@@ -22,12 +22,16 @@ from urllib.parse import parse_qs, quote_plus, urlsplit
 
 from .grammar import render_action
 from .protocol import (
+    ARRAY,
+    OBJECT,
+    STRING,
     ActionKind,
     EvaluatorSpec,
     InputError,
     Observation,
     PageAction,
     StepOutcome,
+    decode_at,
     load_yaml,
     packaged,
     parse_data,
@@ -87,18 +91,19 @@ class ClearFilter(NamedTuple):
     pass
 
 
+@record
 class SearchBox(NamedTuple):
     """Typing into the box navigates to `results_url?q=<text>`."""
 
     results_url: str
     collection: str
     match_field: str = "name"
-    item_template: str = "{name}"
-    link_template: str | None = None
+    item: str = "{name}"
+    item_link: str | None = None
 
     def listing(self) -> "ListingSpec":
         """The results page's listing: the collection, unsorted and unfiltered."""
-        return ListingSpec(self.collection, self.item_template, self.link_template)
+        return ListingSpec(self.collection, self.item, self.item_link)
 
 
 _OPS = {
@@ -117,6 +122,14 @@ class Condition(NamedTuple):
     field: str
     value: object
     op: str = "eq"
+
+    def _checked(self) -> "Condition":
+        if self.op not in _OPS:
+            raise ValueError(f"unknown condition op {self.op!r}")
+        if isinstance(self.value, (list, dict)):
+            # A filter keys the shared page renders, so its value must hash.
+            raise ValueError(f"condition value {self.value!r} is not a scalar")
+        return self
 
     def holds(self, row: dict) -> bool:
         return _OPS[self.op](row[self.field], self.value)
@@ -145,12 +158,13 @@ class NodeSpec(NamedTuple):
     children: tuple["NodeSpec", ...] = ()
 
 
+@record
 class ListingSpec(NamedTuple):
     """A page section rendered live from an entity collection."""
 
     collection: str
-    item_template: str
-    link_template: str | None = None
+    item: str
+    item_link: str | None = None
     where: Condition | None = None
     default_sort: SortBy | None = None
 
@@ -231,24 +245,7 @@ def _format(template: str, row: dict, where: str) -> str:
         raise ValueError(f"{where}: template {template!r} failed: {exc}") from exc
 
 
-def _decode(kind: Any, raw: dict, where: str) -> Any:
-    """`kind.from_dict(raw)`, with `where` in front of any error it raises."""
-    try:
-        return kind.from_dict(raw)
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-
-
-def _parse_condition(raw: dict, where: str, kind: type[Condition] = Condition) -> Condition:
-    cond = _decode(kind, raw, where)
-    if cond.op not in _OPS:
-        raise ValueError(f"{where}: unknown condition op {cond.op!r}")
-    if isinstance(cond.value, (list, dict)):
-        # A filter keys the shared page renders, so its value must hash.
-        raise ValueError(f"{where}: condition value {cond.value!r} is not a scalar")
-    return cond
+_BEHAVIOR_RECORDS = {"sort": SortBy, "filter": FilterBy, "search": SearchBox}
 
 
 def _parse_behavior(raw: dict, where: str) -> Behavior | None:
@@ -259,33 +256,24 @@ def _parse_behavior(raw: dict, where: str) -> Behavior | None:
         return None
     key = keys[0]
     if key == "navigate":
-        return Navigate(url=str(raw["navigate"]))
-    if key == "sort":
-        return _decode(SortBy, raw["sort"], where)
-    if key == "filter":
-        return _parse_condition(raw["filter"], where, FilterBy)
+        return Navigate(url=STRING.check(raw["navigate"], f"{where}: navigate"))
     if key == "clear_filter":
         return ClearFilter()
-    spec = raw["search"]
-    return SearchBox(
-        results_url=spec["results_url"],
-        collection=spec["collection"],
-        match_field=spec.get("match_field", "name"),
-        item_template=spec.get("item", "{name}"),
-        link_template=spec.get("item_link"),
-    )
+    return decode_at(_BEHAVIOR_RECORDS[key], raw[key], where)
 
 
 def _parse_node(raw: dict, where: str, row: dict | None) -> list[NodeSpec]:
     """Parse one node entry; with a template row this may expand to many."""
-    role, label = raw["role"], raw["label"]
+    OBJECT.check(raw, where)
+    role = STRING.check(raw["role"], f"{where}: role")
+    label = STRING.check(raw["label"], f"{where}: label")
     behavior = _parse_behavior(raw, where)
-    children_raw = raw.get("children", [])
+    children_raw = ARRAY.check(raw.get("children", []), f"{where}: children")
 
     if "for_each_item" in raw:
         if row is None:
             raise ValueError(f"{where}: for_each_item only works inside page templates")
-        items = row.get(raw["for_each_item"], [])
+        items = row.get(STRING.check(raw["for_each_item"], f"{where}: for_each_item"), [])
         nodes = []
         for item in items:
             ctx = {**row, "item": item}
@@ -304,26 +292,20 @@ def _parse_node(raw: dict, where: str, row: dict | None) -> list[NodeSpec]:
     return [NodeSpec(role=role, label=label, behavior=behavior, children=tuple(children))]
 
 
-def _parse_listing(raw: dict, where: str) -> ListingSpec:
-    sort = raw.get("default_sort")
-    return ListingSpec(
-        collection=raw["collection"],
-        item_template=raw["item"],
-        link_template=raw.get("item_link"),
-        where=_parse_condition(raw["where"], where) if raw.get("where") else None,
-        default_sort=_decode(SortBy, sort, where) if sort else None,
-    )
-
-
 def _parse_page(raw: dict, where: str, row: dict | None = None) -> PageDef:
-    url = raw["url"] if row is None else _format(raw["url_template"], row, where)
-    title = _format(raw.get("title", ""), row, where) if row is not None else raw.get("title", "")
+    title = STRING.check(raw.get("title", ""), f"{where}: title")
+    if row is None:
+        url = STRING.check(raw["url"], f"{where}: url")
+    else:
+        url = _format(STRING.check(raw["url_template"], f"{where}: url_template"), row, where)
+        title = _format(title, row, where)
     if not title:
         raise ValueError(f"{where}: page needs a title")
     nodes: list[NodeSpec] = []
-    for i, node_raw in enumerate(raw.get("nodes", [])):
+    for i, node_raw in enumerate(ARRAY.check(raw.get("nodes", []), f"{where}: nodes")):
         nodes.extend(_parse_node(node_raw, f"{where}.nodes[{i}]", row))
-    listing = _parse_listing(raw["listing"], where) if raw.get("listing") else None
+    listing = raw.get("listing")
+    listing = None if listing is None else decode_at(ListingSpec, listing, where)
     return PageDef(url=url, title=title, nodes=tuple(nodes), listing=listing)
 
 
@@ -334,14 +316,18 @@ def _parse_fixture(path: Path, text: str) -> SiteFixture:
 
 def _fixture(doc: dict) -> SiteFixture:
     entities: dict[str, tuple[dict, ...]] = {}
-    for name, rows in (doc.get("entities") or {}).items():
+    for name, rows in OBJECT.check(doc.get("entities") or {}, "entities").items():
         if not isinstance(rows, list):
             raise ValueError(f"collection {name!r} must be a list")
-        entities[name] = tuple(_with_derived_fields(r) for r in rows)
+        entities[name] = tuple(
+            _with_derived_fields(OBJECT.check(row, f"entities.{name}[{k}]"))
+            for k, row in enumerate(rows)
+        )
 
     pages: dict[str, PageDef] = {}
-    for i, raw in enumerate(doc.get("pages", [])):
+    for i, raw in enumerate(ARRAY.check(doc.get("pages", []), "pages")):
         where = f"pages[{i}]"
+        OBJECT.check(raw, where)
         if "url_template" in raw:
             collection = raw.get("for_each")
             if collection not in entities:
@@ -406,9 +392,9 @@ def _check_fixture(fixture: SiteFixture) -> None:
         except TypeError as exc:
             problems.append(f"{where}: listing cannot be filtered or sorted: {exc}")
         for row in rows:
-            _format(listing.item_template, row, where)
-            if listing.link_template:
-                check_url(_format(listing.link_template, row, where), where)
+            _format(listing.item, row, where)
+            if listing.item_link:
+                check_url(_format(listing.item_link, row, where), where)
 
     for url, page in fixture.pages.items():
         nodes = list(_tree(page.nodes))
@@ -596,11 +582,9 @@ class WebEnv:
             rows = _listing_rows(self.fixture, listing, view, query, box)
             emit("list", f"{listing.collection} ({len(rows)} items)", 0)
             for row in rows:
-                label = listing.item_template.format_map(row)
+                label = listing.item.format_map(row)
                 behavior = (
-                    Navigate(url=listing.link_template.format_map(row))
-                    if listing.link_template
-                    else None
+                    Navigate(url=listing.item_link.format_map(row)) if listing.item_link else None
                 )
                 emit("link" if behavior else "listitem", label, 1, behavior)
 

@@ -116,7 +116,7 @@ def test_load_script_file_round_trip(tmp_path):
         encoding="utf-8",
     )
     exchanges = load_script_file(path)
-    assert exchanges == [ScriptedExchange(matcher="alpha", response="beta", regex=False)]
+    assert exchanges == [ScriptedExchange(match="alpha", response="beta", regex=False)]
 
 
 def test_load_script_file_rejects_wrong_format(tmp_path):

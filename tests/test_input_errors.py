@@ -114,6 +114,9 @@ KINDS = [
              "EvaluatorSpec: expected an object, got str 'url_match'"),
             (lambda s: s.replace(EVALUATOR, "evaluator: kind expected\n"),
              "EvaluatorSpec: expected an object, got str 'kind expected'"),
+            # A tuple field is decoded from an array, never from a mapping's keys.
+            (lambda s: s.replace('expected: ["34.50"]', "expected: {kettle: 1, copper: 2}"),
+             "expected: expected an array, got dict {'kettle': 1, 'copper': 2}"),
         ),
     ),
     Kind(
@@ -122,6 +125,13 @@ KINDS = [
         lambda p, t: ["suite", str(p), "--backend", f"scripted:{SCRIPTS}", "--out", str(t / "out")],
         lambda s: s[: s.index("tasks:")],
         (lambda s: s[: s.index("tasks:")] + "tasks: 5\n",),
+        bad_values=(
+            # A task path must be a string, not a value printed as one.
+            (lambda s: s[: s.index("tasks:")] + "tasks: [{a: 1}]\n",
+             "tasks[0]: expected a string, got dict {'a': 1}"),
+            (lambda s: s[: s.index("tasks:")] + "tasks: [5]\n",
+             "tasks[0]: expected a string, got int 5"),
+        ),
     ),
     Kind(
         "fixture",
@@ -141,6 +151,13 @@ KINDS = [
              "pages[1].nodes[1]: SortBy: expected an object, got str 'price'"),
             (lambda s: s.replace("sort: {field: price, ascending: true}", "sort: field", 1),
              "pages[1].nodes[1]: SortBy: expected an object, got str 'field'"),
+            # An empty condition is refused, not read as no condition at all.
+            (lambda s: s.replace("where: {field: category, op: eq, value: shoes}", "where: {}"),
+             "pages[1]: missing key 'field'"),
+            (lambda s: s.replace("results_url: http://shop.local/search", "results_url: 5"),
+             "pages[0].nodes[0]: results_url: expected a string, got int 5"),
+            (lambda s: s.replace('item: "{name} - ${price:.2f} (rating {rating})"', "item: 5", 1),
+             "pages[0].nodes[0]: item: expected a string, got int 5"),
         ),
     ),
     Kind(
@@ -154,7 +171,10 @@ KINDS = [
         ),
         bad_values=(
             (lambda s: s.replace("exchanges:\n", "exchanges:\n  - just a string\n", 1),
-             "exchange 0: expected an object, got str 'just a string'"),
+             "exchange 0: ScriptedExchange: expected an object, got str 'just a string'"),
+            (lambda s: s.replace("  - match:", "  - prompt:", 1), "exchange 0: missing key 'match'"),
+            (lambda s: s.replace("exchanges:\n", "exchanges: {}\nunused:\n", 1),
+             "exchanges: expected an array, got dict {}"),
         ),
     ),
     Kind(
@@ -165,7 +185,9 @@ KINDS = [
         (lambda s: s.replace("trigger: kettle", "trigger: 5"),),
         bad_values=(
             (lambda s: s.replace("passages:\n", "passages:\n  - just a string\n", 1),
-             "passage 0: expected an object, got str 'just a string'"),
+             "passage 0: Passage: expected an object, got str 'just a string'"),
+            (lambda s: s.replace("- trigger: kettle", "- keyword: kettle"),
+             "passage 0: missing key 'trigger'"),
         ),
     ),
     Kind(

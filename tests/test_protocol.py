@@ -63,6 +63,13 @@ def test_observation_round_trip():
     assert Observation.from_dict(obs.to_dict()) == obs
 
 
+def test_a_tuple_field_is_decoded_only_from_an_array():
+    raw = {**make_obs().to_dict(), "open_tabs": "xyz"}
+    with pytest.raises(TypeError) as excinfo:
+        Observation.from_dict(raw)
+    assert str(excinfo.value) == "open_tabs: expected an array, got str 'xyz'"
+
+
 @pytest.mark.parametrize(
     "action",
     [

@@ -510,6 +510,61 @@ FIXTURE_REJECTIONS = [
         "where: {field: price, op: ge, value: 0}", "where: {field: 7, op: ge, value: 0}",
         "pages[0]: field: expected a string, got int 7", id="where-field-not-a-string",
     ),
+    # Each page, node and entity row value has its JSON type, checked where it is read.
+    pytest.param(
+        "role: textbox", "role: 5", "pages[0].nodes[0]: role: expected a string, got int 5",
+        id="role-not-a-string",
+    ),
+    pytest.param(
+        "label: Find", "label: [a, b]",
+        "pages[0].nodes[0]: label: expected a string, got list ['a', 'b']",
+        id="label-not-a-string",
+    ),
+    pytest.param(
+        "title: Home", "title: 5", "pages[0]: title: expected a string, got int 5",
+        id="title-not-a-string",
+    ),
+    pytest.param(
+        'title: "Thing {name}"\n',
+        'title: "Thing {name}"\n    nodes:\n'
+        '      - {role: listitem, label: "{item}", for_each_item: 5}\n',
+        "pages[1].nodes[0]: for_each_item: expected a string, got int 5",
+        id="for-each-item-not-a-string",
+    ),
+    pytest.param(
+        "    - {name: b, price: 2}", "    - 5", "entities.things[1]: expected an object, got int 5",
+        id="entity-row-not-an-object",
+    ),
+    pytest.param(
+        "pages:\n", "pages: {url: x}\nunused:\n",
+        "pages: expected an array, got dict {'url': 'x'}", id="pages-not-an-array",
+    ),
+    pytest.param(
+        "label: Dearest,", "label: Dearest, children: {a: 1},",
+        "pages[0].nodes[2]: children: expected an array, got dict {'a': 1}",
+        id="children-not-an-array",
+    ),
+    pytest.param(
+        "sort: {field: price, ascending: false}", "navigate: [1]",
+        "pages[0].nodes[2]: navigate: expected a string, got list [1]",
+        id="navigate-not-a-string",
+    ),
+    pytest.param(
+        "- url: http://t.local/", "- url: 5", "pages[0]: url: expected a string, got int 5",
+        id="url-not-a-string",
+    ),
+    pytest.param(
+        'url_template: "http://t.local/thing/{name}"', "url_template: 5",
+        "pages[1]: url_template: expected a string, got int 5", id="url-template-not-a-string",
+    ),
+    pytest.param(
+        'title: "Thing {name}"', "title: 5", "pages[1]: title: expected a string, got int 5",
+        id="template-title-not-a-string",
+    ),
+    pytest.param(
+        "    nodes:\n", "    nodes: {a: 1}\n    unused:\n",
+        "pages[0]: nodes: expected an array, got dict {'a': 1}", id="nodes-not-an-array",
+    ),
 ]
 
 
@@ -720,7 +775,7 @@ def expected_listing_labels(fixture, page_url, sort, filt) -> list[str]:
     order = sort or listing.default_sort
     if order is not None:
         rows = sorted(rows, key=lambda r: r[order.field], reverse=not order.ascending)
-    return [listing.item_template.format_map(r) for r in rows]
+    return [listing.item.format_map(r) for r in rows]
 
 
 def run_listing_oracle(seed: int, n_cases: int) -> int:
@@ -770,7 +825,7 @@ def run_search_oracle(seed: int, n_cases: int) -> int:
         env.reset()
         assert env.apply(action("type", target=2, text=query)).ok
         expected = [
-            box.item_template.format_map(r)
+            box.item.format_map(r)
             for r in products
             if query.casefold() in str(r[box.match_field]).casefold()
         ]
