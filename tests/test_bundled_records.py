@@ -37,7 +37,7 @@ def _fixture_blocks(doc: dict) -> list:
         listing = page.get("listing")
         if listing is not None:
             blocks.append((ListingSpec, listing))
-            blocks += [(kind, listing[key]) for key, kind in LISTING_RECORDS.items() if key in listing]
+            blocks += [(kind, listing[k]) for k, kind in LISTING_RECORDS.items() if k in listing]
     return blocks
 
 
@@ -73,5 +73,5 @@ def test_every_record_kind_is_covered():
 def test_bundled_blocks_decode_without_losing_a_key(name):
     blocks = SOURCES[name](_load(DATA / name))
     assert blocks
-    lost = [(kind.__name__, raw) for kind, raw in blocks if not _kept(raw, kind.from_dict(raw).to_dict())]
+    lost = [(k.__name__, raw) for k, raw in blocks if not _kept(raw, k.from_dict(raw).to_dict())]
     assert lost == []
