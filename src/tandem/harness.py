@@ -31,6 +31,7 @@ from .protocol import (
     ReplanRequest,
     RunHeader,
     Task,
+    decode_at,
     load_yaml,
     packaged,
     read_data,
@@ -293,11 +294,15 @@ def _outcome_mismatches(where: str, row: dict, path: Path) -> list[str]:
         task = RunHeader.from_dict(raw).task
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(path, f"bad transcript header: {exc}") from exc
-    refused = [
-        f"{where}: seq {event.seq} {event.kind.value}: {reason}"
-        for event in events
-        if event.kind in _MESSAGE_RECORDS and (reason := _refusal(event.kind, event.payload))
-    ]
+    refused = []
+    for event in events:
+        if event.kind in _MESSAGE_RECORDS:
+            record, key = _MESSAGE_RECORDS[event.kind]
+            message = event.payload if key is None else event.payload[key]
+            try:
+                decode_at(record, message, f"{where}: seq {event.seq} {event.kind.value}")
+            except (TypeError, ValueError) as exc:
+                refused.append(str(exc))
     recorded = _task_row(TaskRun(task, TaskOutcome.from_events(task.id, events)))
     del recorded["transcript"]
     return refused + [
@@ -315,18 +320,6 @@ _MESSAGE_RECORDS = {
     EventKind.REPLAN_REQUESTED: (ReplanRequest, "request"),
     EventKind.DECISION_ISSUED: (GlobalDecision, None),
 }
-
-
-def _refusal(kind: EventKind, payload: dict) -> str | None:
-    """Why the record of message event `kind` refuses `payload`, or None if it decodes."""
-    record, key = _MESSAGE_RECORDS[kind]
-    try:
-        record.from_dict(payload if key is None else payload[key])
-    except KeyError as exc:
-        return f"missing key {exc}"
-    except (TypeError, ValueError) as exc:
-        return str(exc)
-    return None
 
 
 def _as_json(value: object) -> str:

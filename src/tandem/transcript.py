@@ -191,30 +191,19 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
 _VOLATILE_KEYS = ("latency",)
 
 
+def _stable(payload: dict) -> dict:
+    """`payload` without its wall-clock fields."""
+    return {key: value for key, value in payload.items() if key not in _VOLATILE_KEYS}
+
+
 def strip_volatile(event: TranscriptEvent) -> dict:
     """Event as a dict minus wall-clock fields, for fidelity comparisons."""
-    d = event.to_dict()
-    d.pop("ts", None)
-    payload = dict(d.get("payload", {}))
-    for key in _VOLATILE_KEYS:
-        payload.pop(key, None)
-    d["payload"] = payload
-    return d
-
-
-_ABSENT = object()
+    return {"seq": event.seq, "kind": event.kind.value, "payload": _stable(event.payload)}
 
 
 def _same_event(x: TranscriptEvent, y: TranscriptEvent) -> bool:
-    """strip_volatile(x) == strip_volatile(y), without building either dict."""
-    if x.seq != y.seq or x.kind is not y.kind:
-        return False
-    p, q = x.payload, y.payload
-    return all(
-        p.get(key, _ABSENT) == q.get(key, _ABSENT)
-        for key in p.keys() | q.keys()
-        if key not in _VOLATILE_KEYS
-    )
+    """strip_volatile(x) == strip_volatile(y), without building the envelopes."""
+    return x.seq == y.seq and x.kind is y.kind and _stable(x.payload) == _stable(y.payload)
 
 
 def first_divergence(a: list[TranscriptEvent], b: list[TranscriptEvent]) -> int | None:
