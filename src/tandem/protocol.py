@@ -678,8 +678,11 @@ class TranscriptEvent(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "TranscriptEvent":
+        """The event `d` holds: `seq` an integer, `ts` a number, `payload` an object."""
+        if type(d) is not dict:
+            raise TypeError(OBJECT.mismatch(d, cls.__name__))
         payload = OBJECT.check(d.get("payload", {}), "payload")
-        seq, ts, kind = d["seq"], d["ts"], d["kind"]
+        seq, ts, kind = INTEGER.check(d["seq"], "seq"), NUMBER.check(d["ts"], "ts"), d["kind"]
         try:  # a dict read; an Enum call by value costs ten times as much
             kind = _KINDS[kind]
         except (KeyError, TypeError):  # not a kind's value: EventKind words the error

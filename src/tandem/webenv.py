@@ -149,6 +149,14 @@ Behavior = Navigate | SortBy | FilterBy | ClearFilter | SearchBox
 # =====================================================================
 
 
+@record
+class _NodeText(NamedTuple):
+    """The two keys every fixture node entry holds."""
+
+    role: str
+    label: str
+
+
 class NodeSpec(NamedTuple):
     """A static node in a page tree (label already fully expanded)."""
 
@@ -264,16 +272,15 @@ def _parse_behavior(raw: dict, where: str) -> Behavior | None:
 
 def _parse_node(raw: dict, where: str, row: dict | None) -> list[NodeSpec]:
     """Parse one node entry; with a template row this may expand to many."""
-    OBJECT.check(raw, where)
-    role = STRING.check(raw["role"], f"{where}: role")
-    label = STRING.check(raw["label"], f"{where}: label")
+    role, label = decode_at(_NodeText, OBJECT.check(raw, where), where)
     behavior = _parse_behavior(raw, where)
     children_raw = ARRAY.check(raw.get("children", []), f"{where}: children")
 
     if "for_each_item" in raw:
         if row is None:
             raise ValueError(f"{where}: for_each_item only works inside page templates")
-        items = row.get(STRING.check(raw["for_each_item"], f"{where}: for_each_item"), [])
+        field = STRING.check(raw["for_each_item"], f"{where}: for_each_item")
+        items = ARRAY.check(row.get(field, []), f"{where}: for_each_item {field!r}")
         nodes = []
         for item in items:
             ctx = {**row, "item": item}
@@ -329,7 +336,7 @@ def _fixture(doc: dict) -> SiteFixture:
         where = f"pages[{i}]"
         OBJECT.check(raw, where)
         if "url_template" in raw:
-            collection = raw.get("for_each")
+            collection = STRING.check(raw.get("for_each", ""), f"{where}: for_each")
             if collection not in entities:
                 raise ValueError(f"{where}: for_each references unknown collection")
             for row in entities[collection]:

@@ -876,6 +876,22 @@ def test_report_rejects_a_transcript_with_a_bad_header(demo_report, capsys):
     )
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", "5"], ids=["array", "number"])
+def test_report_rejects_a_transcript_event_that_is_not_an_object(demo_report, capsys, line):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    path = Path(raw["tasks"][0]["transcript"])
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2] = line
+    path.write_text("\n".join(lines), encoding="utf-8")
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    kind = type(json.loads(line)).__name__
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: bad event record: "
+        f"TranscriptEvent: expected an object, got {kind} {line}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "content",
     ["not json", "[1, 2]", json.dumps({"format": "tandem-report", "tasks": [1, 2]})],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,30 @@ def _with_version(version: str) -> tuple[Callable[[str], str], str]:
         return s.replace('"version": 1,', version + "," if version else "", 1)
 
     return edit, "this tandem reads only version 1"
+
+
+def _with_event_line(edit: Callable[[str], str], words: str) -> tuple[Callable[[str], str], str]:
+    """A transcript with `edit` applied to its seq 1 event, the third line."""
+
+    def apply(s: str) -> str:
+        lines = s.split("\n")
+        lines[2] = edit(lines[2])
+        return "\n".join(lines)
+
+    return apply, f"line 3: bad event record: {words}"
+
+
+# An event line is one JSON object whose envelope has its exact JSON types.
+BAD_EVENTS = (
+    _with_event_line(lambda _: "[1, 2]", "TranscriptEvent: expected an object, got list [1, 2]"),
+    _with_event_line(lambda _: "5", "TranscriptEvent: expected an object, got int 5"),
+    _with_event_line(lambda line: line.replace('"seq": 1,', '"seq": true,', 1),
+                     "seq: expected an integer, got bool True"),
+    _with_event_line(lambda line: line.replace('"seq": 1,', '"seq": 1.0,', 1),
+                     "seq: expected an integer, got float 1.0"),
+    _with_event_line(lambda line: re.sub(r'"ts": [0-9.]+', '"ts": "yesterday"', line, count=1),
+                     "ts: expected a number, got str 'yesterday'"),
+)
 
 
 def _task_on_fixture(path) -> str:
@@ -209,7 +234,7 @@ KINDS = [
             lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
         ),
         syntax="jsonl",
-        bad_values=tuple(_with_version(v) for v in WRONG_VERSIONS),
+        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS),
     ),
     Kind(
         "replay-backend",
@@ -224,7 +249,7 @@ KINDS = [
             lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
         ),
         syntax="jsonl",
-        bad_values=tuple(_with_version(v) for v in WRONG_VERSIONS),
+        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS),
     ),
 ]
 

@@ -532,6 +532,25 @@ FIXTURE_REJECTIONS = [
         id="for-each-item-not-a-string",
     ),
     pytest.param(
+        'title: "Thing {name}"\n',
+        'title: "Thing {name}"\n    nodes:\n'
+        '      - {role: listitem, label: "{item}", for_each_item: name}\n',
+        "pages[1].nodes[0]: for_each_item 'name': expected an array, got str 'a'",
+        id="for-each-item-over-a-string",
+    ),
+    pytest.param(
+        "for_each: things", "for_each: [things]",
+        "pages[1]: for_each: expected a string, got list ['things']", id="for-each-not-a-string",
+    ),
+    pytest.param(
+        "role: textbox\n        label: Find", "label: Find", "pages[0].nodes[0]: missing key 'role'",
+        id="node-without-role",
+    ),
+    pytest.param(
+        "        label: Find\n", "", "pages[0].nodes[0]: missing key 'label'",
+        id="node-without-label",
+    ),
+    pytest.param(
         "    - {name: b, price: 2}", "    - 5", "entities.things[1]: expected an object, got int 5",
         id="entity-row-not-an-object",
     ),
@@ -579,6 +598,18 @@ def test_loader_rejects_each_fixture_problem(tmp_path, old, new, words):
     with pytest.raises(InputError) as err:
         load_fixture(path)
     assert str(err.value).startswith(f"{path}: ") and words in str(err.value)
+
+
+def test_for_each_item_renders_one_node_per_list_item_and_none_without_the_field(tmp_path):
+    path = tmp_path / "f.yaml"
+    path.write_text(
+        CHECKED_FIXTURE.replace("{name: a, price: 1}", "{name: a, price: 1, tags: [x, y]}")
+        + '    nodes:\n      - {role: listitem, label: "{item}", for_each_item: tags}\n',
+        encoding="utf-8",
+    )
+    pages = load_fixture(path).pages
+    assert [n.label for n in pages["http://t.local/thing/a"].nodes] == ["x", "y"]
+    assert pages["http://t.local/thing/b"].nodes == ()
 
 
 def test_bundled_fixtures_all_load():
