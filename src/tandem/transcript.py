@@ -134,9 +134,11 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     Returns (header, events, warnings).  A file cut off mid-write yields
     every complete event plus a warning; structural damage before the
     last line raises TranscriptCorrupt with the offending line number, as
-    does an event payload that is not an object or breaks EVENT_FIELDS: a
-    required key missing, a value of another type, and, for line 1, a
-    header whose version is not TRANSCRIPT_VERSION.  A file that cannot
+    does an event line that is not an object, a `seq` that is not an
+    integer or a `ts` that is not a number, an event payload that is not
+    an object or breaks EVENT_FIELDS: a required key missing, a value of
+    another type, and, for line 1, a header whose version is not
+    TRANSCRIPT_VERSION.  A file that cannot
     be read is an InputError.  Records end at line feeds only, so a
     string value may hold U+2028 or any other line break raw.
     """
