@@ -23,15 +23,9 @@ from .prompts import PromptLibrary
 from .protocol import (
     STRING,
     Budgets,
-    EventKind,
-    GlobalDecision,
-    GlobalPlan,
     InputError,
-    LocalVerdict,
-    ReplanRequest,
     RunHeader,
     Task,
-    decode_at,
     load_yaml,
     packaged,
     read_data,
@@ -42,6 +36,7 @@ from .transcript import (
     ReplayDivergence,
     RunRecorder,
     first_divergence,
+    is_closed,
     read_transcript,
     write_transcript,
 )
@@ -248,8 +243,7 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], lis
 
     Returns the recounted rate tables; one line per task row whose
     category or difficulty is not a string or whose task id an earlier
-    row has, per recounted field whose stored value differs, per protocol
-    message in a row's transcript that its record refuses, and per row
+    row has, per recounted field whose stored value differs, and per row
     field whose stored value differs from the one its transcript records;
     and one note per row whose transcript is missing.  A row's transcript
     is read by its file name from `report_dir`, where a suite writes both.
@@ -283,43 +277,27 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], lis
 
 
 def _outcome_mismatches(where: str, row: dict, path: Path) -> list[str]:
-    """One line per protocol message in the transcript at `path` that its
-    record refuses, then one per field of `row` that differs from the row
-    that transcript gives, built as a live report builds it; the transcript
-    path aside."""
+    """One line per field of `row` that differs from the row the transcript
+    at `path` gives, built as a live report builds it; the transcript path
+    aside."""
     raw, events, _ = read_transcript(path)
-    if not events or events[-1].kind is not EventKind.TASK_RESULT:
+    if not is_closed(events):
         return [f"{where}: transcript {path} has no closing TaskResult"]
     try:
         task = RunHeader.from_dict(raw).task
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(path, f"bad transcript header: {exc}") from exc
-    refused = []
-    for event in events:
-        if event.kind in _MESSAGE_RECORDS:
-            record, key = _MESSAGE_RECORDS[event.kind]
-            message = event.payload if key is None else event.payload[key]
-            try:
-                decode_at(record, message, f"{where}: seq {event.seq} {event.kind.value}")
-            except (TypeError, ValueError) as exc:
-                refused.append(str(exc))
-    recorded = _task_row(TaskRun(task, TaskOutcome.from_events(task.id, events)))
+    try:
+        outcome = TaskOutcome.from_events(task.id, events)
+    except ValueError as exc:  # a termination that is no Termination
+        raise InputError(path, f"seq {events[-1].seq} TaskResult payload: {exc}") from exc
+    recorded = _task_row(TaskRun(task, outcome))
     del recorded["transcript"]
-    return refused + [
+    return [
         f"{where}.{key}: stored {row.get(key)!r} != transcript {value!r}"
         for key, value in recorded.items()
         if _as_json(row.get(key)) != _as_json(value)
     ]
-
-
-# The protocol record each message event carries, and the payload key that
-# holds it (None: the payload is the record).
-_MESSAGE_RECORDS = {
-    EventKind.PLAN_ISSUED: (GlobalPlan, "plan"),
-    EventKind.VERDICT_ISSUED: (LocalVerdict, None),
-    EventKind.REPLAN_REQUESTED: (ReplanRequest, "request"),
-    EventKind.DECISION_ISSUED: (GlobalDecision, None),
-}
 
 
 def _as_json(value: object) -> str:
@@ -502,11 +480,11 @@ def replay_transcript(
     if where is None:
         return ReplayResult(ok=True, message="replay reproduced the recording", outcome=outcome)
 
-    closed = bool(events) and events[-1].kind is EventKind.TASK_RESULT
+    closed = is_closed(events)
     if not closed and where == len(events):
         after = f"seq {events[-1].seq}" if events else "the header"
         return ReplayResult(ok=False, message=f"recording is incomplete: no TaskResult after {after}")
-    detail = events[-1].payload.get("detail", "") if closed else ""
+    detail = events[-1].payload["detail"] if closed else ""
     if (
         where == len(events) - 1
         and detail.startswith(CRASH_PREFIX)

@@ -55,7 +55,7 @@ from .protocol import (
     VerdictDecision,
     record,
 )
-from .transcript import ForceStopInterrupt, RunRecorder
+from .transcript import ForceStopInterrupt, RunRecorder, is_closed
 from .webenv import WebEnv, evaluate
 
 __all__ = [
@@ -187,7 +187,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
     mode = state.mode
     rec = state.recorder
 
-    if mode in TERMINAL_MODES and rec.closed:
+    if mode in TERMINAL_MODES and is_closed(rec.events):
         raise IllegalTransition(f"{mode.value} is terminal")
 
     if isinstance(inp, BudgetTripped):

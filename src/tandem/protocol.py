@@ -13,8 +13,8 @@ passages, reports, transcripts and prompt overrides) is read by
 a file can be bad into one `InputError`; `decode_at` decodes a record
 inside one and names its place in any error.  Beyond (de)serialization
 the module holds the field rules Task, Budgets, LocalVerdict and
-GlobalDecision check when built (see `checked`), and EVENT_FIELDS; the
-rest builds on top.
+GlobalDecision check when built (see `checked`), and the transcript's
+payload tables, MESSAGE_RECORDS and EVENT_FIELDS; the rest builds on top.
 """
 
 import json
@@ -43,6 +43,7 @@ __all__ = [
     "InputError",
     "JsonType",
     "LocalVerdict",
+    "MESSAGE_RECORDS",
     "NUMBER",
     "OBJECT",
     "Observation",
@@ -621,9 +622,16 @@ class Budgets(NamedTuple):
 _EVENT_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
-# The transcript format: for each event kind, its payload keys in the order
-# the writers emit them with their JSON types, then the keys a writer may
-# leave out.  read_transcript checks it.
+# The transcript format, which read_transcript checks.  A protocol message's
+# payload is its record's wire form, under one key or (None) as a whole.
+MESSAGE_RECORDS: dict[EventKind, tuple[type, str | None]] = {
+    EventKind.PLAN_ISSUED: (GlobalPlan, "plan"),
+    EventKind.VERDICT_ISSUED: (LocalVerdict, None),
+    EventKind.REPLAN_REQUESTED: (ReplanRequest, "request"),
+    EventKind.DECISION_ISSUED: (GlobalDecision, None),
+}
+# Each other kind's payload keys in the order the writers emit them, with
+# their JSON types, then the keys a writer may leave out.
 EVENT_FIELDS: dict[EventKind, tuple[dict[str, JsonType], tuple[str, ...]]] = {
     EventKind.LLM_CALL: (
         {"role": STRING, "prompt": STRING, "response": STRING, "latency": NUMBER}, ()
@@ -632,16 +640,9 @@ EVENT_FIELDS: dict[EventKind, tuple[dict[str, JsonType], tuple[str, ...]]] = {
         {"role": STRING, "prompt": STRING, "error": STRING, "latency": NUMBER}, ()
     ),
     EventKind.ENV_STEP: ({"action": STRING, "ok": BOOLEAN, "error": STRING}, ("error",)),
-    EventKind.PLAN_ISSUED: ({"plan": OBJECT}, ()),
-    EventKind.VERDICT_ISSUED: ({"decision": STRING, "reasons": STRING}, ("reasons",)),
-    EventKind.REPLAN_REQUESTED: ({"request": OBJECT}, ()),
-    EventKind.DECISION_ISSUED: (  # new_plan for a revise ruling, guidance for an overrule
-        {"ruling": STRING, "new_plan": OBJECT, "guidance": STRING}, ("new_plan", "guidance")
-    ),
     EventKind.FORCE_STOP: ({"exchange_count": INTEGER, "reason": STRING}, ()),
     EventKind.TASK_RESULT: (
-        {"success": BOOLEAN, "answer": STRING, "termination": STRING, "detail": STRING},
-        ("detail",),
+        {"success": BOOLEAN, "answer": STRING, "termination": STRING, "detail": STRING}, ()
     ),
 }
 
@@ -661,7 +662,8 @@ _KINDS = {kind.value: kind for kind in EventKind}
 
 
 class TranscriptEvent(NamedTuple):
-    """One record in a task's append-only event log; EVENT_FIELDS gives its payload."""
+    """One record in a task's append-only event log; MESSAGE_RECORDS or
+    EVENT_FIELDS gives its payload."""
 
     seq: int
     timestamp: float

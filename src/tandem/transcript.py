@@ -1,10 +1,12 @@
 """Transcript recording, persistence and replay.
 
 A transcript is one header line followed by line-delimited JSON events
-with gap-free seq numbers from 0, each payload as `protocol.EVENT_FIELDS`
-declares it.  RunRecorder is the live sink: every LLM call (LlmCall),
-failed LLM call (LlmFailed), environment step, verdict, decision and
-budget event lands here, and `append` counts each LlmCall as one exchange.
+with gap-free seq numbers from 0: each protocol message's payload is the
+wire form of its `protocol.MESSAGE_RECORDS` record, and each other payload
+is as `protocol.EVENT_FIELDS` declares it.  RunRecorder is the live sink:
+every LLM call (LlmCall), failed LLM call (LlmFailed), environment step,
+verdict, decision and budget event lands here, and `append` counts each
+LlmCall as one exchange.
 
 ReplayBackend turns a recorded transcript back into a backend: it serves
 the recorded responses in order, raises each recorded failure again, and
@@ -23,6 +25,7 @@ from pathlib import Path
 from .backend import BackendError, ChatRequest
 from .protocol import (
     EVENT_FIELDS,
+    MESSAGE_RECORDS,
     EventKind,
     InputError,
     TranscriptEvent,
@@ -37,6 +40,7 @@ __all__ = [
     "ReplayDivergence",
     "RunRecorder",
     "TranscriptCorrupt",
+    "is_closed",
     "read_transcript",
     "strip_volatile",
     "write_transcript",
@@ -90,7 +94,7 @@ class RunRecorder:
     # -- appends ------------------------------------------------------
 
     def append(self, kind: EventKind, payload: dict) -> TranscriptEvent:
-        if self.closed:
+        if is_closed(self.events):
             raise RuntimeError("transcript already terminated by a TaskResult")
         event = TranscriptEvent(len(self.events), time.time(), kind, payload)
         self.events.append(event)
@@ -98,10 +102,10 @@ class RunRecorder:
             self.exchanges += 1
         return event
 
-    @property
-    def closed(self) -> bool:
-        """True once a TaskResult has terminated the transcript."""
-        return bool(self.events) and self.events[-1].kind is EventKind.TASK_RESULT
+
+def is_closed(events: list[TranscriptEvent]) -> bool:
+    """True when a TaskResult has terminated `events`: it is the last one."""
+    return bool(events) and events[-1].kind is EventKind.TASK_RESULT
 
 
 # =====================================================================
@@ -123,9 +127,10 @@ def write_transcript(path: str | Path, header: dict, events: list[TranscriptEven
         raise InputError(path, f"cannot write: {exc.strerror or exc}") from exc
 
 
-# json.loads hands each str to a decoder like this one; calling it
-# directly skips the per-call argument checks.
-_DECODER = json.JSONDecoder()
+# A default decoder's C scanner, which decodes one JSON value at an index
+# without `decode`'s two regex whitespace passes, and the JSON whitespace a
+# record's line may hold around it (a line feed ends the record).
+_SCAN, _JSON_SPACE = json.JSONDecoder().scan_once, " \t\r"
 
 
 def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list[str]]:
@@ -136,11 +141,12 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     last line raises TranscriptCorrupt with the offending line number, as
     does an event line that is not an object, a `seq` that is not an
     integer or a `ts` that is not a number, an event payload that is not
-    an object or breaks EVENT_FIELDS: a required key missing, a value of
-    another type, and, for line 1, a header whose version is not
-    TRANSCRIPT_VERSION.  A file that cannot
-    be read is an InputError.  Records end at line feeds only, so a
-    string value may hold U+2028 or any other line break raw.
+    an object, a protocol message its MESSAGE_RECORDS record refuses, any
+    other payload that breaks EVENT_FIELDS (a required key missing, a
+    value of another type), and, for line 1, a header whose version is
+    not TRANSCRIPT_VERSION.  A file that cannot be read is an InputError.
+    Records end at line feeds only, so a string value may hold U+2028 or
+    any other line break raw.
     """
     lines = read_text(path).split("\n")
     if lines[-1] == "":
@@ -157,27 +163,37 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        last = i == len(lines)
+        line = line.strip(_JSON_SPACE)
         try:
-            record = _DECODER.decode(line)
-        except ValueError:  # json.JSONDecodeError
-            if last:
+            record, end = _SCAN(line, 0)
+        except (StopIteration, ValueError):  # no value at 0; json.JSONDecodeError
+            end = -1
+        if end != len(line):  # no value, or more than one
+            if i == len(lines):
                 warnings.append(f"line {i}: truncated record dropped")
                 break
-            raise TranscriptCorrupt(path, i, "invalid JSON before end of file") from None
+            raise TranscriptCorrupt(path, i, "invalid JSON before end of file")
         try:
             event = TranscriptEvent.from_dict(record)
         except (KeyError, ValueError, TypeError) as exc:
             raise TranscriptCorrupt(path, i, f"bad event record: {exc}") from None
-        payload = event.payload
-        fields, optional = EVENT_FIELDS[event.kind]
-        for key, json_type in fields.items():  # inline checks: this loop is replay's hot path
-            if key in payload:
-                if type(payload[key]) not in json_type.types:
-                    error = json_type.mismatch(payload[key], key)
-                    raise TranscriptCorrupt(path, i, f"{event.kind.value} payload {error}")
-            elif key not in optional:
-                raise TranscriptCorrupt(path, i, f"{event.kind.value} payload lacks {key}")
+        kind, payload = event.kind, event.payload
+        try:
+            if kind in MESSAGE_RECORDS:
+                message, key = MESSAGE_RECORDS[kind]
+                message.from_dict(payload if key is None else payload[key])
+            else:
+                fields, optional = EVENT_FIELDS[kind]
+                for key, json_type in fields.items():  # inline checks: replay's hot path
+                    if key in payload:
+                        if type(payload[key]) not in json_type.types:
+                            raise TypeError(json_type.mismatch(payload[key], key))
+                    elif key not in optional:
+                        raise KeyError(key)
+        except KeyError as exc:
+            raise TranscriptCorrupt(path, i, f"{kind.value} payload: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise TranscriptCorrupt(path, i, f"{kind.value} payload: {exc}") from None
         if event.seq != len(events):
             raise TranscriptCorrupt(path, i, f"seq {event.seq} breaks gap-free order")
         events.append(event)

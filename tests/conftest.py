@@ -12,17 +12,14 @@ from tandem.orchestrator import run_task
 from tandem.planner import GlobalPlanner
 from tandem.protocol import (
     EVENT_FIELDS,
+    MESSAGE_RECORDS,
     ActionKind,
     Budgets,
     EvaluatorSpec,
     EventKind,
-    GlobalDecision,
-    GlobalPlan,
-    LocalVerdict,
     Observation,
     PageAction,
     PhaseSpec,
-    ReplanRequest,
     Task,
 )
 from tandem.transcript import RunRecorder
@@ -156,8 +153,16 @@ def shop_env() -> WebEnv:
 
 
 def assert_declared(kind: EventKind, payload: dict) -> None:
-    """`payload` has exactly the keys EVENT_FIELDS declares for `kind`, in the
-    declared order, each with its declared JSON type."""
+    """A protocol message's payload is what its MESSAGE_RECORDS record's codec
+    writes of it, key order included.  Any other payload has exactly the keys
+    EVENT_FIELDS declares for `kind`, in the declared order, each with its
+    declared JSON type."""
+    if kind in MESSAGE_RECORDS:
+        cls, key = MESSAGE_RECORDS[kind]
+        value = cls.from_dict(payload if key is None else payload[key]).to_dict()
+        rebuilt = value if key is None else {key: value}
+        assert json.dumps(rebuilt) == json.dumps(payload), (kind, payload)
+        return
     fields, optional = EVENT_FIELDS[kind]
     assert set(optional) <= set(fields), kind
     assert list(payload) == [key for key in fields if key in payload], (kind, list(payload))
@@ -166,24 +171,3 @@ def assert_declared(kind: EventKind, payload: dict) -> None:
             json_type.check(payload[key], key)
         else:
             assert key in optional, (kind, key)
-
-
-# The protocol value each of these events records, and the payload key that
-# holds it (None: the payload is the value itself).
-PAYLOAD_VALUES = {
-    EventKind.PLAN_ISSUED: (GlobalPlan, "plan"),
-    EventKind.VERDICT_ISSUED: (LocalVerdict, None),
-    EventKind.REPLAN_REQUESTED: (ReplanRequest, "request"),
-    EventKind.DECISION_ISSUED: (GlobalDecision, None),
-}
-
-
-def assert_codec_output(kind: EventKind, payload: dict) -> None:
-    """A protocol value's event payload is what its value's codec writes of it,
-    key order included; other events pass."""
-    if kind not in PAYLOAD_VALUES:
-        return
-    cls, key = PAYLOAD_VALUES[kind]
-    value = cls.from_dict(payload if key is None else payload[key]).to_dict()
-    rebuilt = value if key is None else {key: value}
-    assert json.dumps(rebuilt) == json.dumps(payload), (kind, payload)

@@ -799,9 +799,9 @@ def test_report_detects_a_forged_row_set_with_recounted_rates(demo_report, capsy
     assert capsys.readouterr().err.splitlines() == [f"integrity mismatch - {expected}"]
 
 
-def _edit_payload(report: Path, task_id: str, seq: int, edit) -> int:
+def _edit_payload(report: Path, task_id: str, seq: int, edit) -> Path:
     """Apply `edit` to the payload of event `seq` in task `task_id`'s
-    transcript beside `report`; return the task's row index."""
+    transcript beside `report`; return the transcript's path."""
     path = report.parent / f"{task_id}.transcript.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines()
     for i, line in enumerate(lines):
@@ -810,37 +810,69 @@ def _edit_payload(report: Path, task_id: str, seq: int, edit) -> int:
             edit(event["payload"])
             lines[i] = json.dumps(event)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    rows = json.loads(report.read_text(encoding="utf-8"))["tasks"]
-    return [row["task_id"] for row in rows].index(task_id)
+    return path
 
 
 @pytest.mark.parametrize(
     "task_id, seq, edit, expected",
     [
         (
+            "scn-happy", 1, lambda p: p["plan"].update(plan_version=1.0),
+            "PlanIssued payload: plan_version: expected an integer, got float 1.0",
+        ),
+        (
+            "scn-happy", 1, lambda p: p["plan"]["phases"][0].update(index=True),
+            "PlanIssued payload: index: expected an integer, got bool True",
+        ),
+        (
             "scn-replan", 9, lambda p: p.update(ruling="veto"),
-            "seq 9 DecisionIssued: 'veto' is not a valid Ruling",
+            "DecisionIssued payload: 'veto' is not a valid Ruling",
         ),
         (
             "scn-replan", 9, lambda p: p["new_plan"].update(plan_version="2"),
-            "seq 9 DecisionIssued: plan_version: expected an integer, got str '2'",
+            "DecisionIssued payload: plan_version: expected an integer, got str '2'",
         ),
         (
             "scn-happy", 5, lambda p: p.update(decision="maybe"),
-            "seq 5 VerdictIssued: 'maybe' is not a valid VerdictDecision",
+            "VerdictIssued payload: 'maybe' is not a valid VerdictDecision",
         ),
     ],
-    ids=["ruling-veto", "new-plan-version-a-string", "verdict-maybe"],
+    ids=[
+        "plan-version-a-float", "phase-index-a-boolean", "ruling-veto",
+        "new-plan-version-a-string", "verdict-maybe",
+    ],
 )
 def test_report_refuses_a_protocol_value_its_record_refuses(
     demo_report, capsys, task_id, seq, edit, expected
 ):
-    row = _edit_payload(demo_report, task_id, seq, edit)
+    path = _edit_payload(demo_report, task_id, seq, edit)
     code = run_cli("report", str(demo_report))
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.splitlines() == [
-        f"integrity mismatch - tasks[{row}]: {expected}"
-    ]
+    # The header is line 1, so event seq N is line N + 2.
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: line {seq + 2}: {expected}"]
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (
+            lambda p: p.update(termination="exploded"),
+            "seq {seq} TaskResult payload: 'exploded' is not a valid Termination",
+        ),
+        (lambda p: p.pop("detail"), "line {line}: TaskResult payload: missing key 'detail'"),
+    ],
+    ids=["termination-not-a-termination", "detail-missing"],
+)
+def test_report_refuses_a_task_result_it_cannot_read_a_row_from(
+    demo_report, capsys, edit, expected
+):
+    lines = (demo_report.parent / "scn-happy.transcript.jsonl").read_text(encoding="utf-8")
+    seq = len(lines.splitlines()) - 2  # the TaskResult closes the transcript
+    path = _edit_payload(demo_report, "scn-happy", seq, edit)
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    reason = expected.format(seq=seq, line=seq + 2)
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {reason}"]
 
 
 def test_report_notes_a_missing_transcript(demo_report, capsys):

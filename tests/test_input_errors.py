@@ -90,6 +90,21 @@ BAD_EVENTS = (
 )
 
 
+# A protocol message decodes through its record wherever its transcript is
+# read: the recorded run's seq 1 plan (line 3), seq 5 verdict (line 7) and
+# seq 8 overrule (line 10).
+BAD_MESSAGES = (
+    (lambda s: s.replace('"plan_version": 1,', '"plan_version": 1.0,', 1),
+     "line 3: PlanIssued payload: plan_version: expected an integer, got float 1.0"),
+    (lambda s: s.replace('"index": 1,', '"index": true,', 1),
+     "line 3: PlanIssued payload: index: expected an integer, got bool True"),
+    (lambda s: s.replace('"decision": "request"', '"decision": "maybe"', 1),
+     "line 7: VerdictIssued payload: 'maybe' is not a valid VerdictDecision"),
+    (lambda s: s.replace('"ruling": "overrule"', '"ruling": "veto"', 1),
+     "line 10: DecisionIssued payload: 'veto' is not a valid Ruling"),
+)
+
+
 def _task_on_fixture(path) -> str:
     return _text(HAPPY_TASK).replace("env_fixture: shop", f"env_fixture: {json.dumps(str(path))}")
 
@@ -234,7 +249,7 @@ KINDS = [
             lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
         ),
         syntax="jsonl",
-        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS),
+        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS, *BAD_MESSAGES),
     ),
     Kind(
         "replay-backend",
@@ -249,7 +264,7 @@ KINDS = [
             lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
         ),
         syntax="jsonl",
-        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS),
+        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS, *BAD_MESSAGES),
     ),
 ]
 

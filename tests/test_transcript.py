@@ -13,6 +13,7 @@ from tandem.transcript import (
     RunRecorder,
     TranscriptCorrupt,
     first_divergence,
+    is_closed,
     read_transcript,
     strip_volatile,
     write_transcript,
@@ -55,7 +56,7 @@ def test_seq_numbers_are_dense_from_zero():
 def test_recorder_closes_on_task_result():
     recorder = RunRecorder()
     recorder.append(EventKind.TASK_RESULT, {"success": False, "answer": "", "termination": "completed", "detail": ""})
-    assert recorder.closed
+    assert is_closed(recorder.events)
     with pytest.raises(RuntimeError):
         recorder.append(EventKind.ENV_STEP, {"action": "x", "ok": True, "error": ""})
 
@@ -144,6 +145,53 @@ def test_invalid_json_mid_file_is_corrupt(tmp_path):
     with pytest.raises(TranscriptCorrupt) as err:
         read_transcript(path)
     assert err.value.line_no == 2
+
+
+def _write_lines(tmp_path, edit) -> tuple:
+    """A transcript of sample_events with `edit` applied to its list of
+    lines; returns its path and the events."""
+    path, events = tmp_path / "run.jsonl", sample_events()
+    write_transcript(path, {}, events)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return path, events
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: [line + "\r" for line in lines],
+        lambda lines: [lines[0], *(" \t " + line for line in lines[1:])],
+    ],
+    ids=["crlf-line-endings", "leading-blanks"],
+)
+def test_json_whitespace_around_a_record_reads_clean(tmp_path, edit):
+    path, events = _write_lines(tmp_path, edit)
+    _, loaded, warnings = read_transcript(path)
+    assert warnings == []
+    assert first_divergence(events, loaded) is None
+
+
+@pytest.mark.parametrize(
+    "edit, line_no",
+    [
+        (lambda lines: [*lines[:2], lines[2] + " x", *lines[3:]], 3),
+        (lambda lines: [lines[0], "\f" + lines[1], *lines[2:]], 2),
+    ],
+    ids=["trailing-text-mid-file", "form-feed-before-a-record"],
+)
+def test_a_record_with_more_than_json_whitespace_is_corrupt(tmp_path, edit, line_no):
+    path, _ = _write_lines(tmp_path, edit)
+    with pytest.raises(TranscriptCorrupt) as err:
+        read_transcript(path)
+    assert str(err.value) == f"{path}: line {line_no}: invalid JSON before end of file"
+
+
+def test_trailing_text_on_the_last_line_is_dropped_as_truncated(tmp_path):
+    path, events = _write_lines(tmp_path, lambda lines: [*lines[:-1], lines[-1] + " x"])
+    _, loaded, warnings = read_transcript(path)
+    assert warnings == ["line 4: truncated record dropped"]
+    assert first_divergence(events[:-1], loaded) is None
 
 
 def test_seq_gap_is_corrupt(tmp_path):
