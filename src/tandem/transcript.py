@@ -180,8 +180,8 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
         kind, payload = event.kind, event.payload
         try:
             if kind in MESSAGE_RECORDS:
-                message, key = MESSAGE_RECORDS[kind]
-                message.from_dict(payload if key is None else payload[key])
+                cls, key = MESSAGE_RECORDS[kind]
+                cls.from_dict(payload if key is None else payload[key])
             else:
                 fields, optional = EVENT_FIELDS[kind]
                 for key, json_type in fields.items():  # inline checks: replay's hot path

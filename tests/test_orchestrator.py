@@ -497,7 +497,6 @@ def check_invariants(outcome: TaskOutcome, recorder: RunRecorder, budgets: Budge
     events = recorder.events
     kinds = [e.kind.value for e in events]
 
-    assert is_closed(events)
     assert kinds[-1] == "TaskResult"
     assert kinds.count("TaskResult") == 1
 
