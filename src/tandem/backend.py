@@ -11,7 +11,7 @@ Three interchangeable backends implement ``complete(request) -> str``:
 Every failed model call is a ``BackendError``.  The agents (``Agent``)
 make every call through ``call_llm``, which rejects a blank reply and
 records an LlmCall event (one exchange) or an LlmFailed event;
-``ask_with_repair`` adds their one repair round.
+``Agent._ask`` adds their one repair round.
 """
 
 import json
@@ -51,7 +51,6 @@ __all__ = [
     "SearchProvider",
     "StaticSearchProvider",
     "TransportError",
-    "ask_with_repair",
     "augment_with_search",
     "call_llm",
     "truncate_to_words",
@@ -371,6 +370,9 @@ def call_llm(backend: ChatBackend, request: ChatRequest, role: str, recorder: "R
     return response
 
 
+T = TypeVar("T")
+
+
 class Agent:
     """What both agents share; ``role`` prefixes their prompt keys and names their calls."""
 
@@ -390,30 +392,28 @@ class Agent:
             temperature=self.temperature,
         )
 
+    def _ask(
+        self, call: Callable[..., str], prompt: str, recorder: "RunRecorder",
+        parse: Callable[[str], T], repair_text: str,
+    ) -> T:
+        """Ask `call` (``call_llm``'s signature) with user text `prompt` and
+        parse the reply; on a GrammarError, ask once more with a repair
+        follow-up.
 
-T = TypeVar("T")
-
-
-def ask_with_repair(
-    ask: Callable[[ChatRequest], str],
-    chat: ChatRequest,
-    parse: Callable[[str], T],
-    repair_text: str,
-) -> T:
-    """Ask and parse; on a GrammarError, ask once more with a repair follow-up.
-
-    The repair round extends the conversation with the unparseable
-    response and `repair_text`.  A second parse failure propagates.
-    Each agent passes an `ask` and `parse` built from the names its own
-    module imports, so wrappers installed at those names (the benchmark's
-    tracer) still see every call.
-    """
-    response = ask(chat)
-    try:
-        return parse(response)
-    except GrammarError as exc:
-        logger.info("response unparseable, repairing: %s", exc)
-        return parse(ask(chat.with_followup(response, repair_text)))
+        The repair round extends the conversation with the unparseable
+        response and `repair_text`.  A second parse failure propagates.
+        Each agent passes `call_llm` and `parse` as its own module names
+        them, so wrappers installed at those names (the benchmark's tracer)
+        still see every call, repair calls included.
+        """
+        chat = self._request(prompt)
+        response = call(self.backend, chat, self.role, recorder)
+        try:
+            return parse(response)
+        except GrammarError as exc:
+            logger.info("response unparseable, repairing: %s", exc)
+            chat = chat.with_followup(response, repair_text)
+            return parse(call(self.backend, chat, self.role, recorder))
 
 
 # =====================================================================

@@ -12,10 +12,9 @@ table).  Like the planner, every parse failure gets one repair round.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable
 
 from . import prompts as prompt_texts
-from .backend import Agent, ChatRequest, ask_with_repair, call_llm
+from .backend import Agent, call_llm
 from .grammar import (
     parse_action_sequence,
     parse_verdict,
@@ -58,14 +57,6 @@ class LocalExecutor(Agent):
         meta = self.library.render(f"local/{action}", **values)
         return "\n\n".join([meta, context_block(obs, _phase_objective(phase))])
 
-    def _ask(
-        self, chat: ChatRequest, recorder: RunRecorder, parse: Callable[[str], Any],
-        repair_text: str,
-    ) -> Any:
-        return ask_with_repair(
-            lambda c: call_llm(self.backend, c, self.role, recorder), chat, parse, repair_text
-        )
-
     # -- operations ------------------------------------------------------
 
     def actions(
@@ -74,8 +65,10 @@ class LocalExecutor(Agent):
     ) -> tuple[PageAction, ...]:
         """The phase's action sequence from prompt `local/<action>`: plan, revise
         (`reasons`) or overruled (`guidance`, the planner's advice)."""
-        chat = self._request(self.render_prompt(action, phase, obs, **values))
-        return self._ask(chat, recorder, parse_action_sequence, prompt_texts.REPAIR_ACTIONS)
+        prompt = self.render_prompt(action, phase, obs, **values)
+        return self._ask(
+            call_llm, prompt, recorder, parse_action_sequence, prompt_texts.REPAIR_ACTIONS
+        )
 
     def execute_actions(self, actions: tuple[PageAction, ...], env: WebEnv) -> ExecutionReport:
         """Run actions in order, halting at the first error or at stop.
@@ -112,4 +105,4 @@ class LocalExecutor(Agent):
         else:
             prompt = self.render_prompt("pass_check", phase, obs)
         parse = partial(parse_verdict, allow_move=not failed)
-        return self._ask(self._request(prompt), recorder, parse, prompt_texts.REPAIR_VERDICT)
+        return self._ask(call_llm, prompt, recorder, parse, prompt_texts.REPAIR_VERDICT)

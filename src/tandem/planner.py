@@ -18,18 +18,15 @@ from __future__ import annotations
 
 import logging
 from functools import partial
-from typing import Any, Callable
 
 from . import prompts as prompt_texts
 from .backend import (
     Agent,
     BackendError,
     ChatBackend,
-    ChatRequest,
     ProviderError,
     RetrievedPassage,
     SearchProvider,
-    ask_with_repair,
     augment_with_search,
     call_llm,
 )
@@ -117,14 +114,6 @@ class GlobalPlanner(Agent):
         parts.append(context_block(observation, task.objective))
         return "\n\n".join(parts)
 
-    def _ask(
-        self, chat: ChatRequest, recorder: RunRecorder, parse: Callable[[str], Any],
-        repair_text: str,
-    ) -> Any:
-        return ask_with_repair(
-            lambda c: call_llm(self.backend, c, self.role, recorder), chat, parse, repair_text
-        )
-
     # -- operations ------------------------------------------------------
 
     def plan(
@@ -140,9 +129,9 @@ class GlobalPlanner(Agent):
         else:
             action, version = "revise", previous.plan_version + 1
             values["previous_plan"] = render_plan_text(previous)
-        chat = self._request(self.render_prompt(action, task, observation, passages, **values))
+        prompt = self.render_prompt(action, task, observation, passages, **values)
         parse = partial(parse_global_plan, plan_version=version)
-        return self._ask(chat, recorder, parse, prompt_texts.REPAIR_PLAN)
+        return self._ask(call_llm, prompt, recorder, parse, prompt_texts.REPAIR_PLAN)
 
     def decide_replan(
         self, request: ReplanRequest, task: Task, observation: Observation, plan: GlobalPlan,
@@ -155,13 +144,13 @@ class GlobalPlanner(Agent):
         overrule reuses the ruling response's remaining text as guidance
         and never touches the plan.
         """
-        chat = self._request(
-            self.render_prompt(
-                "decide", task, observation, reasons=request.reasons,
-                phase_index=request.phase_index, previous_plan=render_plan_text(plan),
-            )
+        prompt = self.render_prompt(
+            "decide", task, observation, reasons=request.reasons,
+            phase_index=request.phase_index, previous_plan=render_plan_text(plan),
         )
-        ruling, guidance = self._ask(chat, recorder, self._parse_ruling, prompt_texts.REPAIR_DECISION)
+        ruling, guidance = self._ask(
+            call_llm, prompt, recorder, self._parse_ruling, prompt_texts.REPAIR_DECISION
+        )
         if ruling is Ruling.OVERRULE:
             return GlobalDecision(ruling, guidance=guidance)
         new_plan = self.plan(
