@@ -245,6 +245,8 @@ class HttpChatBackend:
                 raise TransportError(f"backend returned {status}: {text[:200]}")
             try:
                 content = json.loads(body.decode())["choices"][0]["message"]["content"]
+                if isinstance(content, str):  # a lone surrogate, which no transcript holds, raises
+                    content.encode()
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportError(f"malformed backend response: {exc}") from exc
             if not isinstance(content, str):

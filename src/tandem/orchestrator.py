@@ -51,6 +51,8 @@ from .protocol import (
     ReplanRequest,
     Ruling,
     Task,
+    TaskResult,
+    Termination,
     TranscriptEvent,
     VerdictDecision,
     record,
@@ -87,13 +89,6 @@ class Mode(Enum):
 
 
 TERMINAL_MODES = (Mode.DONE, Mode.FORCE_STOPPED)
-
-
-class Termination(str, Enum):
-    COMPLETED = "completed"
-    FORCE_STOPPED = "force_stopped"
-    BUDGET_EXHAUSTED = "budget_exhausted"
-    PROTOCOL_ERROR = "protocol_error"
 
 
 class IllegalTransition(Exception):
@@ -309,10 +304,8 @@ def record_result(
     recorder: RunRecorder, success: bool, answer: str, termination: Termination, detail: str
 ) -> None:
     """Close the transcript with its TaskResult; the one writer of that payload."""
-    recorder.append(
-        EventKind.TASK_RESULT,
-        {"success": success, "answer": answer, "termination": termination.value, "detail": detail},
-    )
+    result = TaskResult(success, answer, termination, detail)
+    recorder.append(EventKind.TASK_RESULT, result.to_dict())
 
 
 def _issue_plan(state: OrchestratorState, plan: GlobalPlan) -> None:

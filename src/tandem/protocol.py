@@ -2,10 +2,10 @@
 
 Every value that crosses a module boundary is defined here and is
 immutable.  Tasks, observations, page actions, plans, reports,
-verdicts, decisions, budgets and the transcript header (RunHeader) are
-NamedTuples that `record` gives one field-driven JSON-dict codec, and
+verdicts, decisions, budgets, a run's closing TaskResult and the
+transcript header (RunHeader) are NamedTuples that `record` gives one field-driven JSON-dict codec, and
 each closed set of words (difficulties, action kinds, verdicts, rulings,
-event kinds) is an Enum.  A transcript event is a NamedTuple with its
+event kinds, terminations) is an Enum.  A transcript event is a NamedTuple with its
 own codec.  A record is a tuple, so it equals any tuple of the same
 items.  Every file tandem reads (tasks, suites, fixtures, scripts,
 passages, reports, transcripts and prompt overrides) is read by
@@ -55,6 +55,8 @@ __all__ = [
     "StepOutcome",
     "STRING",
     "Task",
+    "TaskResult",
+    "Termination",
     "TranscriptEvent",
     "VerdictDecision",
     "checked",
@@ -116,6 +118,13 @@ class EventKind(str, Enum):
     DECISION_ISSUED = "DecisionIssued"
     FORCE_STOP = "ForceStop"
     TASK_RESULT = "TaskResult"
+
+
+class Termination(str, Enum):
+    COMPLETED = "completed"
+    FORCE_STOPPED = "force_stopped"
+    BUDGET_EXHAUSTED = "budget_exhausted"
+    PROTOCOL_ERROR = "protocol_error"
 
 
 EVALUATOR_KINDS = ("exact_match", "must_include", "url_match")
@@ -622,28 +631,34 @@ class Budgets(NamedTuple):
 _EVENT_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
+@record
+class TaskResult(NamedTuple):
+    """A run's closing transcript event: whether it succeeded, its answer,
+    how it ended, and why, for any end but completion."""
+
+    success: bool
+    answer: str
+    termination: Termination
+    detail: str
+
+
 # The transcript format, which read_transcript checks.  A protocol message's
-# payload is its record's wire form, under one key or (None) as a whole.
+# payload, and a TaskResult's, is its record's wire form, under one key or
+# (None) as a whole.
 MESSAGE_RECORDS: dict[EventKind, tuple[type, str | None]] = {
     EventKind.PLAN_ISSUED: (GlobalPlan, "plan"),
     EventKind.VERDICT_ISSUED: (LocalVerdict, None),
     EventKind.REPLAN_REQUESTED: (ReplanRequest, "request"),
     EventKind.DECISION_ISSUED: (GlobalDecision, None),
+    EventKind.TASK_RESULT: (TaskResult, None),
 }
 # Each other kind's payload keys in the order the writers emit them, with
-# their JSON types, then the keys a writer may leave out.
-EVENT_FIELDS: dict[EventKind, tuple[dict[str, JsonType], tuple[str, ...]]] = {
-    EventKind.LLM_CALL: (
-        {"role": STRING, "prompt": STRING, "response": STRING, "latency": NUMBER}, ()
-    ),
-    EventKind.LLM_FAILED: (
-        {"role": STRING, "prompt": STRING, "error": STRING, "latency": NUMBER}, ()
-    ),
-    EventKind.ENV_STEP: ({"action": STRING, "ok": BOOLEAN, "error": STRING}, ("error",)),
-    EventKind.FORCE_STOP: ({"exchange_count": INTEGER, "reason": STRING}, ()),
-    EventKind.TASK_RESULT: (
-        {"success": BOOLEAN, "answer": STRING, "termination": STRING, "detail": STRING}, ()
-    ),
+# their JSON types; a writer leaves none out.
+EVENT_FIELDS: dict[EventKind, dict[str, JsonType]] = {
+    EventKind.LLM_CALL: {"role": STRING, "prompt": STRING, "response": STRING, "latency": NUMBER},
+    EventKind.LLM_FAILED: {"role": STRING, "prompt": STRING, "error": STRING, "latency": NUMBER},
+    EventKind.ENV_STEP: {"action": STRING, "ok": BOOLEAN, "error": STRING},
+    EventKind.FORCE_STOP: {"exchange_count": INTEGER, "reason": STRING},
 }
 
 

@@ -141,8 +141,8 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     last line raises TranscriptCorrupt with the offending line number, as
     does an event line that is not an object, a `seq` that is not an
     integer or a `ts` that is not a number, an event payload that is not
-    an object, a protocol message its MESSAGE_RECORDS record refuses, any
-    other payload that breaks EVENT_FIELDS (a required key missing, a
+    an object, a protocol message or TaskResult its MESSAGE_RECORDS record
+    refuses, any other payload that breaks EVENT_FIELDS (a key missing, a
     value of another type), and, for line 1, a header whose version is
     not TRANSCRIPT_VERSION.  A file that cannot be read is an InputError.
     Records end at line feeds only, so a string value may hold U+2028 or
@@ -161,9 +161,9 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     events: list[TranscriptEvent] = []
     warnings: list[str] = []
     for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         line = line.strip(_JSON_SPACE)
+        if not line:
+            continue
         try:
             record, end = _SCAN(line, 0)
         except (StopIteration, ValueError):  # no value at 0; json.JSONDecodeError
@@ -183,13 +183,9 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
                 cls, key = MESSAGE_RECORDS[kind]
                 cls.from_dict(payload if key is None else payload[key])
             else:
-                fields, optional = EVENT_FIELDS[kind]
-                for key, json_type in fields.items():  # inline checks: replay's hot path
-                    if key in payload:
-                        if type(payload[key]) not in json_type.types:
-                            raise TypeError(json_type.mismatch(payload[key], key))
-                    elif key not in optional:
-                        raise KeyError(key)
+                for key, json_type in EVENT_FIELDS[kind].items():  # inline: replay's hot path
+                    if type(payload[key]) not in json_type.types:
+                        raise TypeError(json_type.mismatch(payload[key], key))
         except KeyError as exc:
             raise TranscriptCorrupt(path, i, f"{kind.value} payload: missing key {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -153,21 +153,17 @@ def shop_env() -> WebEnv:
 
 
 def assert_declared(kind: EventKind, payload: dict) -> None:
-    """A protocol message's payload is what its MESSAGE_RECORDS record's codec
-    writes of it, key order included.  Any other payload has exactly the keys
-    EVENT_FIELDS declares for `kind`, in the declared order, each with its
-    declared JSON type."""
+    """A protocol message's or TaskResult's payload is what its MESSAGE_RECORDS
+    record's codec writes of it, key order included.  Any other payload has
+    exactly the keys EVENT_FIELDS declares for `kind`, in the declared order,
+    each with its declared JSON type."""
     if kind in MESSAGE_RECORDS:
         cls, key = MESSAGE_RECORDS[kind]
         value = cls.from_dict(payload if key is None else payload[key]).to_dict()
         rebuilt = value if key is None else {key: value}
         assert json.dumps(rebuilt) == json.dumps(payload), (kind, payload)
         return
-    fields, optional = EVENT_FIELDS[kind]
-    assert set(optional) <= set(fields), kind
-    assert list(payload) == [key for key in fields if key in payload], (kind, list(payload))
+    fields = EVENT_FIELDS[kind]
+    assert list(payload) == list(fields), (kind, list(payload))
     for key, json_type in fields.items():
-        if key in payload:
-            json_type.check(payload[key], key)
-        else:
-            assert key in optional, (kind, key)
+        json_type.check(payload[key], key)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tandem.backend as backend_mod
+import tandem.cli as cli
 from tandem.backend import (
     BackendError,
     BackendExhausted,
@@ -388,8 +389,11 @@ def test_http_empty_completion_raises(endpoint):
 
 @pytest.mark.parametrize(
     "body",
-    [b"<html>busy</html>", b'{"choices": "\xff"}', b'{"choices": []}', b'{"choices": [{}]}'],
-    ids=["not-json", "not-utf8", "no-choice", "no-message"],
+    [
+        b"<html>busy</html>", b'{"choices": "\xff"}', b'{"choices": []}', b'{"choices": [{}]}',
+        _completion("no plan here \ud800"),
+    ],
+    ids=["not-json", "not-utf8", "no-choice", "no-message", "a-lone-surrogate"],
 )
 def test_http_malformed_body_is_one_transport_error(endpoint, sleeps, body):
     endpoint.replies.append((200, {}, body))
@@ -398,6 +402,20 @@ def test_http_malformed_body_is_one_transport_error(endpoint, sleeps, body):
         backend.complete(make_request("hi"))
     assert len(endpoint.posts) == 1
     assert sleeps == []
+
+
+def test_a_reply_no_transcript_can_hold_fails_the_task_on_transport(endpoint, tmp_path, capsys):
+    # A lone surrogate cannot be written as UTF-8; it must not lose the run.
+    endpoint.replies.append((200, {}, _completion("no plan here \ud800")))
+    out = tmp_path / "out"
+    argv = ["run", str(DATA / "tasks" / "scn-happy.yaml"), "--backend", "http",
+            "--endpoint", endpoint.url, "--model", "m", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_UNREACHABLE
+    assert "termination=protocol_error" in capsys.readouterr().out
+    transcript = out / "scn-happy.transcript.jsonl"
+    assert "TransportError: malformed backend response: " in transcript.read_text(encoding="utf-8")
+    assert (out / "report.json").is_file()
+    assert cli.main(["replay", str(transcript)]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("status", [200, 503])

@@ -857,7 +857,7 @@ def test_report_refuses_a_protocol_value_its_record_refuses(
     [
         (
             lambda p: p.update(termination="exploded"),
-            "seq {seq} TaskResult payload: 'exploded' is not a valid Termination",
+            "line {line}: TaskResult payload: 'exploded' is not a valid Termination",
         ),
         (lambda p: p.pop("detail"), "line {line}: TaskResult payload: missing key 'detail'"),
     ],
@@ -871,7 +871,7 @@ def test_report_refuses_a_task_result_it_cannot_read_a_row_from(
     path = _edit_payload(demo_report, "scn-happy", seq, edit)
     code = run_cli("report", str(demo_report))
     assert code == EXIT_CONFIG
-    reason = expected.format(seq=seq, line=seq + 2)
+    reason = expected.format(line=seq + 2)
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {reason}"]
 
 

@@ -90,10 +90,11 @@ BAD_EVENTS = (
 )
 
 
-# A protocol message decodes through its record wherever its transcript is
-# read: the recorded run's seq 1 plan (line 3), seq 5 verdict (line 7) and
-# seq 8 overrule (line 10).
-BAD_MESSAGES = (
+# A protocol message or TaskResult decodes through its record, and any other
+# payload is checked against its declared keys, wherever its transcript is
+# read: the recorded run's seq 1 plan (line 3), seq 3 env step (line 5),
+# seq 5 verdict (line 7), seq 8 overrule (line 10) and seq 15 result (line 17).
+BAD_PAYLOADS = (
     (lambda s: s.replace('"plan_version": 1,', '"plan_version": 1.0,', 1),
      "line 3: PlanIssued payload: plan_version: expected an integer, got float 1.0"),
     (lambda s: s.replace('"index": 1,', '"index": true,', 1),
@@ -102,6 +103,9 @@ BAD_MESSAGES = (
      "line 7: VerdictIssued payload: 'maybe' is not a valid VerdictDecision"),
     (lambda s: s.replace('"ruling": "overrule"', '"ruling": "veto"', 1),
      "line 10: DecisionIssued payload: 'veto' is not a valid Ruling"),
+    (lambda s: s.replace('"termination": "completed"', '"termination": "exploded"', 1),
+     "line 17: TaskResult payload: 'exploded' is not a valid Termination"),
+    (lambda s: s.replace(', "error": ""}', "}", 1), "line 5: EnvStep payload: missing key 'error'"),
 )
 
 
@@ -249,7 +253,7 @@ KINDS = [
             lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
         ),
         syntax="jsonl",
-        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS, *BAD_MESSAGES),
+        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS, *BAD_PAYLOADS),
     ),
     Kind(
         "replay-backend",
@@ -264,7 +268,7 @@ KINDS = [
             lambda s: s.replace('"response": "', '"response": 5, "unused": "', 1),
         ),
         syntax="jsonl",
-        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS, *BAD_MESSAGES),
+        bad_values=(*(_with_version(v) for v in WRONG_VERSIONS), *BAD_EVENTS, *BAD_PAYLOADS),
     ),
 ]
 

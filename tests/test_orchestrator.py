@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import tandem.executor as executor_mod
+import tandem.planner as planner_mod
 from tandem.backend import ScriptedBackend, ScriptedExchange
 from tandem.executor import LocalExecutor
 from tandem.harness import replay_transcript
@@ -405,6 +407,38 @@ def test_run_arms_a_bare_recorder_from_its_budgets():
     assert outcome.termination is Termination.FORCE_STOPPED
     assert outcome.exchanges_used == recorder.exchanges == 3
     assert recorder.events[-2].payload == {"exchange_count": 3, "reason": "max_exchanges"}
+
+
+def test_each_agent_module_call_llm_sees_every_call_repairs_included(monkeypatch):
+    # The benchmark's tracer wraps call_llm where each agent module names it,
+    # which is why Agent._ask takes the agent's `call` instead of calling
+    # backend.call_llm itself.
+    seen = Counter()
+    for module in (planner_mod, executor_mod):
+
+        def counted(*args, _name=module.__name__, _call=module.call_llm):
+            seen[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(module, "call_llm", counted)
+    script = [
+        ("Construct the global plan", "no plan here"),
+        ("Construct the global plan", PLAN_ONE_PHASE),
+        ("Work out the action sequence", "no actions here"),
+        ("Work out the action sequence", GOOD_CLICK),
+        ("ran without errors", "Action: ```move```\nReasons: the kitchen is visible"),
+    ]  # and no collation reply, so the planner's last call fails
+    outcome, recorder = run_with_script(script, Budgets())
+    calls = Counter(
+        (e.kind, e.payload["role"]) for e in recorder.events
+        if e.kind in (EventKind.LLM_CALL, EventKind.LLM_FAILED)
+    )
+    assert calls == {
+        (EventKind.LLM_CALL, "global"): 2, (EventKind.LLM_FAILED, "global"): 1,
+        (EventKind.LLM_CALL, "local"): 3,
+    }
+    assert seen == {"tandem.planner": 3, "tandem.executor": 3}
+    assert outcome.termination is Termination.COMPLETED
 
 
 # ---------------------------------------------------------------------

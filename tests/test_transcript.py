@@ -162,8 +162,9 @@ def _write_lines(tmp_path, edit) -> tuple:
     [
         lambda lines: [line + "\r" for line in lines],
         lambda lines: [lines[0], *(" \t " + line for line in lines[1:])],
+        lambda lines: [*lines[:2], " \t\r", *lines[2:]],
     ],
-    ids=["crlf-line-endings", "leading-blanks"],
+    ids=["crlf-line-endings", "leading-blanks", "a-line-of-json-blanks"],
 )
 def test_json_whitespace_around_a_record_reads_clean(tmp_path, edit):
     path, events = _write_lines(tmp_path, edit)
@@ -177,8 +178,13 @@ def test_json_whitespace_around_a_record_reads_clean(tmp_path, edit):
     [
         (lambda lines: [*lines[:2], lines[2] + " x", *lines[3:]], 3),
         (lambda lines: [lines[0], "\f" + lines[1], *lines[2:]], 2),
+        (lambda lines: [*lines[:2], "\f", *lines[2:]], 3),
+        (lambda lines: [*lines[:2], "\u2028", *lines[2:]], 3),
     ],
-    ids=["trailing-text-mid-file", "form-feed-before-a-record"],
+    ids=[
+        "trailing-text-mid-file", "form-feed-before-a-record", "a-line-of-a-form-feed",
+        "a-line-of-a-line-separator",
+    ],
 )
 def test_a_record_with_more_than_json_whitespace_is_corrupt(tmp_path, edit, line_no):
     path, _ = _write_lines(tmp_path, edit)
