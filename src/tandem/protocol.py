@@ -3,9 +3,10 @@
 Every value that crosses a module boundary is defined here and is
 immutable.  Tasks, observations, page actions, plans, reports,
 verdicts, decisions, budgets, a run's closing TaskResult and the
-transcript header (RunHeader) are NamedTuples that `record` gives one field-driven JSON-dict codec, and
-each closed set of words (difficulties, action kinds, verdicts, rulings,
-event kinds, terminations) is an Enum.  A transcript event is a NamedTuple with its
+transcript header (RunHeader) are NamedTuples that `record` gives one
+field-driven JSON-dict codec, and each closed set of words
+(difficulties, action kinds, verdicts, rulings, event kinds,
+terminations) is an Enum.  A transcript event is a NamedTuple with its
 own codec.  A record is a tuple, so it equals any tuple of the same
 items.  Every file tandem reads (tasks, suites, fixtures, scripts,
 passages, reports, transcripts and prompt overrides) is read by
@@ -634,7 +635,7 @@ _EVENT_ENCODER = json.JSONEncoder(ensure_ascii=False)
 @record
 class TaskResult(NamedTuple):
     """A run's closing transcript event: whether it succeeded, its answer,
-    how it ended, and why, for any end but completion."""
+    how it ended, and why it ended (empty on completion)."""
 
     success: bool
     answer: str

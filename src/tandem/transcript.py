@@ -1,12 +1,12 @@
 """Transcript recording, persistence and replay.
 
 A transcript is one header line followed by line-delimited JSON events
-with gap-free seq numbers from 0: each protocol message's payload is the
-wire form of its `protocol.MESSAGE_RECORDS` record, and each other payload
-is as `protocol.EVENT_FIELDS` declares it.  RunRecorder is the live sink:
-every LLM call (LlmCall), failed LLM call (LlmFailed), environment step,
-verdict, decision and budget event lands here, and `append` counts each
-LlmCall as one exchange.
+with gap-free seq numbers from 0: each protocol message's payload, and the
+closing TaskResult's, is the wire form of its `protocol.MESSAGE_RECORDS`
+record, and each other payload is as `protocol.EVENT_FIELDS` declares it.
+RunRecorder is the live sink: every LLM call (LlmCall), failed LLM call
+(LlmFailed), environment step, verdict, decision and budget event lands
+here, and `append` counts each LlmCall as one exchange.
 
 ReplayBackend turns a recorded transcript back into a backend: it serves
 the recorded responses in order, raises each recorded failure again, and
