@@ -4,8 +4,8 @@ Verbs:
     run      one task file against a backend
     suite    a manifest (or bundled suite name) of tasks
     replay   re-run a recorded transcript and check fidelity
-    report   re-render and integrity-check a report.json against its
-             transcripts
+    report   rebuild a report.json from its transcripts, print the rebuilt
+             rates and list each field that differs
 
 Exit codes: 0 run completed, 1 configuration or input error or a closed
 stdout pipe, 2 backend unreachable (every task died on transport
@@ -211,10 +211,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     raw = load_report(args.report)
-    table, mismatches, notes = check_report(raw, Path(args.report).parent)
-    print(table)
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
+    table, mismatches = check_report(raw, Path(args.report).parent)
+    if table:
+        print(table)
     for m in mismatches:
         print(f"integrity mismatch - {m}", file=sys.stderr)
     return EXIT_CONFIG if mismatches else EXIT_OK

@@ -205,10 +205,9 @@ def _task_row(run: TaskRun) -> dict:
 def _group_counts(rows: Sequence[dict], key: str) -> dict[str, tuple[int, int]]:
     counts: dict[str, tuple[int, int]] = {}
     for row in rows:
-        # str() keeps a tampered non-string group countable; check_report flags it.
-        group = str(row.get(key) or "uncategorized")
+        group = row[key] or "uncategorized"
         s, n = counts.get(group, (0, 0))
-        counts[group] = (s + (1 if row.get("success") else 0), n + 1)
+        counts[group] = (s + (1 if row["success"] else 0), n + 1)
     return counts
 
 
@@ -231,74 +230,54 @@ def aggregate(runs: Sequence[TaskRun]) -> SuiteReport:
     return _tally([_task_row(run) for run in runs], runs)
 
 
-# The report.json fields a recount reproduces from the task rows, and the
-# task-row fields its rates are grouped by.
-_RECOUNTED = ("n_tasks", "n_success", "overall_sr", "categories", "difficulties")
-_GROUP_KEYS = ("site_category", "difficulty")
+def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str]]:
+    """Rebuild a loaded report.json from its transcripts, as a suite builds
+    it, and compare the two as JSON, which tells 1 from true and 6.0 from 6.
 
-
-def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str], list[str]]:
-    """Recount a loaded report.json from its task rows and check each row
-    against its transcript.
-
-    Returns the recounted rate tables; one line per task row whose
-    category or difficulty is not a string or whose task id an earlier
-    row has, per recounted field whose stored value differs, and per row
-    field whose stored value differs from the one its transcript records;
-    and one note per row whose transcript is missing.  A row's transcript
-    is read by its file name from `report_dir`, where a suite writes both.
+    A row's transcript is read by its file name from `report_dir`, where a
+    suite writes both; its header gives the task and its events the
+    outcome.  Returns the rebuilt rate tables and one line per summary
+    field and per row field (the transcript path aside) that differs, and
+    per row whose task id an earlier row has.  A row whose transcript is
+    missing or has no closing TaskResult is one line and nothing more; the
+    summary is then neither compared nor tabled.
     """
     rows = raw["tasks"]
-    fresh = _tally(rows)
-    recounted = fresh.to_dict()
-    mismatches = [
-        f"tasks[{i}].{key}: {row[key]!r} is not a group name"
-        for i, row in enumerate(rows)
-        for key in _GROUP_KEYS
-        if not isinstance(row.get(key) or "", str)
-    ]
-    mismatches += [
-        f"{key}: stored {raw.get(key)} != recounted {recounted[key]}"
-        for key in _RECOUNTED
-        if _as_json(raw.get(key)) != _as_json(recounted[key])
-    ]
-    notes = []
+    runs, lines = [], []
     first: dict[str, int] = {}  # each task id's first row; load_manifest refuses duplicates
     for i, row in enumerate(rows):
         task_id = row.get("task_id")
         if isinstance(task_id, str) and first.setdefault(task_id, i) != i:
-            mismatches.append(f"tasks[{i}].task_id: {task_id!r} is also tasks[{first[task_id]}]'s")
+            lines.append(f"tasks[{i}].task_id: {task_id!r} is also tasks[{first[task_id]}]'s")
         path = Path(report_dir, Path(str(row.get("transcript") or "")).name)
         if not path.is_file():
-            notes.append(f"tasks[{i}]: no transcript at {path}; its outcome is not checked")
-        else:
-            mismatches += _outcome_mismatches(f"tasks[{i}]", row, path)
-    return "\n".join(_rate_lines(fresh, rows)), mismatches, notes
+            lines.append(f"tasks[{i}]: no transcript at {path}")
+            continue
+        header, events, _ = read_transcript(path)
+        if not is_closed(events):
+            lines.append(f"tasks[{i}]: transcript {path} has no closing TaskResult")
+            continue
+        try:
+            task = RunHeader.from_dict(header).task
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(path, f"bad transcript header: {exc}") from exc
+        # The run keeps the row's path, so a moved report directory compares clean.
+        runs.append(TaskRun(task, TaskOutcome.from_events(task.id, events), row["transcript"]))
+        lines += _differences(row, _task_row(runs[-1]), f"tasks[{i}].", "transcript")
+    if len(runs) < len(rows):
+        return "", lines
+    rebuilt = aggregate(runs)
+    summary = {key: value for key, value in rebuilt.to_dict().items() if key != "tasks"}
+    return "\n".join(_rate_lines(rebuilt)), _differences(raw, summary, "", "recounted") + lines
 
 
-def _outcome_mismatches(where: str, row: dict, path: Path) -> list[str]:
-    """One line per field of `row` that differs from the row the transcript
-    at `path` gives, built as a live report builds it; the transcript path
-    aside."""
-    raw, events, _ = read_transcript(path)
-    if not is_closed(events):
-        return [f"{where}: transcript {path} has no closing TaskResult"]
-    try:
-        task = RunHeader.from_dict(raw).task
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(path, f"bad transcript header: {exc}") from exc
-    recorded = _task_row(TaskRun(task, TaskOutcome.from_events(task.id, events)))
-    del recorded["transcript"]
+def _differences(stored: dict, rebuilt: dict, where: str, source: str) -> list[str]:
+    """One line per field of `rebuilt` whose value in `stored` differs as JSON."""
     return [
-        f"{where}.{key}: stored {row.get(key)!r} != transcript {value!r}"
-        for key, value in recorded.items()
-        if _as_json(row.get(key)) != _as_json(value)
+        f"{where}{key}: stored {stored.get(key)!r} != {source} {value!r}"
+        for key, value in rebuilt.items()
+        if json.dumps(stored.get(key), sort_keys=True) != json.dumps(value, sort_keys=True)
     ]
-
-
-def _as_json(value: object) -> str:
-    """`value` as JSON text, so a comparison tells 1 from true and 6.0 from 6."""
-    return json.dumps(value, sort_keys=True)
 
 
 def _wire(
@@ -508,7 +487,8 @@ def _render_table(title: str, rows: dict[str, Decimal], counts: dict[str, tuple[
     return lines
 
 
-def _rate_lines(report: SuiteReport, rows: Sequence[dict]) -> list[str]:
+def _rate_lines(report: SuiteReport) -> list[str]:
+    rows = [_task_row(run) for run in report.runs]
     by_cat, by_diff = _group_counts(rows, "site_category"), _group_counts(rows, "difficulty")
     return [
         *_render_table("success rate by site category", report.per_category, by_cat),
@@ -520,7 +500,7 @@ def _rate_lines(report: SuiteReport, rows: Sequence[dict]) -> list[str]:
 
 
 def render_report(report: SuiteReport) -> str:
-    lines = _rate_lines(report, [_task_row(run) for run in report.runs])
+    lines = _rate_lines(report)
     terminations: dict[str, int] = {}
     for run in report.runs:
         key = run.outcome.termination.value

@@ -143,8 +143,9 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     integer or a `ts` that is not a number, an event payload that is not
     an object, a protocol message or TaskResult its MESSAGE_RECORDS record
     refuses, any other payload that breaks EVENT_FIELDS (a key missing, a
-    value of another type), and, for line 1, a header whose version is
-    not TRANSCRIPT_VERSION.  A file that cannot be read is an InputError.
+    value of another type), any line, the header included, whose decoded
+    strings hold a lone surrogate, and, for line 1, a header whose version
+    is not TRANSCRIPT_VERSION.  A file that cannot be read is an InputError.
     Records end at line feeds only, so a string value may hold U+2028 or
     any other line break raw.
     """
@@ -157,6 +158,8 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
         header = parse_data(path, lines[0], json.loads, TRANSCRIPT_FORMAT, dict)
     except InputError as exc:
         raise TranscriptCorrupt(path, 1, exc.reason) from exc
+    if "\\u" in lines[0]:
+        _refuse_lone_surrogates(path, 1, header)
 
     events: list[TranscriptEvent] = []
     warnings: list[str] = []
@@ -173,6 +176,8 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
                 warnings.append(f"line {i}: truncated record dropped")
                 break
             raise TranscriptCorrupt(path, i, "invalid JSON before end of file")
+        if "\\u" in line:  # only an escape brings in a lone surrogate
+            _refuse_lone_surrogates(path, i, record)
         try:
             event = TranscriptEvent.from_dict(record)
         except (KeyError, ValueError, TypeError) as exc:
@@ -196,6 +201,16 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     if mismatch := version_mismatch(header, TRANSCRIPT_VERSION):
         raise TranscriptCorrupt(path, 1, mismatch)
     return header, events, warnings
+
+
+def _refuse_lone_surrogates(path: str | Path, line_no: int, value: object) -> None:
+    """Refuse a decoded line whose keys or strings hold a lone surrogate:
+    UTF-8 cannot encode one, so a run over it could not write its own transcript."""
+    try:
+        json.dumps(value, ensure_ascii=False).encode()
+    except UnicodeEncodeError as exc:
+        lone = exc.object[exc.start]  # the first of the run UTF-8 cannot encode
+        raise TranscriptCorrupt(path, line_no, f"a string holds the lone surrogate {lone!r}") from None
 
 
 # =====================================================================

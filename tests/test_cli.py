@@ -27,7 +27,7 @@ from tandem.cli import (
     main,
     make_backend_factory,
 )
-from tandem.harness import _RECOUNTED, _tally, run_single
+from tandem.harness import _tally, run_single
 from tandem.protocol import Budgets, InputError
 
 from conftest import DATA, REPO, scenario_task
@@ -701,6 +701,13 @@ def demo_report(tmp_path):
     return tmp_path / "report.json"
 
 
+def _store_recounted(report: Path, raw: dict) -> None:
+    """Write `raw` to `report` with its summary recounted from its own rows."""
+    recounted = _tally(raw["tasks"]).to_dict()
+    raw.update({key: value for key, value in recounted.items() if key != "tasks"})
+    report.write_text(json.dumps(raw), encoding="utf-8")
+
+
 def test_report_verifies_clean_file(demo_report, capsys):
     code = run_cli("report", str(demo_report))
     assert code == EXIT_OK
@@ -754,17 +761,36 @@ def test_report_detects_a_forged_row_with_recounted_rates(demo_report, capsys):
     raw = json.loads(demo_report.read_text(encoding="utf-8"))
     i, row = next((i, row) for i, row in enumerate(raw["tasks"]) if row["task_id"] == "scn-happy")
     row.update(success=False, final_answer="forged")
-    recounted = _tally(raw["tasks"]).to_dict()
-    raw.update({key: recounted[key] for key in _RECOUNTED})
-    demo_report.write_text(json.dumps(raw), encoding="utf-8")
+    _store_recounted(demo_report, raw)
     code = run_cli("report", str(demo_report))
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
+    # The rebuilt summary is the transcripts' summary, so the recounted rates differ too.
     assert [line.split(":")[0] for line in err] == [
+        "integrity mismatch - n_success",
+        "integrity mismatch - overall_sr",
+        "integrity mismatch - categories",
+        "integrity mismatch - difficulties",
         f"integrity mismatch - tasks[{i}].success",
         f"integrity mismatch - tasks[{i}].final_answer",
     ]
-    assert "stored 'forged' != transcript " in err[1]
+    assert err[0] == "integrity mismatch - n_success: stored 5 != recounted 6"
+    assert "stored 'forged' != transcript " in err[5]
+
+
+def test_report_flags_a_forged_row_whose_transcript_is_gone(demo_report, capsys):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    i, row = next((i, row) for i, row in enumerate(raw["tasks"]) if row["task_id"] == "scn-happy")
+    row.update(success=False, final_answer="forged")
+    _store_recounted(demo_report, raw)
+    Path(row["transcript"]).unlink()
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"integrity mismatch - tasks[{i}]: no transcript at {demo_report.parent / Path(row['transcript']).name}"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -772,18 +798,22 @@ def test_report_detects_a_forged_row_with_recounted_rates(demo_report, capsys):
     [
         (
             lambda rows: rows[5].update(site_category="shopping"),
-            "tasks[5].site_category: stored 'shopping' != transcript 'gitlab'",
+            [
+                "categories: stored {'cms': 100.0, 'shopping': 100.0}"
+                " != recounted {'cms': 100.0, 'gitlab': 100.0, 'shopping': 100.0}",
+                "tasks[5].site_category: stored 'shopping' != transcript 'gitlab'",
+            ],
         ),
-        (lambda rows: rows.append(dict(rows[0])), "tasks[6].task_id: 'scn-happy' is also tasks[0]'s"),
+        (lambda rows: rows.append(dict(rows[0])), ["tasks[6].task_id: 'scn-happy' is also tasks[0]'s"]),
         # JSON tells a number from a boolean and 6.0 from 6, as the protocol does.
-        (lambda rows: rows[0].update(success=1), "tasks[0].success: stored 1 != transcript True"),
+        (lambda rows: rows[0].update(success=1), ["tasks[0].success: stored 1 != transcript True"]),
         (
             lambda rows: rows[0].update(exchanges_used=6.0),
-            "tasks[0].exchanges_used: stored 6.0 != transcript 6",
+            ["tasks[0].exchanges_used: stored 6.0 != transcript 6"],
         ),
         (
             lambda rows: rows[0].update(plan_versions=True),
-            "tasks[0].plan_versions: stored True != transcript 1",
+            ["tasks[0].plan_versions: stored True != transcript 1"],
         ),
     ],
     ids=["moved-to-another-group", "duplicated", "int-success", "float-count", "bool-count"],
@@ -791,12 +821,10 @@ def test_report_detects_a_forged_row_with_recounted_rates(demo_report, capsys):
 def test_report_detects_a_forged_row_set_with_recounted_rates(demo_report, capsys, forge, expected):
     raw = json.loads(demo_report.read_text(encoding="utf-8"))
     forge(raw["tasks"])
-    recounted = _tally(raw["tasks"]).to_dict()
-    raw.update({key: recounted[key] for key in _RECOUNTED})
-    demo_report.write_text(json.dumps(raw), encoding="utf-8")
+    _store_recounted(demo_report, raw)
     code = run_cli("report", str(demo_report))
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.splitlines() == [f"integrity mismatch - {expected}"]
+    assert capsys.readouterr().err.splitlines() == [f"integrity mismatch - {line}" for line in expected]
 
 
 def _edit_payload(report: Path, task_id: str, seq: int, edit) -> Path:
@@ -875,13 +903,24 @@ def test_report_refuses_a_task_result_it_cannot_read_a_row_from(
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {reason}"]
 
 
-def test_report_notes_a_missing_transcript(demo_report, capsys):
-    raw = json.loads(demo_report.read_text(encoding="utf-8"))
-    Path(raw["tasks"][0]["transcript"]).unlink()
+def test_report_refuses_a_transcript_holding_a_lone_surrogate(demo_report, capsys):
+    path = _edit_payload(demo_report, "scn-happy", 0, lambda p: p.update(response="\ud800"))
     code = run_cli("report", str(demo_report))
-    assert code == EXIT_OK
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("note: tasks[0]: no transcript at ")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: line 2: a string holds the lone surrogate '\\ud800'"
+    ]
+
+
+def test_report_flags_a_missing_transcript(demo_report, capsys):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    path = Path(raw["tasks"][0]["transcript"])
+    path.unlink()
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""  # no summary is rebuilt, so no rate table is printed
+    assert err.splitlines() == [f"integrity mismatch - tasks[0]: no transcript at {path}"]
 
 
 def test_report_flags_a_transcript_without_its_task_result(demo_report, capsys):

@@ -38,7 +38,19 @@ def _text(path) -> str:
 
 
 def _report() -> str:
-    row = {"task_id": "t1", "success": True, "site_category": "shopping", "difficulty": "Easy"}
+    """A report whose one row is the recorded run's, as a suite writes it."""
+    row = {
+        "task_id": "scn-overrule",
+        "success": True,
+        "final_answer": "The Trail Hiking Boots cost $74.50.",
+        "termination": "completed",
+        "detail": "",
+        "exchanges_used": 7,
+        "plan_versions": 1,
+        "site_category": "shopping",
+        "difficulty": "Medium",
+        "transcript": RECORDED.name,
+    }
     return json.dumps(
         {
             "format": "tandem-report",
@@ -47,11 +59,17 @@ def _report() -> str:
             "n_success": 1,
             "overall_sr": 100.0,
             "categories": {"shopping": 100.0},
-            "difficulties": {"Easy": 100.0},
+            "difficulties": {"Medium": 100.0},
             "tasks": [row],
         },
         indent=2,
     )
+
+
+def _report_argv(path, tmp_path) -> list[str]:
+    # `tandem report` rebuilds each row from its transcript beside the report.
+    (path.parent / RECORDED.name).write_text(_text(RECORDED), encoding="utf-8")
+    return ["report", str(path)]
 
 
 # Versions a reader refuses: another number, a boolean (JSON's true is no 1)
@@ -92,8 +110,9 @@ BAD_EVENTS = (
 
 # A protocol message or TaskResult decodes through its record, and any other
 # payload is checked against its declared keys, wherever its transcript is
-# read: the recorded run's seq 1 plan (line 3), seq 3 env step (line 5),
-# seq 5 verdict (line 7), seq 8 overrule (line 10) and seq 15 result (line 17).
+# read: the recorded run's seq 0 call (line 2), seq 1 plan (line 3), seq 3
+# env step (line 5), seq 5 verdict (line 7), seq 8 overrule (line 10) and
+# seq 15 result (line 17).
 BAD_PAYLOADS = (
     (lambda s: s.replace('"plan_version": 1,', '"plan_version": 1.0,', 1),
      "line 3: PlanIssued payload: plan_version: expected an integer, got float 1.0"),
@@ -106,6 +125,9 @@ BAD_PAYLOADS = (
     (lambda s: s.replace('"termination": "completed"', '"termination": "exploded"', 1),
      "line 17: TaskResult payload: 'exploded' is not a valid Termination"),
     (lambda s: s.replace(', "error": ""}', "}", 1), "line 5: EnvStep payload: missing key 'error'"),
+    # UTF-8 cannot encode a lone surrogate, so a run could not write it back.
+    (lambda s: s.replace('"response": "', '"response": "\\ud800', 1),
+     "line 2: a string holds the lone surrogate '\\ud800'"),
 )
 
 
@@ -237,7 +259,7 @@ KINDS = [
     Kind(
         "report",
         _report(),
-        lambda p, t: ["report", str(p)],
+        _report_argv,
         lambda s: s[: len(s) // 2],
         (lambda s: s.replace('"tasks": [', '"tasks": 5, "unused": ['),),
         syntax="json",

@@ -200,6 +200,41 @@ def test_trailing_text_on_the_last_line_is_dropped_as_truncated(tmp_path):
     assert first_divergence(events[:-1], loaded) is None
 
 
+def _with_escape(line: str, key: str, escape: str) -> str:
+    """`line` with the JSON escape `escape` opening the string value of `key`."""
+    return line.replace(f'"{key}": "', f'"{key}": "{escape}', 1)
+
+
+@pytest.mark.parametrize(
+    "line_no, edit, lone",
+    [
+        (1, lambda line: line.replace("{", '{"note\\ud800": 1, ', 1), "\ud800"),
+        (2, lambda line: _with_escape(line, "response", "\\ud800"), "\ud800"),
+        (2, lambda line: _with_escape(line, "prompt", "\\udfff"), "\udfff"),
+        (3, lambda line: _with_escape(line, "action", "\\ude00\\ud83d"), "\ude00"),
+    ],
+    ids=["a-header-key", "a-high-half", "a-low-half", "a-swapped-pair"],
+)
+def test_a_line_holding_a_lone_surrogate_is_corrupt(tmp_path, line_no, edit, lone):
+    # UTF-8 cannot encode a lone surrogate, so a run over this line could
+    # not write its own transcript.
+    path, _ = _write_lines(
+        tmp_path, lambda lines: [*lines[: line_no - 1], edit(lines[line_no - 1]), *lines[line_no:]]
+    )
+    with pytest.raises(TranscriptCorrupt) as err:
+        read_transcript(path)
+    assert str(err.value) == f"{path}: line {line_no}: a string holds the lone surrogate {lone!r}"
+
+
+def test_an_escaped_surrogate_pair_reads_clean(tmp_path):
+    path, _ = _write_lines(
+        tmp_path,
+        lambda lines: [lines[0], _with_escape(lines[1], "response", "\\ud83d\\ude00"), *lines[2:]],
+    )
+    _, loaded, _ = read_transcript(path)
+    assert loaded[0].payload["response"].startswith("\U0001f600Phase 1")
+
+
 def test_seq_gap_is_corrupt(tmp_path):
     path = tmp_path / "run.jsonl"
     events = sample_events()
