@@ -783,14 +783,13 @@ def test_report_flags_a_forged_row_whose_transcript_is_gone(demo_report, capsys)
     i, row = next((i, row) for i, row in enumerate(raw["tasks"]) if row["task_id"] == "scn-happy")
     row.update(success=False, final_answer="forged")
     _store_recounted(demo_report, raw)
-    Path(row["transcript"]).unlink()
+    path = Path(row["transcript"])
+    path.unlink()
     code = run_cli("report", str(demo_report))
     assert code == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == [
-        f"integrity mismatch - tasks[{i}]: no transcript at {demo_report.parent / Path(row['transcript']).name}"
-    ]
+    assert err.splitlines() == [f"integrity mismatch - tasks[{i}]: no transcript at {path}"]
 
 
 @pytest.mark.parametrize(
