@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, TypeVar
 from .grammar import GrammarError
 from .prompts import PACKAGED_PROMPTS, PromptLibrary
 from .protocol import (
-    ARRAY, EventKind, InputError, checked, decode_at, load_yaml, read_data, record
+    ARRAY, EventKind, InputError, LlmCall, LlmFailed, checked, decode_at, load_yaml, read_data,
+    record,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - for type hints only
@@ -360,15 +361,11 @@ def call_llm(backend: ChatBackend, request: ChatRequest, role: str, recorder: "R
             raise ResponseEmpty("backend returned an empty completion")
     except BackendError as exc:
         error = f"{type(exc).__name__}: {exc}"
-        recorder.append(
-            EventKind.LLM_FAILED,
-            {"role": role, "prompt": request.rendered(), "error": error,
-             "latency": time.perf_counter() - started},
-        )
+        failed = LlmFailed(role, request.rendered(), error, time.perf_counter() - started)
+        recorder.append(EventKind.LLM_FAILED, failed.to_dict())
         raise
-    latency = time.perf_counter() - started
-    payload = {"role": role, "prompt": request.rendered(), "response": response, "latency": latency}
-    recorder.append(EventKind.LLM_CALL, payload)
+    call = LlmCall(role, request.rendered(), response, time.perf_counter() - started)
+    recorder.append(EventKind.LLM_CALL, call.to_dict())
     return response
 
 

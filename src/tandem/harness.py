@@ -236,11 +236,11 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str]]:
 
     A row's transcript is read by its file name from `report_dir`, where a
     suite writes both; its header gives the task and its events the
-    outcome.  Returns the rebuilt rate tables and one line per summary
-    field and per row field (the transcript path aside) that differs, and
-    per row whose task id an earlier row has.  A row whose transcript is
-    missing or has no closing TaskResult is one line and nothing more; the
-    summary is then neither compared nor tabled.
+    outcome.  Returns the rebuilt rate tables and one line per summary or
+    row field (the transcript path aside) that differs, stored-only ones
+    included, and per row whose task id an earlier row has.  A row whose
+    transcript is missing or has no closing TaskResult is one line and
+    nothing more; the summary is then neither compared nor tabled.
     """
     rows = raw["tasks"]
     runs, lines = [], []
@@ -261,22 +261,23 @@ def check_report(raw: dict, report_dir: str | Path) -> tuple[str, list[str]]:
             task = RunHeader.from_dict(header).task
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(path, f"bad transcript header: {exc}") from exc
-        # The run keeps the row's path, so a moved report directory compares clean.
-        runs.append(TaskRun(task, TaskOutcome.from_events(task.id, events), row["transcript"]))
-        lines += _differences(row, _task_row(runs[-1]), f"tasks[{i}].", "transcript")
+        runs.append(TaskRun(task, TaskOutcome.from_events(task.id, events)))
+        lines += _differences(row, _task_row(runs[-1]), f"tasks[{i}].", "transcript", "transcript")
     if len(runs) < len(rows):
         return "", lines
     rebuilt = aggregate(runs)
-    summary = {key: value for key, value in rebuilt.to_dict().items() if key != "tasks"}
-    return "\n".join(_rate_lines(rebuilt)), _differences(raw, summary, "", "recounted") + lines
+    summary = _differences(raw, rebuilt.to_dict(), "", "recounted", "tasks")
+    return "\n".join(_rate_lines(rebuilt)), summary + lines
 
 
-def _differences(stored: dict, rebuilt: dict, where: str, source: str) -> list[str]:
-    """One line per field of `rebuilt` whose value in `stored` differs as JSON."""
+def _differences(stored: dict, rebuilt: dict, where: str, source: str, skip: str) -> list[str]:
+    """One line per key but `skip` whose values differ as JSON, `rebuilt`'s keys first."""
     return [
-        f"{where}{key}: stored {stored.get(key)!r} != {source} {value!r}"
-        for key, value in rebuilt.items()
-        if json.dumps(stored.get(key), sort_keys=True) != json.dumps(value, sort_keys=True)
+        f"{where}{key}: stored {stored.get(key)!r} != {source} {rebuilt.get(key)!r}"
+        for key in {**rebuilt, **stored}
+        if key != skip
+        and json.dumps(stored.get(key), sort_keys=True)
+        != json.dumps(rebuilt.get(key), sort_keys=True)
     ]
 
 
@@ -459,14 +460,12 @@ def replay_transcript(
     if not closed and where == len(events):
         after = f"seq {events[-1].seq}" if events else "the header"
         return ReplayResult(ok=False, message=f"recording is incomplete: no TaskResult after {after}")
-    detail = events[-1].payload["detail"] if closed else ""
-    if (
-        where == len(events) - 1
-        and detail.startswith(CRASH_PREFIX)
-        and events[-1].payload["termination"] == Termination.PROTOCOL_ERROR.value
-    ):
-        outcome = TaskOutcome.from_events(header.task.id, events)
-        return ReplayResult(ok=False, message=f"recorded run crashed: {detail}", outcome=outcome)
+    if closed and where == len(events) - 1:
+        recorded = TaskOutcome.from_events(header.task.id, events)
+        crashed = recorded.detail.startswith(CRASH_PREFIX)
+        if crashed and recorded.termination is Termination.PROTOCOL_ERROR:
+            message = f"recorded run crashed: {recorded.detail}"
+            return ReplayResult(ok=False, message=message, outcome=recorded)
     if stopped is not None:
         message = f"prompt diverged from recording: divergence at seq {where}: {stopped}"
     else:

@@ -43,8 +43,10 @@ from .grammar import GrammarError, render_action
 from .planner import GlobalPlanner
 from .protocol import (
     Budgets,
+    EnvStep,
     EventKind,
     ExecutionReport,
+    ForceStop,
     GlobalDecision,
     GlobalPlan,
     LocalVerdict,
@@ -155,17 +157,11 @@ class TaskOutcome(NamedTuple):
     def from_events(cls, task_id: str, events: list[TranscriptEvent]) -> "TaskOutcome":
         """The outcome recorded by a run's closing TaskResult, its LlmCall
         count and its last PlanIssued's version (0 with no plan)."""
-        result = events[-1].payload
+        success, answer, termination, detail = TaskResult.from_dict(events[-1].payload)
         plans = [e.payload["plan"] for e in events if e.kind is EventKind.PLAN_ISSUED]
-        return cls(
-            task_id=task_id,
-            success=result["success"],
-            final_answer=result["answer"],
-            termination=Termination(result["termination"]),
-            exchanges_used=sum(e.kind is EventKind.LLM_CALL for e in events),
-            plan_versions=plans[-1]["plan_version"] if plans else 0,
-            detail=result["detail"],
-        )
+        exchanges = sum(e.kind is EventKind.LLM_CALL for e in events)
+        version = plans[-1]["plan_version"] if plans else 0
+        return cls(task_id, success, answer, termination, exchanges, version, detail)
 
 
 # =====================================================================
@@ -208,14 +204,7 @@ def step(state: OrchestratorState, inp: StepInput) -> OrchestratorState:
         if mode not in (Mode.PHASE_EXECUTION, Mode.LOCAL_REVISION):
             raise IllegalTransition(f"{mode.value} cannot accept an execution report")
         for s in inp.steps:
-            rec.append(
-                EventKind.ENV_STEP,
-                {
-                    "action": render_action(s.action),
-                    "ok": s.outcome.ok,
-                    "error": s.outcome.error,
-                },
-            )
+            rec.append(EventKind.ENV_STEP, EnvStep(render_action(s.action), *s.outcome).to_dict())
         state.last_report = inp
         state.mode = Mode.FAIL_CHECK if inp.raised_exception else Mode.PASS_CHECK
         return state
@@ -294,9 +283,7 @@ def _within_limit(state: OrchestratorState, used: int, limit: int, reason: str) 
 
 
 def _force_stop(state: OrchestratorState, reason: str, exchange_count: int) -> None:
-    state.recorder.append(
-        EventKind.FORCE_STOP, {"exchange_count": exchange_count, "reason": reason}
-    )
+    state.recorder.append(EventKind.FORCE_STOP, ForceStop(exchange_count, reason).to_dict())
     state.mode = Mode.FORCE_STOPPED
 
 

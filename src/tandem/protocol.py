@@ -2,7 +2,7 @@
 
 Every value that crosses a module boundary is defined here and is
 immutable.  Tasks, observations, page actions, plans, reports,
-verdicts, decisions, budgets, a run's closing TaskResult and the
+verdicts, decisions, budgets, every other transcript payload and the
 transcript header (RunHeader) are NamedTuples that `record` gives one
 field-driven JSON-dict codec, and each closed set of words
 (difficulties, action kinds, verdicts, rulings, event kinds,
@@ -14,8 +14,8 @@ passages, reports, transcripts and prompt overrides) is read by
 a file can be bad into one `InputError`; `decode_at` decodes a record
 inside one and names its place in any error.  Beyond (de)serialization
 the module holds the field rules Task, Budgets, LocalVerdict and
-GlobalDecision check when built (see `checked`), and the transcript's
-payload tables, MESSAGE_RECORDS and EVENT_FIELDS; the rest builds on top.
+GlobalDecision check when built (see `checked`), and PAYLOADS, the one
+table of each event kind's payload record; the rest builds on top.
 """
 
 import json
@@ -33,22 +33,25 @@ __all__ = [
     "BOOLEAN",
     "Budgets",
     "Difficulty",
+    "EnvStep",
     "EvaluatorSpec",
-    "EVENT_FIELDS",
     "EventKind",
     "ExecutionReport",
     "ExecutionStep",
+    "ForceStop",
     "GlobalDecision",
     "GlobalPlan",
     "INTEGER",
     "InputError",
     "JsonType",
+    "LlmCall",
+    "LlmFailed",
     "LocalVerdict",
-    "MESSAGE_RECORDS",
     "NUMBER",
     "OBJECT",
     "Observation",
     "PageAction",
+    "PAYLOADS",
     "PhaseSpec",
     "ReplanRequest",
     "Ruling",
@@ -185,8 +188,7 @@ def _to_dict(self: tuple) -> dict:
 
 
 def _from_dict(cls: type, d: dict) -> Any:
-    if type(d) is not dict:  # `in` on a string would test for a substring
-        raise TypeError(OBJECT.mismatch(d, cls.__name__))
+    OBJECT.check(d, cls.__name__)  # `in` on a string would test for a substring
     kwargs = {}
     for f in _fields_of(cls):
         if f.name in d:
@@ -258,11 +260,8 @@ class JsonType(NamedTuple):
     def check(self, value: Any, key: str) -> Any:
         """`value`, if its type is one of `types`; else a TypeError naming `key`."""
         if type(value) not in self.types:
-            raise TypeError(self.mismatch(value, key))
+            raise TypeError(f"{key}: expected {self.name}, got {type(value).__name__} {value!r}")
         return value
-
-    def mismatch(self, value: Any, key: str) -> str:
-        return f"{key}: expected {self.name}, got {type(value).__name__} {value!r}"
 
 
 STRING = JsonType("a string", (str,))
@@ -633,6 +632,43 @@ _EVENT_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 @record
+class LlmCall(NamedTuple):
+    """A completed model call: the rendered prompt, the reply and its seconds."""
+
+    role: str
+    prompt: str
+    response: str
+    latency: float
+
+
+@record
+class LlmFailed(NamedTuple):
+    """A failed model call; `error` is "<BackendError subclass>: <message>"."""
+
+    role: str
+    prompt: str
+    error: str
+    latency: float
+
+
+@record
+class EnvStep(NamedTuple):
+    """One applied page action, rendered, and its outcome."""
+
+    action: str
+    ok: bool
+    error: str
+
+
+@record
+class ForceStop(NamedTuple):
+    """A run stopped by its exchange cap ("max_exchanges") or another limit."""
+
+    exchange_count: int
+    reason: str
+
+
+@record
 class TaskResult(NamedTuple):
     """A run's closing transcript event: whether it succeeded, its answer,
     how it ended, and why it ended (empty on completion)."""
@@ -643,23 +679,17 @@ class TaskResult(NamedTuple):
     detail: str
 
 
-# The transcript format, which read_transcript checks.  A protocol message's
-# payload, and a TaskResult's, is its record's wire form, under one key or
-# (None) as a whole.
-MESSAGE_RECORDS: dict[EventKind, tuple[type, str | None]] = {
+# Each kind's payload is its record's wire form, under one key or (None) as a whole.
+PAYLOADS: dict[EventKind, tuple[type, str | None]] = {
+    EventKind.LLM_CALL: (LlmCall, None),
+    EventKind.LLM_FAILED: (LlmFailed, None),
+    EventKind.ENV_STEP: (EnvStep, None),
     EventKind.PLAN_ISSUED: (GlobalPlan, "plan"),
     EventKind.VERDICT_ISSUED: (LocalVerdict, None),
     EventKind.REPLAN_REQUESTED: (ReplanRequest, "request"),
     EventKind.DECISION_ISSUED: (GlobalDecision, None),
+    EventKind.FORCE_STOP: (ForceStop, None),
     EventKind.TASK_RESULT: (TaskResult, None),
-}
-# Each other kind's payload keys in the order the writers emit them, with
-# their JSON types; a writer leaves none out.
-EVENT_FIELDS: dict[EventKind, dict[str, JsonType]] = {
-    EventKind.LLM_CALL: {"role": STRING, "prompt": STRING, "response": STRING, "latency": NUMBER},
-    EventKind.LLM_FAILED: {"role": STRING, "prompt": STRING, "error": STRING, "latency": NUMBER},
-    EventKind.ENV_STEP: {"action": STRING, "ok": BOOLEAN, "error": STRING},
-    EventKind.FORCE_STOP: {"exchange_count": INTEGER, "reason": STRING},
 }
 
 
@@ -678,8 +708,7 @@ _KINDS = {kind.value: kind for kind in EventKind}
 
 
 class TranscriptEvent(NamedTuple):
-    """One record in a task's append-only event log; MESSAGE_RECORDS or
-    EVENT_FIELDS gives its payload."""
+    """One record in a task's append-only event log; PAYLOADS gives its payload."""
 
     seq: int
     timestamp: float
@@ -697,8 +726,7 @@ class TranscriptEvent(NamedTuple):
     @classmethod
     def from_dict(cls, d: dict) -> "TranscriptEvent":
         """The event `d` holds: `seq` an integer, `ts` a number, `payload` an object."""
-        if type(d) is not dict:
-            raise TypeError(OBJECT.mismatch(d, cls.__name__))
+        OBJECT.check(d, cls.__name__)
         payload = OBJECT.check(d.get("payload", {}), "payload")
         seq, ts, kind = INTEGER.check(d["seq"], "seq"), NUMBER.check(d["ts"], "ts"), d["kind"]
         try:  # a dict read; an Enum call by value costs ten times as much

@@ -1,12 +1,11 @@
 """Transcript recording, persistence and replay.
 
 A transcript is one header line followed by line-delimited JSON events
-with gap-free seq numbers from 0: each protocol message's payload, and the
-closing TaskResult's, is the wire form of its `protocol.MESSAGE_RECORDS`
-record, and each other payload is as `protocol.EVENT_FIELDS` declares it.
-RunRecorder is the live sink: every LLM call (LlmCall), failed LLM call
-(LlmFailed), environment step, verdict, decision and budget event lands
-here, and `append` counts each LlmCall as one exchange.
+with gap-free seq numbers from 0; each event's payload is the wire form
+of its kind's record in `protocol.PAYLOADS`.  RunRecorder is the live
+sink: every LLM call (LlmCall), failed LLM call (LlmFailed), environment
+step, verdict, decision and budget event lands here, and `append` counts
+each LlmCall as one exchange.
 
 ReplayBackend turns a recorded transcript back into a backend: it serves
 the recorded responses in order, raises each recorded failure again, and
@@ -24,8 +23,7 @@ from pathlib import Path
 
 from .backend import BackendError, ChatRequest
 from .protocol import (
-    EVENT_FIELDS,
-    MESSAGE_RECORDS,
+    PAYLOADS,
     EventKind,
     InputError,
     TranscriptEvent,
@@ -93,14 +91,12 @@ class RunRecorder:
 
     # -- appends ------------------------------------------------------
 
-    def append(self, kind: EventKind, payload: dict) -> TranscriptEvent:
+    def append(self, kind: EventKind, payload: dict) -> None:
         if is_closed(self.events):
             raise RuntimeError("transcript already terminated by a TaskResult")
-        event = TranscriptEvent(len(self.events), time.time(), kind, payload)
-        self.events.append(event)
+        self.events.append(TranscriptEvent(len(self.events), time.time(), kind, payload))
         if kind is EventKind.LLM_CALL:
             self.exchanges += 1
-        return event
 
 
 def is_closed(events: list[TranscriptEvent]) -> bool:
@@ -141,9 +137,8 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
     last line raises TranscriptCorrupt with the offending line number, as
     does an event line that is not an object, a `seq` that is not an
     integer or a `ts` that is not a number, an event payload that is not
-    an object, a protocol message or TaskResult its MESSAGE_RECORDS record
-    refuses, any other payload that breaks EVENT_FIELDS (a key missing, a
-    value of another type), any line, the header included, whose decoded
+    an object, a payload its kind's PAYLOADS record refuses (a key missing,
+    a value of another type), any line, the header included, whose decoded
     strings hold a lone surrogate, and, for line 1, a header whose version
     is not TRANSCRIPT_VERSION.  A file that cannot be read is an InputError.
     Records end at line feeds only, so a string value may hold U+2028 or
@@ -182,19 +177,12 @@ def read_transcript(path: str | Path) -> tuple[dict, list[TranscriptEvent], list
             event = TranscriptEvent.from_dict(record)
         except (KeyError, ValueError, TypeError) as exc:
             raise TranscriptCorrupt(path, i, f"bad event record: {exc}") from None
-        kind, payload = event.kind, event.payload
+        cls, key = PAYLOADS[event.kind]
         try:
-            if kind in MESSAGE_RECORDS:
-                cls, key = MESSAGE_RECORDS[kind]
-                cls.from_dict(payload if key is None else payload[key])
-            else:
-                for key, json_type in EVENT_FIELDS[kind].items():  # inline: replay's hot path
-                    if type(payload[key]) not in json_type.types:
-                        raise TypeError(json_type.mismatch(payload[key], key))
-        except KeyError as exc:
-            raise TranscriptCorrupt(path, i, f"{kind.value} payload: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise TranscriptCorrupt(path, i, f"{kind.value} payload: {exc}") from None
+            cls.from_dict(event.payload if key is None else event.payload[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise TranscriptCorrupt(path, i, f"{event.kind.value} payload: {why}") from None
         if event.seq != len(events):
             raise TranscriptCorrupt(path, i, f"seq {event.seq} breaks gap-free order")
         events.append(event)

@@ -11,8 +11,7 @@ from tandem.harness import load_task_file
 from tandem.orchestrator import run_task
 from tandem.planner import GlobalPlanner
 from tandem.protocol import (
-    EVENT_FIELDS,
-    MESSAGE_RECORDS,
+    PAYLOADS,
     ActionKind,
     Budgets,
     EvaluatorSpec,
@@ -153,17 +152,9 @@ def shop_env() -> WebEnv:
 
 
 def assert_declared(kind: EventKind, payload: dict) -> None:
-    """A protocol message's or TaskResult's payload is what its MESSAGE_RECORDS
-    record's codec writes of it, key order included.  Any other payload has
-    exactly the keys EVENT_FIELDS declares for `kind`, in the declared order,
-    each with its declared JSON type."""
-    if kind in MESSAGE_RECORDS:
-        cls, key = MESSAGE_RECORDS[kind]
-        value = cls.from_dict(payload if key is None else payload[key]).to_dict()
-        rebuilt = value if key is None else {key: value}
-        assert json.dumps(rebuilt) == json.dumps(payload), (kind, payload)
-        return
-    fields = EVENT_FIELDS[kind]
-    assert list(payload) == list(fields), (kind, list(payload))
-    for key, json_type in fields.items():
-        json_type.check(payload[key], key)
+    """A payload is what its kind's PAYLOADS record's codec writes of it,
+    key order and JSON types included."""
+    cls, key = PAYLOADS[kind]
+    value = cls.from_dict(payload if key is None else payload[key]).to_dict()
+    rebuilt = value if key is None else {key: value}
+    assert json.dumps(rebuilt) == json.dumps(payload), (kind, payload)

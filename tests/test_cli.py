@@ -826,6 +826,19 @@ def test_report_detects_a_forged_row_set_with_recounted_rates(demo_report, capsy
     assert capsys.readouterr().err.splitlines() == [f"integrity mismatch - {line}" for line in expected]
 
 
+def test_report_detects_fields_no_suite_writes(demo_report, capsys):
+    raw = json.loads(demo_report.read_text(encoding="utf-8"))
+    raw["tasks"][0]["verified_by"] = "auditor"
+    raw["audited"] = True
+    demo_report.write_text(json.dumps(raw), encoding="utf-8")
+    code = run_cli("report", str(demo_report))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "integrity mismatch - audited: stored True != recounted None",
+        "integrity mismatch - tasks[0].verified_by: stored 'auditor' != transcript None",
+    ]
+
+
 def _edit_payload(report: Path, task_id: str, seq: int, edit) -> Path:
     """Apply `edit` to the payload of event `seq` in task `task_id`'s
     transcript beside `report`; return the transcript's path."""

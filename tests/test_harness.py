@@ -28,7 +28,7 @@ from tandem.harness import (
 )
 from tandem.orchestrator import TaskOutcome, Termination
 from tandem.protocol import (
-    MESSAGE_RECORDS,
+    PAYLOADS,
     Budgets,
     Difficulty,
     EventKind,
@@ -41,6 +41,8 @@ from conftest import (
     DATA,
     REPO,
     assert_declared,
+    golden_budgets,
+    load_golden,
     make_task,
     scenario_backend,
     scenario_task,
@@ -675,8 +677,18 @@ def demo_tasks_and_factory():
 def test_every_written_event_has_its_declared_fields(tmp_path):
     tasks, factory = demo_tasks_and_factory()
     run_suite(tasks, factory, Budgets(), out_dir=tmp_path)
-    paths = [*tmp_path.glob("*.transcript.jsonl"), *RECORDED.glob("*.transcript.jsonl")]
-    assert len(paths) == len(tasks) + 2
+    # A demo suite writes no ForceStop and no LlmFailed: add a capped run
+    # and one whose script runs dry after its first exchange.
+    capped, dry = tmp_path / "capped", tmp_path / "dry"
+    capped.mkdir()
+    dry.mkdir()
+    task = scenario_task("scn-forcestop")
+    run_single(task, scenario_backend(task.id), golden_budgets(load_golden(task.id)), out_dir=capped)
+    script = load_script_file(DATA / "scripts" / "scn-happy.yaml")[:1]
+    run = run_single(scenario_task("scn-happy"), ScriptedBackend(script), Budgets(), out_dir=dry)
+    assert run.outcome.detail.startswith("BackendExhausted: ")
+    paths = [*tmp_path.rglob("*.transcript.jsonl"), *RECORDED.glob("*.transcript.jsonl")]
+    assert len(paths) == len(tasks) + 4
     kinds, rulings = set(), set()
     for path in paths:
         for line in path.read_text(encoding="utf-8").splitlines()[1:]:
@@ -686,8 +698,8 @@ def test_every_written_event_has_its_declared_fields(tmp_path):
             kinds.add(kind)
             if kind is EventKind.DECISION_ISSUED:
                 rulings.add(record["payload"]["ruling"])
-    # Every protocol value's event is among them, with both rulings.
-    assert set(MESSAGE_RECORDS) <= kinds
+    # Every kind's event is among them, with both rulings.
+    assert kinds == set(PAYLOADS) == set(EventKind)
     assert rulings == {"revise", "overrule"}
 
 

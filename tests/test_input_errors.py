@@ -108,8 +108,7 @@ BAD_EVENTS = (
 )
 
 
-# A protocol message or TaskResult decodes through its record, and any other
-# payload is checked against its declared keys, wherever its transcript is
+# Every payload decodes through its kind's record wherever its transcript is
 # read: the recorded run's seq 0 call (line 2), seq 1 plan (line 3), seq 3
 # env step (line 5), seq 5 verdict (line 7), seq 8 overrule (line 10) and
 # seq 15 result (line 17).
@@ -125,6 +124,10 @@ BAD_PAYLOADS = (
     (lambda s: s.replace('"termination": "completed"', '"termination": "exploded"', 1),
      "line 17: TaskResult payload: 'exploded' is not a valid Termination"),
     (lambda s: s.replace(', "error": ""}', "}", 1), "line 5: EnvStep payload: missing key 'error'"),
+    (lambda s: re.sub(r'"latency": [^,}]+', '"latency": true', s, count=1),
+     "line 2: LlmCall payload: latency: expected a number, got bool True"),
+    (lambda s: s.replace('"ok": true', '"ok": "true"', 1),
+     "line 5: EnvStep payload: ok: expected a boolean, got str 'true'"),
     # UTF-8 cannot encode a lone surrogate, so a run could not write it back.
     (lambda s: s.replace('"response": "', '"response": "\\ud800', 1),
      "line 2: a string holds the lone surrogate '\\ud800'"),

@@ -259,6 +259,27 @@ def test_bad_event_record_is_corrupt(tmp_path):
         read_transcript(path)
 
 
+@pytest.mark.parametrize(
+    "kind, payload, error",
+    [
+        (EventKind.LLM_FAILED, {"role": "local", "prompt": "p", "latency": 0.5},
+         "LlmFailed payload: missing key 'error'"),
+        (EventKind.FORCE_STOP, {"exchange_count": 1.5, "reason": "max_exchanges"},
+         "ForceStop payload: exchange_count: expected an integer, got float 1.5"),
+    ],
+    ids=["llm-failed-without-error", "force-stop-with-a-fractional-count"],
+)
+def test_a_payload_its_record_refuses_is_corrupt(tmp_path, kind, payload, error):
+    # No recorded run holds these two kinds, so the damaged event replaces
+    # the sample's env step on line 3.
+    path, events = tmp_path / "run.jsonl", sample_events()
+    events[1] = TranscriptEvent(1, events[1].timestamp, kind, payload)
+    write_transcript(path, {}, events)
+    with pytest.raises(TranscriptCorrupt) as err:
+        read_transcript(path)
+    assert str(err.value) == f"{path}: line 3: {error}"
+
+
 def test_wrong_format_header_is_corrupt(tmp_path):
     path = tmp_path / "run.jsonl"
     path.write_text('{"format": "other"}\n', encoding="utf-8")
